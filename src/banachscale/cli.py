@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -532,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default="./out", help="output directory")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=0, help="0 = all cores")
     return parser
 
 
@@ -546,8 +544,6 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads > 0:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         raw = Path(args.config).read_bytes()
     except OSError as exc:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import simpson
 
 from .errors import DomainError, ModelValidationError
@@ -23,6 +24,7 @@ from .solver import (
     ConvergenceReport,
     EvolutionSystem,
     PerturbationMap,
+    StepAction,
     TriangleSolution,
     picard_solve,
 )
@@ -237,12 +239,15 @@ class KimuraModel:
     n_max: int
     window: ScaleWindow
     _matrix_cache: dict = field(default_factory=dict, repr=False)
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ModelValidationError("n_max must be at least 2 (pair term of Bdelta)")
         if len(self.rates.h_base) != self.space.m:
             raise ModelValidationError("rates and space disagree on the site count")
+        sizes = [math.comb(self.m, n) for n in range(self.n_max)]
+        self._offsets = tuple(accumulate(sizes, initial=0))
 
     @property
     def m(self) -> int:
@@ -253,21 +258,18 @@ class KimuraModel:
         return sum(math.comb(self.m, n) for n in range(self.n_max + 1))
 
     def offsets(self) -> list[int]:
-        out, pos = [], 0
-        for n in range(self.n_max + 1):
-            out.append(pos)
-            pos += math.comb(self.m, n)
-        return out
+        return list(self._offsets)
 
     def hierarchy_norm(self, vec: np.ndarray, alpha: float) -> float:
-        """Scale norm on the flattened hierarchy vector."""
-        off = self.offsets()
+        """Scale norm on the flattened hierarchy vector.
+
+        Levels n > m are empty and contribute 0; they sit at the tail, so the
+        starts of the nonempty levels are the first min(m, n_max) + 1 offsets.
+        """
+        level_max = np.maximum.reduceat(np.abs(vec), self._offsets[: self.m + 1])
         best = 0.0
-        for n in range(self.n_max + 1):
-            size = math.comb(self.m, n)
-            seg = vec[off[n] : off[n] + size]
-            if seg.size:
-                best = max(best, math.exp(-alpha * n) * float(np.max(np.abs(seg))))
+        for n, mx in enumerate(level_max.tolist()):
+            best = max(best, math.exp(-alpha * n) * mx)
         return best
 
     def a0_matrix(self, t: float) -> np.ndarray:
@@ -493,6 +495,46 @@ def _rk4_a0(model: KimuraModel, s: float, t: float, v0: np.ndarray, n: int) -> n
     return v
 
 
+def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
+    """D = exp(-h A0) - I by a Taylor series with scaling and squaring.
+
+    -h A0 is scaled by 2^-s so its 1-norm is at most 1/2, the series of
+    exp - I is summed until a term drops below the unit roundoff of the sum,
+    and exp(2X) - I = 2D + D^2 undoes the scaling.  The identity is never
+    formed, so a step applied as v + D v keeps unit entries exact that the
+    small terms of D would otherwise round.  (Moler and Van Loan, SIAM Rev.
+    45(1), 2003.)
+    """
+
+    def norm1(mat) -> float:
+        return float(abs(mat).sum(axis=0).max())
+
+    norm = h * norm1(a0)
+    s = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    x = a0 * (-h / 2.0**s)
+    d = x.copy()
+    term = x
+    for k in range(2, 64):
+        term = (term @ x) / k
+        d = d + term
+        if norm1(term) <= np.finfo(float).eps * norm1(d):
+            break
+    for _ in range(s):
+        d = 2.0 * d + d @ d
+    return d
+
+
+def _increment_step(d: sparse.csr_matrix) -> StepAction:
+    """Step action v -> v + D v of a time-invariant step, on a vector or on rows."""
+
+    def action(v: np.ndarray, j: int | None = None) -> np.ndarray:
+        if j is not None:
+            return v + d @ v
+        return v + (d @ v.T).T
+
+    return action
+
+
 # ---------------------------------------------------------------------------
 # rate aggregates and certified constants
 
@@ -608,7 +650,9 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
         for t in np.linspace(0.0, win.T, 51)
     )
     cx = c1 * a0k0
-    return OvcyannikovConstants(c1=c1, beta=0.0, c2=c2, c3=c3, cx=cx, x_norm=x_norm)
+    return OvcyannikovConstants(
+        c1=c1, beta=0.0, c2=float(c2), c3=float(c3), cx=cx, x_norm=float(x_norm)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +660,12 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
 
 
 class KimuraEvolution(EvolutionSystem):
-    """Evolution system generated by -A0 on the flattened hierarchy."""
+    """Evolution system generated by -A0 on the flattened hierarchy.
+
+    Single propagations integrate with step-doubling RK4 (:func:`evolution_u`).
+    With time-constant rates U(t,s) = exp(-(t-s) A0) is a semigroup, so the
+    grid steps of the Picard engine are two precomputed sparse increments.
+    """
 
     def __init__(self, model: KimuraModel, c1: float, per_unit_tol: float = 1e-10):
         self.model = model
@@ -630,6 +679,22 @@ class KimuraEvolution(EvolutionSystem):
     def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
         return -(self.model.a0_matrix(t) @ v)
 
+    def grid_steps(self, t_grid: np.ndarray) -> tuple[StepAction, StepAction]:
+        t = np.asarray(t_grid, dtype=float)
+        n = len(t) - 1
+        if not self.model.rates.time_constant or n < 1:
+            return super().grid_steps(t)
+        # nominal step: the grid's steps differ from it by rounding only, and
+        # keying on each float step would cost one exponential per distinct step
+        dt = (t[-1] - t[0]) / n
+        if not np.allclose(t[1:] - t[:-1], dt, rtol=1e-9, atol=0.0):
+            return super().grid_steps(t)
+        a0 = sparse.csr_matrix(self.model.a0_matrix(0.0))
+        return (
+            _increment_step(expm_increment(a0, dt)),
+            _increment_step(expm_increment(a0, 0.5 * dt)),
+        )
+
 
 class KimuraPerturbation(PerturbationMap):
     """B(k, t) = A1(t) k + Bdelta(t, k) k on the flattened hierarchy."""
@@ -642,6 +707,16 @@ class KimuraPerturbation(PerturbationMap):
 
     def apply(self, v: np.ndarray, t: float) -> np.ndarray:
         return self.model.a1_matrix(t) @ v + bdelta_vec(self.model, t, v) * v
+
+    def apply_batch(self, V: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Rows B(V[i], ts[i]); with time-constant rates, two matrix products.
+
+        Row 0 of A0 is the Bdelta functional, because selection_cost(()) = 0.
+        """
+        if not self.model.rates.time_constant:
+            return super().apply_batch(V, ts)
+        bdelta_row = self.model.a0_matrix(0.0)[0]
+        return V @ self.model.a1_matrix(0.0).T + (V @ bdelta_row)[:, None] * V
 
 
 @dataclass

@@ -120,8 +120,16 @@ def lambda0(
     """Smallest admissible horizon slope, as a four-term maximum.
 
     Any slope strictly above this value makes the integral map a contraction
-    on the weighted space; 1/inf is read as 0 when r_prime is infinite.
+    on the weighted space; 1/inf is read as 0 when r_prime is infinite.  The
+    terms are those of :func:`lambda0_terms`.
     """
+    return lambda0_terms(window, consts, r_prime)["lambda0"]
+
+
+def lambda0_terms(
+    window: ScaleWindow, consts: OvcyannikovConstants, r_prime: float | None = None
+) -> dict[str, float]:
+    """Audit trail: the four individual max-terms behind :func:`lambda0`."""
     if r_prime is None:
         r_prime = window.r
     if not (0.0 < r_prime <= window.r):
@@ -133,37 +141,6 @@ def lambda0(
     beta = window.beta
     gamma = window.gamma
     # __post_init__ already guarantees beta < gamma < 1 - beta
-    a_span = window.alpha_top - window.alpha_star
-    a_width = window.alpha_top - window.alpha0
-
-    t1 = a_span / window.T
-    t2 = 2.0 ** (2.0 * gamma + 1.0 - beta) * consts.c1 * consts.c2 / (gamma - beta)
-    t3 = (
-        4.0 ** (1.0 - beta) * consts.c2 * a_width**beta / (gamma * (1.0 + consts.x_norm))
-        + 2.0 ** (2.0 + gamma) * consts.c1 * consts.c2 / gamma
-    )
-    if math.isinf(r_prime):
-        t4 = 0.0
-    else:
-        t4 = (
-            consts.cx * a_width / r_prime
-            + consts.c1
-            * (consts.c3 / (window.alpha0 - window.alpha_star) + consts.cx)
-            * a_width
-            * (1.0 + consts.x_norm)
-            / ((1.0 - gamma) * r_prime)
-        )
-    return max(t1, t2, t3, t4)
-
-
-def lambda0_terms(
-    window: ScaleWindow, consts: OvcyannikovConstants, r_prime: float | None = None
-) -> dict[str, float]:
-    """Audit trail: the four individual max-terms behind :func:`lambda0`."""
-    if r_prime is None:
-        r_prime = window.r
-    full = lambda0(window, consts, r_prime)
-    beta, gamma = window.beta, window.gamma
     a_width = window.alpha_top - window.alpha0
     if math.isinf(r_prime):
         t4 = 0.0
@@ -176,7 +153,7 @@ def lambda0_terms(
             * (1.0 + consts.x_norm)
             / ((1.0 - gamma) * r_prime)
         )
-    return {
+    terms = {
         "time_span": (window.alpha_top - window.alpha_star) / window.T,
         "contraction": 2.0 ** (2.0 * gamma + 1.0 - beta)
         * consts.c1
@@ -188,8 +165,9 @@ def lambda0_terms(
         / (gamma * (1.0 + consts.x_norm))
         + 2.0 ** (2.0 + gamma) * consts.c1 * consts.c2 / gamma,
         "radius": t4,
-        "lambda0": full,
     }
+    terms["lambda0"] = max(terms.values())
+    return terms
 
 
 def weighted_gamma_norm(u, window: ScaleWindow) -> float:

@@ -25,6 +25,10 @@ from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0, weighted_gamm
 #: norm callable signature: (vector, alpha) -> float
 ScaleNorm = Callable[[np.ndarray, float], float]
 
+#: step action on a time grid: ``step(v, j)`` propagates one vector over grid
+#: step j; ``step(V)`` propagates a batch with one row per step, row j over step j
+StepAction = Callable[..., np.ndarray]
+
 
 class EvolutionSystem(abc.ABC):
     """Two-parameter propagator U(t,s) of the linear part A(t).
@@ -45,6 +49,26 @@ class EvolutionSystem(abc.ABC):
     def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
         """Apply A(t) to v (used by the residual monitor)."""
 
+    def grid_steps(self, t_grid: np.ndarray) -> tuple[StepAction, StepAction]:
+        """Full-step and half-step actions of U on the grid ``t_grid``.
+
+        The full step j is U(t_{j+1}, t_j), the half step j is
+        U(t_{j+1}, t_j + dt_j/2).  This default calls :meth:`apply` once per
+        vector; subclasses with a cheaper precomputed step may override it.
+        """
+        t = np.asarray(t_grid, dtype=float)
+        dt = t[1:] - t[:-1]
+
+        def step(t_from: np.ndarray, t_to: np.ndarray) -> StepAction:
+            def action(v: np.ndarray, j: int | None = None) -> np.ndarray:
+                if j is not None:
+                    return self.apply(t_to[j], t_from[j], v)
+                return np.array([self.apply(b, a, row) for a, b, row in zip(t_from, t_to, v)])
+
+            return action
+
+        return step(t[:-1], t[1:]), step(t[:-1] + 0.5 * dt, t[1:])
+
 
 class PerturbationMap(abc.ABC):
     """Nonlinear part B(u,t) with declared Ovcyannikov constants c2, c3, r."""
@@ -56,6 +80,10 @@ class PerturbationMap(abc.ABC):
     @abc.abstractmethod
     def apply(self, v: np.ndarray, t: float) -> np.ndarray:
         """Evaluate B(v, t)."""
+
+    def apply_batch(self, V: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Evaluate B row by row: row i of the result is B(V[i], ts[i])."""
+        return np.array([self.apply(v, t) for v, t in zip(V, ts)])
 
 
 @dataclass
@@ -168,12 +196,16 @@ def integral_map(
     B: PerturbationMap,
     window: ScaleWindow,
     x: np.ndarray,
+    steps: tuple[StepAction, StepAction] | None = None,
 ) -> TriangleSolution:
     """T(u)(t) = int_0^t U(t,s) B(u(s),s) ds by composite Simpson.
 
     u is linearly interpolated at quadrature midpoints.  The running integral
-    is advanced one step at a time via the cocycle law, which reproduces the
-    direct node-by-node Simpson evaluation up to integrator tolerance.
+    is advanced one step at a time via the cocycle law,
+    acc_{j+1} = U(t_{j+1}, t_j) acc_j + c_j, which reproduces the direct
+    node-by-node Simpson evaluation up to integrator tolerance.  The Simpson
+    increments c_j are formed for all steps at once.  ``steps`` are the grid
+    actions of :meth:`EvolutionSystem.grid_steps`, built here when omitted.
     """
     _radius_check(u, x, B.r)
     t = u.t_grid
@@ -181,17 +213,16 @@ def integral_map(
     out = np.zeros_like(u.values)
     if n < 0:
         raise DomainError("empty time grid")
-    g_nodes = np.array([B.apply(u.values[j], t[j]) for j in range(n + 1)])
+    if n == 0:
+        return u.with_values(out)
+    full, half = U.grid_steps(t) if steps is None else steps
+    dt = t[1:] - t[:-1]
+    g_nodes = B.apply_batch(u.values, t)
+    g_mid = B.apply_batch(0.5 * (u.values[:-1] + u.values[1:]), t[:-1] + 0.5 * dt)
+    incr = (dt / 6.0)[:, None] * (full(g_nodes[:-1]) + 4.0 * half(g_mid) + g_nodes[1:])
     acc = np.zeros_like(u.values[0])
     for j in range(n):
-        dt = t[j + 1] - t[j]
-        t_mid = t[j] + 0.5 * dt
-        g_mid = B.apply(0.5 * (u.values[j] + u.values[j + 1]), t_mid)
-        acc = U.apply(t[j + 1], t[j], acc) + (dt / 6.0) * (
-            U.apply(t[j + 1], t[j], g_nodes[j])
-            + 4.0 * U.apply(t[j + 1], t_mid, g_mid)
-            + g_nodes[j + 1]
-        )
+        acc = full(acc, j) + incr[j]
         out[j + 1] = acc
     return u.with_values(out)
 
@@ -213,7 +244,7 @@ def monitor_m(
     taus = np.linspace(0.0, (window.alpha_top - window.alpha0) / lam, n_tau)
     best = 0.0
     for tau in taus:
-        b_vals = [B.apply(u.values[j], tau) for j in range(len(u.t_grid))]
+        b_vals = B.apply_batch(u.values, np.full(len(u.t_grid), tau))
         for i, alpha in enumerate(u.alpha_grid):
             for j, t in enumerate(u.t_grid):
                 if not u.mask[j, i]:
@@ -242,7 +273,7 @@ def _quadrature_estimate(u: TriangleSolution, B: PerturbationMap) -> float:
     t = u.t_grid
     if len(t) < 3:
         return 0.0
-    g = np.array([B.apply(u.values[j], t[j]) for j in range(len(t))])
+    g = B.apply_batch(u.values, t)
     dt = u.dt
     alpha_top = float(u.alpha_grid[-1])
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
@@ -284,11 +315,15 @@ def picard_solve(
     grid = make_grid(window, norm, len(x), n_steps, n_alpha, theta)
     t = grid.t_grid
 
+    # the grid is the same for every iterate: build its step actions once
+    steps = U.grid_steps(t)
+    full = steps[0]
+
     # propagate the free trajectory U(t,0)x once, stepwise via the cocycle
     u0_vals = np.zeros_like(grid.values)
     u0_vals[0] = x
     for j in range(len(t) - 1):
-        u0_vals[j + 1] = U.apply(t[j + 1], t[j], u0_vals[j])
+        u0_vals[j + 1] = full(u0_vals[j], j)
     u_free = grid.with_values(u0_vals)
 
     u = u_free if u_init is None else grid.with_values(
@@ -299,7 +334,7 @@ def picard_solve(
     prev_d = None
     quad_budget = 0.0
     for k in range(k_max):
-        tu = integral_map(u, U, B, window, x)
+        tu = integral_map(u, U, B, window, x, steps)
         u_next = grid.with_values(u_free.values + tu.values)
         d = _weighted_diff_norm(u_next, u, window)
         report.increments.append(d)
@@ -345,8 +380,9 @@ def contraction_check(
     denom = _weighted_diff_norm(u, v, window)
     if denom == 0.0:
         return ContractionReport(False, None, bound, slack, False)
-    tu = integral_map(u, U, B, window, x)
-    tv = integral_map(v, U, B, window, x)
+    steps = U.grid_steps(u.t_grid)
+    tu = integral_map(u, U, B, window, x, steps)
+    tv = integral_map(v, U, B, window, x, steps)
     measured = _weighted_diff_norm(tu, tv, window) / denom
     quad = max(_quadrature_estimate(u, B), _quadrature_estimate(v, B))
     tol = slack + quad
@@ -367,7 +403,7 @@ def apriori_check(
     worst_lhs = 0.0
     count = 0
     for tau in taus:
-        b_vals = [B.apply(u.values[j], tau) for j in range(len(u.t_grid))]
+        b_vals = B.apply_batch(u.values, np.full(len(u.t_grid), tau))
         for i, alpha in enumerate(u.alpha_grid):
             for j, t in enumerate(u.t_grid):
                 if not u.mask[j, i]:
@@ -390,9 +426,10 @@ def residual_check(
         raise DomainError("residual check needs at least 3 time nodes")
     dt = u.dt
     alpha_top = window.alpha_top
+    b_vals = B.apply_batch(u.values[1:-1], t[1:-1])
     worst = 0.0
     for j in range(1, len(t) - 1):
         dudt = (u.values[j + 1] - u.values[j - 1]) / (2.0 * dt)
-        defect = dudt - U.generator_apply(t[j], u.values[j]) - B.apply(u.values[j], t[j])
+        defect = dudt - U.generator_apply(t[j], u.values[j]) - b_vals[j - 1]
         worst = max(worst, u.norm(defect, alpha_top))
     return worst

@@ -100,6 +100,12 @@ class TestSolve:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", tmp_path / "out") == 2
 
+    def test_threads_flag_is_not_accepted(self, tmp_path):
+        # the thread count of numpy's BLAS is fixed when numpy loads, so a flag
+        # read afterwards could not set it; the environment variables can
+        with pytest.raises(SystemExit):
+            run("solve", CONFIG_DIR / "desk-free.json", tmp_path / "out", ["--threads", "2"])
+
 
 class TestStability:
     def test_shipped_config_decreasing(self, tmp_path):

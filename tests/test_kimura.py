@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import expm
 
+from banachscale import kimura
 from banachscale.errors import DomainError, ModelValidationError
 from banachscale.kimura import (
     CorrelationHierarchy,
     DiscreteSpace,
+    KimuraEvolution,
     KimuraModel,
+    KimuraPerturbation,
     RateData,
     TimeProfile,
     apply_A0,
@@ -15,6 +20,7 @@ from banachscale.kimura import (
     apply_ldelta,
     bdelta,
     evolution_u,
+    expm_increment,
     kappa,
     kappa_integral,
     model_constants,
@@ -22,6 +28,7 @@ from banachscale.kimura import (
     solve_kimura,
 )
 from banachscale.scalecore import ScaleWindow
+from banachscale.solver import make_grid
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
 
@@ -272,7 +279,120 @@ class TestEvolution:
             assert out.norm(alpha) <= bound * (1.0 + 1e-10)
 
 
+class TestGridSteps:
+    """Exact step propagators of the time-constant evolution system."""
+
+    def test_steps_match_rk4_on_picard_grid(self, epistatic_problem):
+        model = epistatic_problem.model
+        win = epistatic_problem.resolved_window()
+        t = make_grid(win, model.hierarchy_norm, model.dim, 100).t_grid
+        full, half = epistatic_problem.evolution.grid_steps(t)
+        rng = np.random.default_rng(3)
+        for j in (0, 37, 99):
+            v = rng.uniform(-1.0, 1.0, model.dim)
+            t_mid = t[j] + 0.5 * (t[j + 1] - t[j])
+            assert np.max(np.abs(full(v, j) - evolution_u(model, t[j + 1], t[j], v))) <= 1e-14
+            assert np.max(np.abs(half(v, j) - evolution_u(model, t[j + 1], t_mid, v))) <= 1e-14
+
+    def test_batch_rows_match_single_steps(self, epistatic_problem):
+        model = epistatic_problem.model
+        t = np.linspace(0.0, 1e-3, 6)
+        full, half = epistatic_problem.evolution.grid_steps(t)
+        V = np.random.default_rng(4).uniform(-1.0, 1.0, (5, model.dim))
+        for j in range(5):
+            assert np.max(np.abs(full(V)[j] - full(V[j], j))) <= 1e-15
+            assert np.max(np.abs(half(V)[j] - half(V[j], j))) <= 1e-15
+
+    def test_squaring_matches_dense_expm(self, epistatic_model):
+        # ||h A0||_1 = 20 forces five squarings; an unscaled Taylor sum of this
+        # size loses about 1e-10 to cancellation
+        a0 = epistatic_model.a0_matrix(0.0)
+        h = 20.0 / np.max(np.sum(np.abs(a0), axis=0))
+        d = expm_increment(sparse.csr_matrix(a0), h)
+        exact = expm(-h * a0)
+        V = np.random.default_rng(6).uniform(-1.0, 1.0, (4, len(a0)))
+        for v in V:
+            assert np.max(np.abs(v + d @ v - exact @ v)) <= 1e-14
+
+    def test_dead_model_increment_is_zero(self, dead_model):
+        d = expm_increment(sparse.csr_matrix(dead_model.a0_matrix(0.0)), 0.7)
+        assert np.array_equal(d.toarray(), np.zeros((dead_model.dim, dead_model.dim)))
+
+    def test_level0_column_untouched(self, epistatic_model):
+        # nothing raises into level 0, so a step never rounds its unit entry
+        d = expm_increment(sparse.csr_matrix(epistatic_model.a0_matrix(0.0)), 0.3)
+        assert np.all(d.toarray()[:, 0] == 0.0)
+
+    def test_time_varying_rates_use_rk4(self, monkeypatch):
+        rates = RateData(
+            np.full(3, 0.5), np.full((3, 3), 0.1), np.full(3, 0.2),
+            h_profile=TimeProfile("sinusoidal", amp=0.5, freq=3.0),
+        )
+        model = KimuraModel(DiscreteSpace.uniform(3), rates, 3, WIN)
+        ev = KimuraEvolution(model, 1.0)
+        t = np.linspace(0.0, 0.01, 4)
+        v = np.random.default_rng(7).uniform(-1.0, 1.0, model.dim)
+        full, half = ev.grid_steps(t)
+        assert np.array_equal(full(v, 1), ev.apply(t[2], t[1], v))
+        assert np.array_equal(half(v, 1), ev.apply(t[2], t[1] + 0.5 * (t[2] - t[1]), v))
+
+
+class TestApplyBatch:
+    @pytest.mark.parametrize("profile", [TimeProfile(), TimeProfile("sinusoidal", amp=0.8, freq=5.0)])
+    def test_batch_equals_rowwise_apply(self, profile):
+        rates = RateData(
+            np.array([1.0, 0.6, 1.4, 0.8]), np.full((4, 4), 0.2), np.full(4, 0.5),
+            h_profile=profile, a_profile=profile,
+        )
+        model = KimuraModel(DiscreteSpace.uniform(4), rates, 3, WIN)
+        pert = KimuraPerturbation(model, 1.0, 1.0, 1.0)
+        rng = np.random.default_rng(8)
+        V = CorrelationHierarchy.poisson(4, 3, np.full(4, 0.5)).to_vector() + rng.uniform(
+            -0.1, 0.1, (7, model.dim)
+        )
+        ts = rng.uniform(0.0, 1.0, 7)
+        rows = np.array([pert.apply(v, t) for v, t in zip(V, ts)])
+        assert np.max(np.abs(pert.apply_batch(V, ts) - rows)) <= 1e-15
+
+
+class TestWorkCount:
+    def test_constant_rates_skip_rk4_and_build_steps_once(self, epistatic_model, epistatic_k0, monkeypatch):
+        calls = {"evolution_u": 0, "grid_steps": 0, "expm_increment": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(kimura, "evolution_u", counted("evolution_u", kimura.evolution_u))
+        monkeypatch.setattr(kimura, "expm_increment", counted("expm_increment", kimura.expm_increment))
+        monkeypatch.setattr(
+            KimuraEvolution, "grid_steps", counted("grid_steps", KimuraEvolution.grid_steps)
+        )
+        _, rep = solve_kimura(epistatic_model, epistatic_k0, n_steps=40)
+        assert rep.iterations >= 2
+        assert calls == {"evolution_u": 0, "grid_steps": 1, "expm_increment": 2}
+
+
+class TestHierarchyNorm:
+    @pytest.mark.parametrize("m, n_max", [(4, 3), (2, 3), (1, 2)])
+    def test_matches_levelwise_norm_bit_for_bit(self, m, n_max):
+        model = KimuraModel(DiscreteSpace.uniform(m), RateData.constant(m, 1.0, 0.2, 0.5), n_max, WIN)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            vec = rng.uniform(-2.0, 2.0, model.dim)
+            alpha = rng.uniform(0.0, 1.0)
+            k = CorrelationHierarchy.from_vector(m, n_max, vec)
+            assert model.hierarchy_norm(vec, alpha) == k.norm(alpha)
+
+
 class TestModelConstants:
+    def test_constants_are_python_floats(self, epistatic_problem):
+        c = epistatic_problem.consts
+        assert all(type(getattr(c, f)) is float for f in ("c1", "c2", "c3", "cx", "x_norm"))
+
     def test_dead_model(self, dead_model):
         k0 = CorrelationHierarchy.poisson(3, 3, np.full(3, 0.5))
         c = model_constants(dead_model, k0)

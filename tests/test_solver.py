@@ -78,6 +78,49 @@ class LinearPerturbation(PerturbationMap):
         return self.slope * np.asarray(v, dtype=float)
 
 
+class ApplyOnlyEvolution(EvolutionSystem):
+    """Wrapper that hides every method of ``inner`` but apply/generator_apply."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.c1 = inner.c1
+        self.beta = inner.beta
+
+    def apply(self, t, s, v):
+        return self.inner.apply(t, s, v)
+
+    def generator_apply(self, t, v):
+        return self.inner.generator_apply(t, v)
+
+
+class ApplyOnlyPerturbation(PerturbationMap):
+    def __init__(self, inner):
+        self.inner = inner
+        self.c2, self.c3, self.r = inner.c2, inner.c3, inner.r
+
+    def apply(self, v, t):
+        return self.inner.apply(v, t)
+
+
+def stepwise_integral(u, U, B):
+    """Reference: the running Simpson integral advanced one call at a time."""
+    t = u.t_grid
+    g_nodes = [B.apply(u.values[j], t[j]) for j in range(len(t))]
+    acc = np.zeros_like(u.values[0])
+    out = [acc]
+    for j in range(len(t) - 1):
+        dt = t[j + 1] - t[j]
+        t_mid = t[j] + 0.5 * dt
+        g_mid = B.apply(0.5 * (u.values[j] + u.values[j + 1]), t_mid)
+        acc = U.apply(t[j + 1], t[j], acc) + (dt / 6.0) * (
+            U.apply(t[j + 1], t[j], g_nodes[j])
+            + 4.0 * U.apply(t[j + 1], t_mid, g_mid)
+            + g_nodes[j + 1]
+        )
+        out.append(acc)
+    return np.array(out)
+
+
 def window(lam=None, r=math.inf):
     return ScaleWindow(0.0, 0.5, 1.0, lam=lam, r=r)
 
@@ -112,6 +155,14 @@ class TestIntegralMap:
         out = integral_map(u, IdentityEvolution(), ConstantPerturbation(c, win), win, np.zeros(2))
         for j, t in enumerate(u.t_grid):
             assert out.values[j] == pytest.approx(t * c, abs=1e-10)
+
+    def test_batched_increments_bit_identical_to_stepwise(self):
+        win = window(lam=1.0)
+        u = make_grid(win, FLAT_NORM, 3, 17)
+        u.values[:] = np.sin(np.outer(np.arange(18), [1.0, 2.0, 3.0]))
+        U, B = ExpEvolution(1.7), LinearPerturbation(-0.3, win)
+        out = integral_map(u, U, B, win, np.zeros(3))
+        assert np.array_equal(out.values, stepwise_integral(u, U, B))
 
     def test_radius_violation_names_node(self):
         win = window(lam=1.0, r=0.1)
@@ -204,6 +255,23 @@ class TestPicardSolve:
         for ratio in rep.ratios:
             if rep.increments[rep.ratios.index(ratio)] > 1e-10:
                 assert ratio <= rep.rho + 1e-9 + rep.quadrature_error_estimate
+
+
+class TestGridStepsInPicard:
+    def test_kimura_fast_path_matches_apply_only_run(self, epistatic_problem, epistatic_k0):
+        p = epistatic_problem
+        win = p.resolved_window()
+        x = epistatic_k0.to_vector()
+        args = (win, p.consts, p.norm)
+        u_fast, r_fast = picard_solve(x, p.evolution, p.perturbation, *args, n_steps=30)
+        u_ref, r_ref = picard_solve(
+            x, ApplyOnlyEvolution(p.evolution), ApplyOnlyPerturbation(p.perturbation), *args,
+            n_steps=30,
+        )
+        assert r_fast.iterations == r_ref.iterations
+        for a, b in zip(r_fast.increments, r_ref.increments):
+            assert abs(a - b) <= 1e-12 * abs(b)
+        assert np.max(np.abs(u_fast.values[:, 0] - 1.0)) <= 1e-15
 
 
 class TestContractionCheck:
