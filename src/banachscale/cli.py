@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -275,13 +275,14 @@ def config_digest(raw: bytes) -> str:
 
 def trajectory_rows(u, model: KimuraModel) -> list[list]:
     """One row per (t, level, configuration), lexicographic inside a level."""
+    labels = [
+        (n, "|".join(str(s) for s in eta))
+        for n in range(model.n_max + 1)
+        for eta in level_configs(model.m, n)
+    ]
     rows = []
-    off = model.offsets()
-    for j, t in enumerate(u.t_grid):
-        for n in range(model.n_max + 1):
-            for i, eta in enumerate(level_configs(model.m, n)):
-                label = "|".join(str(s) for s in eta)
-                rows.append([float(t), n, label, float(u.values[j][off[n] + i])])
+    for t, values in zip(u.t_grid.tolist(), u.values.tolist()):
+        rows.extend([t, n, label, value] for (n, label), value in zip(labels, values))
     return rows
 
 
@@ -368,14 +369,14 @@ def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
     n_values = fam_cfg.get("n_values")
     if not n_values:
         raise _fail("family.n_values", "need a nonempty list of family indices")
-    model = KimuraModel(model.space, model.rates, model.n_max, window)
-    family = kimura_h_family(model, k0, list(n_values))
+    # the certificates do not depend on the horizon slope, so the family is
+    # built once and only its window changes
+    family = replace(kimura_h_family(model, k0, list(n_values)), window=window)
     lam1 = lambda1(family)
     if _get(cfg, "window.lambda", "auto") == "auto":
         # the auto rule must clear the family threshold, not just the limit's
         window = window.with_lam(2.0 * lam1)
-        model = KimuraModel(model.space, model.rates, model.n_max, window)
-        family = kimura_h_family(model, k0, list(n_values))
+        family = replace(family, window=window)
     if window.lam <= lam1:
         print(
             f"infeasible horizon slope: lambda = {window.lam} <= lambda1 = {lam1}",
@@ -466,7 +467,6 @@ def run_oracle_compare(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
             file=sys.stderr,
         )
         return EXIT_HORIZON
-    model = KimuraModel(model.space, model.rates, model.n_max, window)
     u, report = picard_solve(
         k0.to_vector(),
         problem.evolution,

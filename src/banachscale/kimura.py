@@ -16,7 +16,6 @@ from itertools import accumulate, combinations
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import simpson
 
 from .errors import DomainError, ModelValidationError
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
@@ -93,15 +92,28 @@ class TimeProfile:
     def is_constant(self) -> bool:
         return self.kind == "constant" or (self.kind == "sinusoidal" and self.amp == 0.0)
 
-    def integral(self, t: float) -> float:
-        """Exact antiderivative value int_0^t profile(s) ds."""
-        if self.kind == "constant":
-            return t
+    def integral(self, t: float, s: float = 0.0) -> float:
+        """Exact int_s^t profile(tau) dtau, free of cancellation for t near s."""
+        dt = t - s
+        # dt times (1 - e^-x)/x or sin(y)/y, both accurate down to subnormal x, y
         if self.kind == "exp_decay":
-            if self.rate == 0.0:
-                return t
-            return (1.0 - math.exp(-self.rate * t)) / self.rate
-        return t + self.amp * (1.0 - math.cos(self.freq * t)) / self.freq
+            x = self.rate * dt
+            return math.exp(-self.rate * s) * dt * (-math.expm1(-x) / x if x else 1.0)
+        if self.kind == "sinusoidal":
+            y = 0.5 * self.freq * dt
+            ratio = math.sin(y) / y if y else 1.0
+            return dt + self.amp * math.sin(0.5 * self.freq * (t + s)) * dt * ratio
+        return dt
+
+    def sup(self, T: float) -> float:
+        """Exact maximum of the profile on [0, T]."""
+        if self.kind != "sinusoidal":
+            return 1.0
+        lo, hi = sorted((0.0, self.freq * T))
+        # the first peak pi/2 + 2 pi k of sin at or above lo
+        peak = 0.5 * math.pi + 2.0 * math.pi * math.ceil((lo - 0.5 * math.pi) / (2.0 * math.pi))
+        top = 1.0 if peak <= hi else max(math.sin(lo), math.sin(hi))
+        return 1.0 + self.amp * top
 
 
 @dataclass(frozen=True)
@@ -148,14 +160,6 @@ class RateData:
 
     def a(self, t: float) -> np.ndarray:
         return self.a_base * self.a_profile.value(t)
-
-    @property
-    def time_constant(self) -> bool:
-        return (
-            self.h_profile.is_constant
-            and self.psi_profile.is_constant
-            and self.a_profile.is_constant
-        )
 
 
 class CorrelationHierarchy:
@@ -232,14 +236,22 @@ class CorrelationHierarchy:
 
 @dataclass
 class KimuraModel:
-    """Discrete space, rates, truncation level and the working scale window."""
+    """Discrete space, rates, truncation level and the working scale window.
+
+    Each rate is a base array times a scalar profile, so with four sparse
+    components assembled once, A0(t) = p_h(t) A0_h + p_psi(t) A0_psi and
+    A1(t) = p_psi(t) A1_psi + p_a(t) A1_a.  ``_a0`` stacks [A0_h; A0_psi], so
+    A0(t) v costs one product; ``_b`` stacks [A1_psi; A1_a] and row 0 of A0_h
+    and of A0_psi, the two parts of the Bdelta functional.
+    """
 
     space: DiscreteSpace
     rates: RateData
     n_max: int
     window: ScaleWindow
-    _matrix_cache: dict = field(default_factory=dict, repr=False)
     _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _a0: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _b: sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max < 2:
@@ -248,6 +260,9 @@ class KimuraModel:
             raise ModelValidationError("rates and space disagree on the site count")
         sizes = [math.comb(self.m, n) for n in range(self.n_max)]
         self._offsets = tuple(accumulate(sizes, initial=0))
+        a0_h, a0_psi, a1_psi, a1_a = _assemble_components(self)
+        self._a0 = sparse.vstack([a0_h, a0_psi], format="csr")
+        self._b = sparse.vstack([a1_psi, a1_a, a0_h[0], a0_psi[0]], format="csr")
 
     @property
     def m(self) -> int:
@@ -256,9 +271,6 @@ class KimuraModel:
     @property
     def dim(self) -> int:
         return sum(math.comb(self.m, n) for n in range(self.n_max + 1))
-
-    def offsets(self) -> list[int]:
-        return list(self._offsets)
 
     def hierarchy_norm(self, vec: np.ndarray, alpha: float) -> float:
         """Scale norm on the flattened hierarchy vector.
@@ -272,21 +284,63 @@ class KimuraModel:
             best = max(best, math.exp(-alpha * n) * mx)
         return best
 
-    def a0_matrix(self, t: float) -> np.ndarray:
-        key = ("a0", None if self.rates.time_constant else t)
-        if key in self._matrix_cache:
-            return self._matrix_cache[key]
-        mat = _assemble_a0(self, t)
-        self._matrix_cache[key] = mat
-        return mat
+    def a0_dot(self, t: float, v: np.ndarray) -> np.ndarray:
+        """A0(t) v from one product with the stacked components."""
+        y = self._a0 @ v
+        d = len(v)
+        return self.rates.h_profile.value(t) * y[:d] + self.rates.psi_profile.value(t) * y[d:]
 
-    def a1_matrix(self, t: float) -> np.ndarray:
-        key = ("a1", None if self.rates.time_constant else t)
-        if key in self._matrix_cache:
-            return self._matrix_cache[key]
-        mat = _assemble_a1(self, t)
-        self._matrix_cache[key] = mat
-        return mat
+    def a0_matrix(self, t: float) -> sparse.csr_matrix:
+        d = self._a0.shape[1]
+        p_h, p_psi = self.rates.h_profile.value(t), self.rates.psi_profile.value(t)
+        return p_h * self._a0[:d] + p_psi * self._a0[d:]
+
+    def a1_matrix(self, t: float) -> sparse.csr_matrix:
+        d = self._b.shape[1]
+        p_psi, p_a = self.rates.psi_profile.value(t), self.rates.a_profile.value(t)
+        return p_psi * self._b[:d] + p_a * self._b[d : 2 * d]
+
+
+def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
+    """A0_h, A0_psi, A1_psi and A1_a: the operators at unit profiles.
+
+    Same index maps as the structural actions.  psi is symmetric, so the pair
+    raising of A0 and the pair part of the selection cost, both half sums over
+    ordered pairs, are sums over unordered pairs.
+    """
+    m, n_max, d, off = model.m, model.n_max, model.dim, model._offsets
+    w = model.space.weights
+    h, psi, a = model.rates.h_base, model.rates.psi_base, model.rates.a_base
+    # (row, col, value) triples per component
+    a0_h, a0_psi, a1_psi, a1_a = ([] for _ in range(4))
+    for n in range(n_max + 1):
+        up1 = config_index(m, n + 1) if n + 1 <= n_max else None
+        up2 = config_index(m, n + 2) if n + 2 <= n_max else None
+        down = config_index(m, n - 1) if n >= 1 else None
+        for idx, eta in enumerate(level_configs(m, n)):
+            row = off[n] + idx
+            outside = [i for i in range(m) if i not in eta]
+            a0_h.append((row, row, sum(h[i] for i in eta)))
+            a0_psi.append((row, row, sum(psi[i, j] for i, j in combinations(eta, 2))))
+            if up1 is not None:
+                for j in outside:
+                    col = off[n + 1] + up1[tuple(sorted(eta + (j,)))]
+                    a0_h.append((row, col, w[j] * h[j]))
+                    a1_psi.append((row, col, -w[j] * sum(psi[i, j] for i in eta)))
+            if up2 is not None:
+                for i, j in combinations(outside, 2):
+                    col = off[n + 2] + up2[tuple(sorted(eta + (i, j)))]
+                    a0_psi.append((row, col, w[i] * w[j] * psi[i, j]))
+            if down is not None:
+                for i in eta:
+                    a1_a.append((row, off[n - 1] + down[tuple(x for x in eta if x != i)], a[i]))
+    mats = []
+    for triples in (a0_h, a0_psi, a1_psi, a1_a):
+        rows, cols, vals = zip(*triples)
+        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=float)
+        mat.eliminate_zeros()
+        mats.append(mat)
+    return mats
 
 
 def _check_config(model: KimuraModel, eta) -> tuple[int, ...]:
@@ -384,64 +438,6 @@ def apply_ldelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Corre
     return out
 
 
-def _assemble_a0(model: KimuraModel, t: float) -> np.ndarray:
-    d = model.dim
-    off = model.offsets()
-    mat = np.zeros((d, d))
-    w = model.space.weights
-    h = model.rates.h(t)
-    psi = model.rates.psi(t)
-    for n in range(model.n_max + 1):
-        for idx, eta in enumerate(level_configs(model.m, n)):
-            row = off[n] + idx
-            mat[row, row] += selection_cost(model, t, eta)
-            outside = [i for i in range(model.m) if i not in eta]
-            if n + 1 <= model.n_max:
-                ix1 = config_index(model.m, n + 1)
-                for i in outside:
-                    col = off[n + 1] + ix1[tuple(sorted(eta + (i,)))]
-                    mat[row, col] += w[i] * h[i]
-            if n + 2 <= model.n_max:
-                ix2 = config_index(model.m, n + 2)
-                for i in outside:
-                    for j in outside:
-                        if j != i:
-                            col = off[n + 2] + ix2[tuple(sorted(eta + (i, j)))]
-                            mat[row, col] += 0.5 * w[i] * w[j] * psi[i, j]
-    return mat
-
-
-def _assemble_a1(model: KimuraModel, t: float) -> np.ndarray:
-    d = model.dim
-    off = model.offsets()
-    mat = np.zeros((d, d))
-    w = model.space.weights
-    psi = model.rates.psi(t)
-    a = model.rates.a(t)
-    for n in range(model.n_max + 1):
-        for idx, eta in enumerate(level_configs(model.m, n)):
-            row = off[n] + idx
-            if n + 1 <= model.n_max:
-                ix1 = config_index(model.m, n + 1)
-                for i in eta:
-                    for j in range(model.m):
-                        if j not in eta:
-                            col = off[n + 1] + ix1[tuple(sorted(eta + (j,)))]
-                            mat[row, col] -= w[j] * psi[i, j]
-            if n >= 1:
-                ixm = config_index(model.m, n - 1)
-                for i in eta:
-                    col = off[n - 1] + ixm[tuple(x for x in eta if x != i)]
-                    mat[row, col] += a[i]
-    return mat
-
-
-def bdelta_vec(model: KimuraModel, t: float, vec: np.ndarray) -> float:
-    """Bdelta on the flattened representation (same accumulation order)."""
-    k = CorrelationHierarchy.from_vector(model.m, model.n_max, vec)
-    return bdelta(model, t, k)
-
-
 def evolution_u(
     model: KimuraModel,
     t: float,
@@ -486,10 +482,10 @@ def _rk4_a0(model: KimuraModel, s: float, t: float, v0: np.ndarray, n: int) -> n
     v = v0.copy()
     tau = s
     for _ in range(n):
-        k1 = -model.a0_matrix(tau) @ v
-        k2 = -model.a0_matrix(tau + 0.5 * h) @ (v + 0.5 * h * k1)
-        k3 = -model.a0_matrix(tau + 0.5 * h) @ (v + 0.5 * h * k2)
-        k4 = -model.a0_matrix(tau + h) @ (v + h * k3)
+        k1 = -model.a0_dot(tau, v)
+        k2 = -model.a0_dot(tau + 0.5 * h, v + 0.5 * h * k1)
+        k3 = -model.a0_dot(tau + 0.5 * h, v + 0.5 * h * k2)
+        k4 = -model.a0_dot(tau + h, v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tau += h
     return v
@@ -553,55 +549,52 @@ class RateAggregates:
     int_h_sup: float
     int_psi_sup: float
     psi_row_int_sup: float
-    t_samples: np.ndarray
-    int_h_series: np.ndarray
-    int_psi_series: np.ndarray
 
 
-def rate_aggregates(model: KimuraModel, n_samples: int = 201) -> RateAggregates:
+def _site_sums(model: KimuraModel) -> tuple[float, float, np.ndarray]:
+    """int h_base, int int psi_base over distinct pairs, and the psi row integrals."""
     w = model.space.weights
-    ts = np.linspace(0.0, model.window.T, n_samples)
-    offdiag = ~np.eye(model.m, dtype=bool)
-    h_sup = psi_sup = a_sup = int_h_sup = int_psi_sup = row_sup = 0.0
-    int_h_series = np.zeros(n_samples)
-    int_psi_series = np.zeros(n_samples)
-    for j, t in enumerate(ts):
-        h, psi, a = model.rates.h(t), model.rates.psi(t), model.rates.a(t)
-        h_sup = max(h_sup, float(np.max(h)))
-        psi_sup = max(psi_sup, float(np.max(psi[offdiag])) if model.m > 1 else 0.0)
-        a_sup = max(a_sup, float(np.max(a)))
-        int_h_series[j] = float(w @ h)
-        int_psi_series[j] = float(np.sum(np.outer(w, w) * psi * offdiag))
-        row_sums = (psi * offdiag) @ w
-        int_h_sup = max(int_h_sup, int_h_series[j])
-        int_psi_sup = max(int_psi_sup, int_psi_series[j])
-        row_sup = max(row_sup, float(np.max(row_sums)))
-    if not all(
-        np.isfinite(v) for v in (h_sup, psi_sup, a_sup, int_h_sup, int_psi_sup, row_sup)
-    ):
-        raise ModelValidationError("rate aggregates are not finite")
-    return RateAggregates(
-        h_sup, psi_sup, a_sup, int_h_sup, int_psi_sup, row_sup, ts, int_h_series, int_psi_series
+    psi_offdiag = model.rates.psi_base * ~np.eye(model.m, dtype=bool)
+    row_ints = psi_offdiag @ w
+    return float(w @ model.rates.h_base), float(w @ row_ints), row_ints
+
+
+def rate_aggregates(model: KimuraModel) -> RateAggregates:
+    """Exact suprema over [0, T]: nonnegative base aggregates times profile maxima."""
+    rates, T = model.rates, model.window.T
+    sup_h, sup_psi, sup_a = (p.sup(T) for p in (rates.h_profile, rates.psi_profile, rates.a_profile))
+    int_h, int_psi, row_ints = _site_sums(model)
+    values = (
+        float(np.max(rates.h_base)) * sup_h,
+        float(np.max(rates.psi_base * ~np.eye(model.m, dtype=bool))) * sup_psi,
+        float(np.max(rates.a_base)) * sup_a,
+        int_h * sup_h,
+        int_psi * sup_psi,
+        float(np.max(row_ints)) * sup_psi,
     )
+    if not all(math.isfinite(v) for v in values):
+        raise ModelValidationError("rate aggregates are not finite")
+    return RateAggregates(*values)
+
+
+def _growth(model: KimuraModel, alpha: float, h_factor: float, psi_factor: float) -> float:
+    """e^alpha * int h_base * h_factor + (e^(2 alpha)/2) * int int psi_base * psi_factor."""
+    int_h, int_psi, _ = _site_sums(model)
+    return math.exp(alpha) * int_h * h_factor + 0.5 * math.exp(2.0 * alpha) * int_psi * psi_factor
 
 
 def kappa(model: KimuraModel, t: float, alpha: float) -> float:
     """Growth rate e^alpha * int h + (e^(2 alpha)/2) * int int psi at time t."""
-    w = model.space.weights
-    h, psi = model.rates.h(t), model.rates.psi(t)
-    offdiag = ~np.eye(model.m, dtype=bool)
-    return math.exp(alpha) * float(w @ h) + 0.5 * math.exp(2.0 * alpha) * float(
-        np.sum(np.outer(w, w) * psi * offdiag)
-    )
+    rates = model.rates
+    return _growth(model, alpha, rates.h_profile.value(t), rates.psi_profile.value(t))
 
 
-def kappa_integral(model: KimuraModel, s: float, t: float, alpha: float, n: int = 200) -> float:
-    """Simpson integral of kappa over [s, t] at fixed alpha."""
+def kappa_integral(model: KimuraModel, s: float, t: float, alpha: float) -> float:
+    """Exact integral of kappa over [s, t] at fixed alpha."""
     if t <= s:
         return 0.0
-    ts = np.linspace(s, t, n + 1)
-    vals = np.array([kappa(model, tau, alpha) for tau in ts])
-    return float(simpson(vals, x=ts))
+    rates = model.rates
+    return _growth(model, alpha, rates.h_profile.integral(t, s), rates.psi_profile.integral(t, s))
 
 
 def a1_part_constant(model: KimuraModel, alpha: float, agg: RateAggregates) -> float:
@@ -627,10 +620,7 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
             "the hierarchy perturbation is quadratic; a finite admissible radius r is required"
         )
     agg = rate_aggregates(model)
-    kappa_series = np.array(
-        [kappa(model, t, win.alpha_top) for t in agg.t_samples]
-    )
-    c1 = math.exp(float(simpson(kappa_series, x=agg.t_samples)))
+    c1 = math.exp(kappa_integral(model, 0.0, win.T, win.alpha_top))
 
     x_norm = k0.norm(win.alpha_star)
     ball = win.r + x_norm
@@ -645,11 +635,11 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
         a1_part_constant(model, win.alpha_star, agg) * x_norm
         + cb_top * (win.alpha_top - win.alpha_star) * x_norm**2
     )
-    a0k0 = max(
-        model.hierarchy_norm(model.a0_matrix(t) @ k0.to_vector(), win.alpha0)
-        for t in np.linspace(0.0, win.T, 51)
-    )
-    cx = c1 * a0k0
+    # |A0(t) k0| <= sup p_h |A0_h k0| + sup p_psi |A0_psi k0| entrywise on [0, T]
+    a0_h_k0, a0_psi_k0 = np.abs(model._a0 @ k0.to_vector()).reshape(2, -1)
+    rates = model.rates
+    a0k0_sup = rates.h_profile.sup(win.T) * a0_h_k0 + rates.psi_profile.sup(win.T) * a0_psi_k0
+    cx = c1 * model.hierarchy_norm(a0k0_sup, win.alpha0)
     return OvcyannikovConstants(
         c1=c1, beta=0.0, c2=float(c2), c3=float(c3), cx=cx, x_norm=float(x_norm)
     )
@@ -663,8 +653,9 @@ class KimuraEvolution(EvolutionSystem):
     """Evolution system generated by -A0 on the flattened hierarchy.
 
     Single propagations integrate with step-doubling RK4 (:func:`evolution_u`).
-    With time-constant rates U(t,s) = exp(-(t-s) A0) is a semigroup, so the
-    grid steps of the Picard engine are two precomputed sparse increments.
+    A0 involves h and psi only; with constant profiles for both,
+    U(t,s) = exp(-(t-s) A0) is a semigroup, so the grid steps of the Picard
+    engine are two precomputed sparse increments.
     """
 
     def __init__(self, model: KimuraModel, c1: float, per_unit_tol: float = 1e-10):
@@ -677,19 +668,20 @@ class KimuraEvolution(EvolutionSystem):
         return evolution_u(self.model, t, s, v, self.per_unit_tol)
 
     def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        return -(self.model.a0_matrix(t) @ v)
+        return -self.model.a0_dot(t, v)
 
     def grid_steps(self, t_grid: np.ndarray) -> tuple[StepAction, StepAction]:
         t = np.asarray(t_grid, dtype=float)
         n = len(t) - 1
-        if not self.model.rates.time_constant or n < 1:
+        rates = self.model.rates
+        if not (rates.h_profile.is_constant and rates.psi_profile.is_constant) or n < 1:
             return super().grid_steps(t)
         # nominal step: the grid's steps differ from it by rounding only, and
         # keying on each float step would cost one exponential per distinct step
         dt = (t[-1] - t[0]) / n
         if not np.allclose(t[1:] - t[:-1], dt, rtol=1e-9, atol=0.0):
             return super().grid_steps(t)
-        a0 = sparse.csr_matrix(self.model.a0_matrix(0.0))
+        a0 = self.model.a0_matrix(0.0)
         return (
             _increment_step(expm_increment(a0, dt)),
             _increment_step(expm_increment(a0, 0.5 * dt)),
@@ -706,17 +698,23 @@ class KimuraPerturbation(PerturbationMap):
         self.r = r
 
     def apply(self, v: np.ndarray, t: float) -> np.ndarray:
-        return self.model.a1_matrix(t) @ v + bdelta_vec(self.model, t, v) * v
+        return self.apply_batch(v[None, :], np.array([t]))[0]
 
     def apply_batch(self, V: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Rows B(V[i], ts[i]); with time-constant rates, two matrix products.
+        """Rows B(V[i], ts[i]) from one product with the stacked components.
 
         Row 0 of A0 is the Bdelta functional, because selection_cost(()) = 0.
         """
-        if not self.model.rates.time_constant:
-            return super().apply_batch(V, ts)
-        bdelta_row = self.model.a0_matrix(0.0)[0]
-        return V @ self.model.a1_matrix(0.0).T + (V @ bdelta_row)[:, None] * V
+        rates = self.model.rates
+        p_h, p_psi, p_a = (
+            np.array([p.value(t) for t in ts])
+            for p in (rates.h_profile, rates.psi_profile, rates.a_profile)
+        )
+        d = V.shape[1]
+        Y = self.model._b @ V.T
+        a1_v = p_psi * Y[:d] + p_a * Y[d : 2 * d]
+        bdelta_v = p_h * Y[2 * d] + p_psi * Y[2 * d + 1]
+        return (a1_v + bdelta_v * V.T).T
 
 
 @dataclass

@@ -236,7 +236,7 @@ def kimura_h_family(model, k0, n_values: list[int]) -> PerturbedFamily:
     members = []
     for n in n_values:
         rates_n = replace(model.rates, h_base=model.rates.h_base * (1.0 + 2.0 ** (-n)))
-        model_n = replace(model, rates=rates_n, _matrix_cache={})
+        model_n = replace(model, rates=rates_n)
         members.append(as_instance(model_n, f"h*(1+2^-{n})"))
     return PerturbedFamily(limit, members, model.window)
 

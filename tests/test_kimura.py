@@ -1,11 +1,16 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.integrate import quad
 from scipy.linalg import expm
 
-from banachscale import kimura
+from banachscale import cli, kimura
 from banachscale.errors import DomainError, ModelValidationError
 from banachscale.kimura import (
     CorrelationHierarchy,
@@ -27,6 +32,7 @@ from banachscale.kimura import (
     selection_cost,
     solve_kimura,
 )
+from banachscale.oracles import evolution_law_check
 from banachscale.scalecore import ScaleWindow
 from banachscale.solver import make_grid
 
@@ -306,7 +312,7 @@ class TestGridSteps:
     def test_squaring_matches_dense_expm(self, epistatic_model):
         # ||h A0||_1 = 20 forces five squarings; an unscaled Taylor sum of this
         # size loses about 1e-10 to cancellation
-        a0 = epistatic_model.a0_matrix(0.0)
+        a0 = epistatic_model.a0_matrix(0.0).toarray()
         h = 20.0 / np.max(np.sum(np.abs(a0), axis=0))
         d = expm_increment(sparse.csr_matrix(a0), h)
         exact = expm(-h * a0)
@@ -336,6 +342,20 @@ class TestGridSteps:
         assert np.array_equal(full(v, 1), ev.apply(t[2], t[1], v))
         assert np.array_equal(half(v, 1), ev.apply(t[2], t[1] + 0.5 * (t[2] - t[1]), v))
 
+    def test_varying_appearance_keeps_exact_steps(self, monkeypatch):
+        # A0 has no a term, so U is a semigroup whenever h and psi are constant
+        rates = RateData(
+            np.full(3, 0.5), np.full((3, 3), 0.1), np.full(3, 0.2),
+            a_profile=TimeProfile("sinusoidal", amp=0.5, freq=3.0),
+        )
+        model = KimuraModel(DiscreteSpace.uniform(3), rates, 3, WIN)
+        t = np.linspace(0.0, 0.01, 4)
+        v = np.random.default_rng(7).uniform(-1.0, 1.0, model.dim)
+        expected = evolution_u(model, t[2], t[1], v)
+        monkeypatch.setattr(kimura, "evolution_u", None)
+        full, _ = KimuraEvolution(model, 1.0).grid_steps(t)
+        assert np.max(np.abs(full(v, 1) - expected)) <= 1e-14
+
 
 class TestApplyBatch:
     @pytest.mark.parametrize("profile", [TimeProfile(), TimeProfile("sinusoidal", amp=0.8, freq=5.0)])
@@ -353,6 +373,93 @@ class TestApplyBatch:
         ts = rng.uniform(0.0, 1.0, 7)
         rows = np.array([pert.apply(v, t) for v, t in zip(V, ts)])
         assert np.max(np.abs(pert.apply_batch(V, ts) - rows)) <= 1e-15
+
+
+profiles = st.one_of(
+    st.just(TimeProfile()),
+    st.builds(TimeProfile, st.just("exp_decay"), rate=st.floats(0.0, 5.0)),
+    st.builds(
+        TimeProfile, st.just("sinusoidal"), amp=st.floats(0.0, 1.0), freq=st.floats(-60.0, 60.0)
+    ),
+)
+
+
+@st.composite
+def rate_models(draw):
+    """Random weights, base rates, profiles and horizon on 1-5 sites, n_max 2-4."""
+    m = draw(st.integers(1, 5))
+    n_max = draw(st.integers(2, 4))
+
+    def array(lo, n):
+        values = st.floats(lo, 2.0, allow_subnormal=False)
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    weights, h, a = array(0.05, m), array(0.0, m), array(0.0, m)
+    psi = np.zeros((m, m))
+    psi[np.triu_indices(m, 1)] = array(0.0, m * (m - 1) // 2)
+    rates = RateData(h, psi + psi.T, a, draw(profiles), draw(profiles), draw(profiles))
+    window = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=draw(st.floats(0.1, 2.0)))
+    space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), weights)
+    return KimuraModel(space, rates, n_max, window)
+
+
+class TestRateDecomposition:
+    """The four sparse components and the closed-form certificate pieces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate_models(), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_scaled_components_equal_structural_operators(self, model, t, seed):
+        vec = np.random.default_rng(seed).uniform(-1.0, 1.0, model.dim)
+        k = CorrelationHierarchy.from_vector(model.m, model.n_max, vec)
+        a0 = apply_A0(model, t, k).to_vector()
+        a1 = apply_A1(model, t, k).to_vector()
+        b = bdelta(model, t, k)
+        close = dict(rtol=1e-12, atol=1e-12)
+        assert np.allclose(model.a0_dot(t, vec), a0, **close)
+        assert np.allclose(model.a0_matrix(t) @ vec, a0, **close)
+        assert np.allclose(model.a1_matrix(t) @ vec, a1, **close)
+        pert = KimuraPerturbation(model, 1.0, 1.0, 1.0)
+        assert np.allclose(pert.apply(vec, t), a1 + b * vec, **close)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rate_models(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_apply_batch_equals_rowwise_apply(self, model, rows, seed):
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(-1.0, 1.0, (rows, model.dim))
+        ts = rng.uniform(0.0, model.window.T, rows)
+        pert = KimuraPerturbation(model, 1.0, 1.0, 1.0)
+        rowwise = np.array([pert.apply(v, t) for v, t in zip(V, ts)])
+        assert np.array_equal(pert.apply_batch(V, ts), rowwise)
+
+    @settings(max_examples=40, deadline=None)
+    @given(profiles, st.floats(0.01, 3.0))
+    def test_profile_sup_is_attained_upper_bound(self, profile, T):
+        sampled = max(profile.value(t) for t in np.linspace(0.0, T, 100_001).tolist())
+        sup = profile.sup(T)
+        assert sup >= sampled
+        candidates = [0.0, T]
+        if profile.kind == "sinusoidal" and profile.freq != 0.0:
+            turns = math.ceil(abs(profile.freq) * T / (2.0 * math.pi)) + 1
+            peaks = (
+                (0.5 * math.pi + 2.0 * math.pi * j) / profile.freq for j in range(-turns, turns + 1)
+            )
+            candidates += [t for t in peaks if 0.0 <= t <= T]
+        assert max(profile.value(t) for t in candidates) >= sup - 1e-12
+
+    # quad returns 0 for subnormal widths and rates, so the draws have none
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rate_models(),
+        st.floats(0.0, 2.0, allow_subnormal=False),
+        st.floats(0.0, 2.0, allow_subnormal=False),
+        st.floats(0.0, 1.0),
+    )
+    def test_kappa_integral_matches_quadrature(self, model, s, t, alpha):
+        s, t = sorted((s, t))
+        ref, _ = quad(
+            lambda tau: kappa(model, tau, alpha), s, t, epsabs=0.0, epsrel=1e-13, limit=500
+        )
+        assert kappa_integral(model, s, t, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestWorkCount:
@@ -374,6 +481,48 @@ class TestWorkCount:
         _, rep = solve_kimura(epistatic_model, epistatic_k0, n_steps=40)
         assert rep.iterations >= 2
         assert calls == {"evolution_u": 0, "grid_steps": 1, "expm_increment": 2}
+
+    def test_time_varying_solve_never_forms_a0_matrix(self, monkeypatch):
+        # certificate, RK4 steps and batched B all work on the stacked components
+        rates = RateData(
+            np.full(3, 0.5), np.full((3, 3), 0.1), np.full(3, 0.2),
+            h_profile=TimeProfile("sinusoidal", amp=0.5, freq=3.0),
+            psi_profile=TimeProfile("exp_decay", rate=2.0),
+        )
+        model = KimuraModel(DiscreteSpace.uniform(3), rates, 3, WIN)
+        calls = {"a0_matrix": 0, "a0_dot": 0}
+
+        def counted(name):
+            fn = getattr(KimuraModel, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(KimuraModel, name, counted(name))
+        solve_kimura(model, CorrelationHierarchy.poisson(3, 3, np.full(3, 0.5)), n_steps=4)
+        assert calls["a0_matrix"] == 0
+        assert calls["a0_dot"] > 0
+
+
+class TestMemory:
+    def test_evolution_law_check_retains_no_per_time_state(self, shipped_configs):
+        # desk-smooth has time-varying rates: every RK4 substep sits at a new time
+        cfg = shipped_configs["desk-smooth"]
+        window = cli.parse_window(cfg)
+        model = cli.parse_model(cfg, window)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evolution_law_check(model, 5, 0)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024
 
 
 class TestHierarchyNorm:
