@@ -46,7 +46,7 @@ from .oracles import (
     validate_poisson_closure,
 )
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0, lambda0_terms
-from .solver import picard_solve, residual_check
+from .solver import picard_solve
 from .stability import kimura_h_family, lambda1, stability_experiment
 
 EXIT_OK = 0
@@ -226,20 +226,12 @@ def parse_override(cfg: dict, base: OvcyannikovConstants) -> OvcyannikovConstant
 # deterministic output helpers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (np.floating, np.integer)):
-        x = x.item()
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Rows hold Python natives only: csv writes a float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def write_summary(path: Path, payload: dict) -> None:
@@ -479,9 +471,6 @@ def run_oracle_compare(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
     tol = _as_float(_get(cfg, "run.compare_tol", 1e-6), "run.compare_tol")
     steps = _get(cfg, "run.oracle_steps", 400)
     psi_dead = bool(np.all(model.rates.psi_base[~np.eye(model.m, dtype=bool)] == 0.0)) if model.m > 1 else True
-    alpha_ref = window.alpha_top
-    rows = []
-    worst = 0.0
     if psi_dead:
         oracle_name = "poisson"
         rho0 = np.array([k0.value((i,)) for i in range(model.m)])
@@ -490,12 +479,12 @@ def run_oracle_compare(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
     else:
         oracle_name = "bruteforce"
         _, refs = bruteforce_oracle(model, k0, float(u.t_grid[-1]), len(u.t_grid) - 1)
-    for j, t in enumerate(u.t_grid):
-        ref_vec = refs[j].to_vector()
-        dev = model.hierarchy_norm(u.values[j] - ref_vec, alpha_ref)
-        rel = dev / max(model.hierarchy_norm(ref_vec, alpha_ref), 1e-300)
-        worst = max(worst, rel)
-        rows.append([float(t), rel])
+    ref = np.array([r.to_vector() for r in refs])
+    alpha_ref = window.alpha_top
+    dev = model.hierarchy_norm(u.values - ref, alpha_ref)
+    rel = dev / np.maximum(model.hierarchy_norm(ref, alpha_ref), 1e-300)
+    worst = float(np.max(rel, initial=0.0))
+    rows = list(zip(u.t_grid.tolist(), rel.tolist()))
     write_csv(out / "comparison.csv", ["t", "relative_deviation"], rows)
     write_summary(out / "summary.json", {
         "subcommand": "oracle-compare",

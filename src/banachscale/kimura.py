@@ -162,6 +162,17 @@ class RateData:
         return self.a_base * self.a_profile.value(t)
 
 
+def _graded_max(level_max: np.ndarray, alpha: float) -> np.ndarray | float:
+    """max_n e^(-alpha n) level_max[..., n]: the scale norm from per-level maxima.
+
+    The level weights are scalar ``math.exp`` values; numpy's vectorised exp
+    may differ from it in the last bit.
+    """
+    weights = np.array([math.exp(-alpha * n) for n in range(level_max.shape[-1])])
+    best = np.max(level_max * weights, axis=-1)
+    return float(best) if best.ndim == 0 else best
+
+
 class CorrelationHierarchy:
     """Truncated hierarchy: one table per level n, indexed by sorted subsets."""
 
@@ -215,9 +226,8 @@ class CorrelationHierarchy:
 
     def norm(self, alpha: float) -> float:
         """max_n e^(-alpha n) max_eta |k^(n)(eta)|."""
-        return max(
-            math.exp(-alpha * n) * (np.max(np.abs(lv)) if lv.size else 0.0)
-            for n, lv in enumerate(self.levels)
+        return _graded_max(
+            np.array([np.max(np.abs(lv)) if lv.size else 0.0 for lv in self.levels]), alpha
         )
 
     def __add__(self, other):
@@ -272,17 +282,15 @@ class KimuraModel:
     def dim(self) -> int:
         return sum(math.comb(self.m, n) for n in range(self.n_max + 1))
 
-    def hierarchy_norm(self, vec: np.ndarray, alpha: float) -> float:
-        """Scale norm on the flattened hierarchy vector.
+    def hierarchy_norm(self, vec: np.ndarray, alpha: float) -> np.ndarray | float:
+        """Scale norm of each flattened hierarchy vector along the last axis.
 
+        Returns an array of shape ``vec.shape[:-1]``, a float for one vector.
         Levels n > m are empty and contribute 0; they sit at the tail, so the
         starts of the nonempty levels are the first min(m, n_max) + 1 offsets.
         """
-        level_max = np.maximum.reduceat(np.abs(vec), self._offsets[: self.m + 1])
-        best = 0.0
-        for n, mx in enumerate(level_max.tolist()):
-            best = max(best, math.exp(-alpha * n) * mx)
-        return best
+        level_max = np.maximum.reduceat(np.abs(vec), self._offsets[: self.m + 1], axis=-1)
+        return _graded_max(level_max, alpha)
 
     def a0_dot(self, t: float, v: np.ndarray) -> np.ndarray:
         """A0(t) v from one product with the stacked components."""

@@ -167,7 +167,12 @@ def validate_poisson_closure(
 
 @dataclass
 class BoundReport:
-    """Worst observed/bound ratios per inequality plus any violations."""
+    """Worst observed/bound ratios per inequality plus any violations.
+
+    A bound that is attained exactly (Bdelta on one site) can read a ratio one
+    ulp above 1, so only ratios above the round-off allowance 1 + 1e-12 count
+    as violations; ``worst`` keeps the unrounded ratios.
+    """
 
     seed: int
     samples: int
@@ -178,7 +183,7 @@ class BoundReport:
         ratio = observed / bound if bound > 0 else (0.0 if observed == 0.0 else math.inf)
         if ratio > self.worst.get(name, 0.0):
             self.worst[name] = ratio
-        if ratio > 1.0:
+        if ratio > 1.0 + 1e-12:
             self.violations.append((name, index, ratio))
 
     @property

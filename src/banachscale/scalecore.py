@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -170,23 +172,40 @@ def lambda0_terms(
     return terms
 
 
-def weighted_gamma_norm(u, window: ScaleWindow) -> float:
-    """Discrete surrogate of the weighted sup-norm over the (t, alpha) triangle.
+def norm_table(norm, rows: np.ndarray, alphas: list[float]) -> np.ndarray:
+    """||rows[..., :]||_alpha for every alpha: shape rows.shape[:-1] + (len(alphas),).
 
-    ``u`` must expose ``t_grid``, ``alpha_grid``, ``mask`` (node admissibility)
-    and ``norm_at(j, alpha)`` returning ||u(t_j)||_alpha.  Returns the maximum
-    of (alpha - alpha0 - lam*t)^gamma * ||u(t)||_alpha over admissible nodes.
+    ``norm`` is a row-batched scale norm (one call per alpha).
+    """
+    return np.stack([norm(rows, alpha) for alpha in alphas], axis=-1)
+
+
+def triangle_sup(u, rows: np.ndarray, window: ScaleWindow) -> float:
+    """max of (alpha - alpha0 - lam*t_j)^gamma * ||rows[..., j, :]||_alpha over the triangle.
+
+    ``u`` supplies ``t_grid``, ``alpha_grid``, ``mask`` (node admissibility)
+    and the row-batched ``norm``; ``rows`` has shape (..., len(t_grid), dim),
+    and leading axes share the grid.  The weights are scalar Python powers
+    (numpy's vectorised power may differ in the last bit); a node that sits on
+    the horizon by round-off gets weight 0.
     """
     lam = window.require_lam()
     if len(u.t_grid) == 0 or len(u.alpha_grid) == 0:
         raise DomainError("empty (t, alpha) grid")
-    best = 0.0
-    for i, alpha in enumerate(u.alpha_grid):
-        for j, t in enumerate(u.t_grid):
-            if not u.mask[j, i]:
-                continue
-            w = (alpha - window.alpha0 - lam * t) ** window.gamma
-            val = w * u.norm_at(j, alpha)
-            if val > best:
-                best = val
-    return best
+    alphas = u.alpha_grid.tolist()
+    weights = np.array([
+        [max(alpha - window.alpha0 - lam * t, 0.0) ** window.gamma for alpha in alphas]
+        for t in u.t_grid.tolist()
+    ])
+    table = norm_table(u.norm, rows, alphas)
+    return float(np.max(weights * table, where=u.mask, initial=0.0))
+
+
+def weighted_gamma_norm(u, window: ScaleWindow) -> float:
+    """Discrete surrogate of the weighted sup-norm over the (t, alpha) triangle.
+
+    ``u`` must expose ``t_grid``, ``alpha_grid``, ``mask``, ``values`` (one row
+    per time node) and the row-batched ``norm``.  Returns the maximum of
+    (alpha - alpha0 - lam*t)^gamma * ||u(t)||_alpha over admissible nodes.
+    """
+    return triangle_sup(u, u.values, window)

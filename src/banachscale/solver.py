@@ -20,10 +20,18 @@ from .errors import (
     ContractionViolationError,
     DomainError,
 )
-from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0, weighted_gamma_norm
+from .scalecore import (
+    OvcyannikovConstants,
+    ScaleWindow,
+    lambda0,
+    norm_table,
+    triangle_sup,
+    weighted_gamma_norm,
+)
 
-#: norm callable signature: (vector, alpha) -> float
-ScaleNorm = Callable[[np.ndarray, float], float]
+#: row-batched scale norm: ``norm(V, alpha)`` is one norm per row, an array of
+#: shape ``V.shape[:-1]``, and a float for a single vector
+ScaleNorm = Callable[[np.ndarray, float], np.ndarray | float]
 
 #: step action on a time grid: ``step(v, j)`` propagates one vector over grid
 #: step j; ``step(V)`` propagates a batch with one row per step, row j over step j
@@ -92,7 +100,7 @@ class TriangleSolution:
 
     ``values[j]`` is the scale-vector at ``t_grid[j]``; ``mask[j, i]`` marks
     whether t_j lies strictly below the alpha_grid[i]-horizon.  ``norm`` is the
-    scale norm (vector, alpha) -> float shared by all diagnostics.
+    row-batched scale norm shared by all diagnostics.
     """
 
     t_grid: np.ndarray
@@ -101,25 +109,12 @@ class TriangleSolution:
     mask: np.ndarray
     norm: ScaleNorm
 
-    def norm_at(self, j: int, alpha: float) -> float:
-        return self.norm(self.values[j], alpha)
-
     @property
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0]) if len(self.t_grid) > 1 else 0.0
 
     def with_values(self, values: np.ndarray) -> "TriangleSolution":
         return TriangleSolution(self.t_grid, values, self.alpha_grid, self.mask, self.norm)
-
-    def lipschitz_estimate(self, alpha: float) -> float:
-        """Finite L with ||u(t_{j+1}) - u(t_j)||_alpha <= L dt (continuity surrogate)."""
-        if len(self.t_grid) < 2:
-            return 0.0
-        diffs = [
-            self.norm(self.values[j + 1] - self.values[j], alpha)
-            for j in range(len(self.t_grid) - 1)
-        ]
-        return max(diffs) / self.dt
 
 
 @dataclass
@@ -178,16 +173,14 @@ def make_grid(
 def _radius_check(u: TriangleSolution, x: np.ndarray, r: float) -> None:
     if np.isinf(r):
         return
-    for i, alpha in enumerate(u.alpha_grid):
-        for j in range(len(u.t_grid)):
-            if not u.mask[j, i]:
-                continue
-            dev = u.norm(u.values[j] - x, alpha)
-            if dev > r * (1.0 + 1e-12):
-                raise AdmissibilityError(
-                    f"||u - x||_alpha = {dev} > r = {r} at node "
-                    f"(t = {u.t_grid[j]}, alpha = {alpha})"
-                )
+    dev = norm_table(u.norm, u.values - x, u.alpha_grid.tolist())
+    outside = u.mask & (dev > r * (1.0 + 1e-12))
+    if outside.any():
+        j, i = np.unravel_index(np.argmax(np.where(outside, dev, -np.inf)), dev.shape)
+        raise AdmissibilityError(
+            f"||u - x||_alpha = {dev[j, i]} > r = {r} at node "
+            f"(t = {u.t_grid[j]}, alpha = {u.alpha_grid[i]})"
+        )
 
 
 def integral_map(
@@ -239,19 +232,11 @@ def monitor_m(
     window: ScaleWindow,
     n_tau: int = 3,
 ) -> float:
-    """M(u): weighted sup of ||B(u(t), tau)||_alpha over the triangle and tau."""
+    """M(u): weighted sup of ||B(u(t), tau)||_alpha over the triangle and n_tau taus."""
     lam = window.require_lam()
     taus = np.linspace(0.0, (window.alpha_top - window.alpha0) / lam, n_tau)
-    best = 0.0
-    for tau in taus:
-        b_vals = B.apply_batch(u.values, np.full(len(u.t_grid), tau))
-        for i, alpha in enumerate(u.alpha_grid):
-            for j, t in enumerate(u.t_grid):
-                if not u.mask[j, i]:
-                    continue
-                w = (alpha - window.alpha0 - lam * t) ** window.gamma
-                best = max(best, w * u.norm(b_vals[j], alpha))
-    return best
+    b_vals = np.stack([B.apply_batch(u.values, np.full(len(u.t_grid), tau)) for tau in taus])
+    return triangle_sup(u, b_vals, window)
 
 
 def apriori_bound_rhs(window: ScaleWindow, consts: OvcyannikovConstants) -> float:
@@ -277,7 +262,7 @@ def _quadrature_estimate(u: TriangleSolution, B: PerturbationMap) -> float:
     dt = u.dt
     alpha_top = float(u.alpha_grid[-1])
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
-    worst = max(u.norm(row, alpha_top) for row in d2) / dt**2
+    worst = float(np.max(u.norm(d2, alpha_top))) / dt**2
     return float(t[-1] * dt**2 / 8.0 * worst)
 
 
@@ -396,22 +381,10 @@ def apriori_check(
     consts: OvcyannikovConstants,
     n_tau: int = 5,
 ) -> AprioriReport:
-    """Margins of the a-priori bound over sampled (t, tau, alpha) triples."""
-    lam = window.require_lam()
+    """Margin of the a-priori bound: its right-hand side minus M(u) over n_tau taus."""
     rhs = apriori_bound_rhs(window, consts)
-    taus = np.linspace(0.0, (window.alpha_top - window.alpha0) / lam, n_tau)
-    worst_lhs = 0.0
-    count = 0
-    for tau in taus:
-        b_vals = B.apply_batch(u.values, np.full(len(u.t_grid), tau))
-        for i, alpha in enumerate(u.alpha_grid):
-            for j, t in enumerate(u.t_grid):
-                if not u.mask[j, i]:
-                    continue
-                w = (alpha - window.alpha0 - lam * t) ** window.gamma
-                worst_lhs = max(worst_lhs, w * u.norm(b_vals[j], alpha))
-                count += 1
-    return AprioriReport(rhs - worst_lhs, rhs, worst_lhs, count)
+    worst_lhs = monitor_m(u, B, window, n_tau)
+    return AprioriReport(rhs - worst_lhs, rhs, worst_lhs, n_tau * int(u.mask.sum()))
 
 
 def residual_check(
@@ -427,9 +400,6 @@ def residual_check(
     dt = u.dt
     alpha_top = window.alpha_top
     b_vals = B.apply_batch(u.values[1:-1], t[1:-1])
-    worst = 0.0
-    for j in range(1, len(t) - 1):
-        dudt = (u.values[j + 1] - u.values[j - 1]) / (2.0 * dt)
-        defect = dudt - U.generator_apply(t[j], u.values[j]) - b_vals[j - 1]
-        worst = max(worst, u.norm(defect, alpha_top))
-    return worst
+    dudt = (u.values[2:] - u.values[:-2]) / (2.0 * dt)
+    a_vals = np.array([U.generator_apply(t[j], u.values[j]) for j in range(1, len(t) - 1)])
+    return float(np.max(u.norm(dudt - a_vals - b_vals, alpha_top)))

@@ -111,12 +111,8 @@ class StabilityReport:
 def _sup_deviation(
     u: TriangleSolution, v: TriangleSolution, alpha: float, t_prime: float
 ) -> float:
-    best = 0.0
-    for j, t in enumerate(u.t_grid):
-        if t > t_prime:
-            break
-        best = max(best, u.norm(u.values[j] - v.values[j], alpha))
-    return best
+    near = u.t_grid <= t_prime
+    return float(np.max(u.norm(u.values[near] - v.values[near], alpha), initial=0.0))
 
 
 def stability_experiment(
@@ -241,33 +237,6 @@ def kimura_h_family(model, k0, n_values: list[int]) -> PerturbedFamily:
     return PerturbedFamily(limit, members, model.window)
 
 
-def kimura_datum_family(model, k0, epsilons: list[float]) -> PerturbedFamily:
-    """Family perturbing only the initial hierarchy above level 0.
-
-    Member n starts from k0 with every level >= 1 scaled by (1 + eps_n); the
-    operators and certificates are shared with the limit except for the
-    datum-dependent entries (c3, cx, x_norm), which are re-extracted.
-    """
-    from .kimura import CorrelationHierarchy, KimuraProblem
-
-    def as_instance(hier, label):
-        prob = KimuraProblem.build(model, hier)
-        return ProblemInstance(
-            hier.to_vector(), prob.evolution, prob.perturbation, prob.consts,
-            prob.norm, label,
-        )
-
-    limit = as_instance(k0, "limit")
-    members = []
-    for eps in epsilons:
-        levels = [k0.levels[0].copy()] + [
-            lv * (1.0 + eps) for lv in k0.levels[1:]
-        ]
-        hier = CorrelationHierarchy(k0.m, k0.n_max, levels)
-        members.append(as_instance(hier, f"x*(1+{eps:g})"))
-    return PerturbedFamily(limit, members, model.window)
-
-
 # ---------------------------------------------------------------------------
 # scalar closed-form test problem
 
@@ -315,7 +284,7 @@ def scalar_problem(
         cx=abs(mu) * abs(x0),
         x_norm=abs(x0),
     )
-    norm = lambda v, alpha: float(np.max(np.abs(v)))  # noqa: E731
+    norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
     return ProblemInstance(np.array([x0]), ev, pert, consts, norm, f"x0={x0:g}")
 
 

@@ -145,6 +145,20 @@ class TestVerify:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["samples"] == 1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 42])
+    def test_one_site_attained_bound_is_clean(self, tmp_path, seed):
+        # on one site the Bdelta bound is attained; round-off is no violation
+        cfg = base_config(
+            model={"m": 1, "weights": "uniform", "n_max": 2,
+                   "rates": {"h": 1.0, "psi": 0.0, "a": 0.5}},
+            run={"samples": 20},
+        )
+        out = tmp_path / "out"
+        assert run("verify", write_config(tmp_path, cfg), out, ("--seed", str(seed))) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["violations"] == []
+        assert summary["worst_ratios"]["Bdelta"] <= 1.0 + 1e-12
+
     def test_corrupted_certificate_exit_5_names_b2(self, tmp_path, capsys):
         cfg = base_config()
         cfg["certificate_override"] = {"c2": 0.001}

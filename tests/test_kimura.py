@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import quad
@@ -28,13 +28,14 @@ from banachscale.kimura import (
     expm_increment,
     kappa,
     kappa_integral,
+    level_configs,
     model_constants,
     selection_cost,
     solve_kimura,
 )
-from banachscale.oracles import evolution_law_check
+from banachscale.oracles import bound_verifier, evolution_law_check
 from banachscale.scalecore import ScaleWindow
-from banachscale.solver import make_grid
+from banachscale.solver import make_grid, picard_solve
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
 
@@ -49,6 +50,34 @@ def pair_model(h=0.0, psi=0.5, a=0.0, w=1.0):
     space = DiscreteSpace(("x0", "x1"), np.array([w, w]))
     rates = RateData(np.full(2, h), np.full((2, 2), psi), np.full(2, a))
     return KimuraModel(space, rates, 2, WIN)
+
+
+profiles = st.one_of(
+    st.just(TimeProfile()),
+    st.builds(TimeProfile, st.just("exp_decay"), rate=st.floats(0.0, 5.0)),
+    st.builds(
+        TimeProfile, st.just("sinusoidal"), amp=st.floats(0.0, 1.0), freq=st.floats(-60.0, 60.0)
+    ),
+)
+
+
+@st.composite
+def rate_models(draw):
+    """Random weights, base rates, profiles and horizon on 1-5 sites, n_max 2-4."""
+    m = draw(st.integers(1, 5))
+    n_max = draw(st.integers(2, 4))
+
+    def array(lo, n):
+        values = st.floats(lo, 2.0, allow_subnormal=False)
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    weights, h, a = array(0.05, m), array(0.0, m), array(0.0, m)
+    psi = np.zeros((m, m))
+    psi[np.triu_indices(m, 1)] = array(0.0, m * (m - 1) // 2)
+    rates = RateData(h, psi + psi.T, a, draw(profiles), draw(profiles), draw(profiles))
+    window = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=draw(st.floats(0.1, 2.0)))
+    space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), weights)
+    return KimuraModel(space, rates, n_max, window)
 
 
 class TestStructures:
@@ -194,49 +223,49 @@ class TestOperators:
         out = apply_ldelta(epistatic_model, 0.0, k)
         assert all(np.all(lv == 0.0) for lv in out.levels)
 
-    def test_ldelta_level0_exact_cancellation(self, epistatic_model):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            levels = [np.array([1.0])] + [
-                rng.uniform(-2, 2, math.comb(4, n)) for n in range(1, 4)
-            ]
-            k = CorrelationHierarchy(4, 3, levels)
-            out = apply_ldelta(epistatic_model, 0.3, k)
-            assert out.levels[0][0] == 0.0  # exact, not approximate
+    @settings(max_examples=40, deadline=None)
+    @given(rate_models(), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_ldelta_level0_exact_cancellation(self, model, t, seed):
+        rng = np.random.default_rng(seed)
+        levels = [np.array([1.0])] + [
+            rng.uniform(-2, 2, math.comb(model.m, n)) for n in range(1, model.n_max + 1)
+        ]
+        k = CorrelationHierarchy(model.m, model.n_max, levels)
+        out = apply_ldelta(model, t, k)
+        assert out.levels[0][0] == 0.0  # exact, not approximate
 
-    def test_site_relabeling_symmetry(self):
+    @settings(max_examples=40, deadline=None)
+    @given(rate_models(), st.floats(0.0, 2.0), st.data())
+    def test_site_relabeling_symmetry(self, model, t, data):
         # permuting site labels commutes with every operator
-        rng = np.random.default_rng(3)
-        h = np.array([0.2, 0.9, 0.4])
-        psi = np.array([[0.0, 0.3, 0.1], [0.3, 0.0, 0.7], [0.1, 0.7, 0.0]])
-        a = np.array([0.5, 0.1, 0.8])
-        w = np.array([0.2, 0.3, 0.5])
-        perm = np.array([2, 0, 1])
-        model = KimuraModel(DiscreteSpace(("a", "b", "c"), w), RateData(h, psi, a), 3, WIN)
+        m, n_max, rates = model.m, model.n_max, model.rates
+        perm = np.array(data.draw(st.permutations(range(m))))
+        seed = data.draw(st.integers(0, 2**32 - 1))
         model_p = KimuraModel(
-            DiscreteSpace(("a", "b", "c"), w[perm]),
-            RateData(h[perm], psi[np.ix_(perm, perm)], a[perm]),
-            3,
-            WIN,
+            DiscreteSpace(model.space.points, model.space.weights[perm]),
+            RateData(
+                rates.h_base[perm], rates.psi_base[np.ix_(perm, perm)], rates.a_base[perm],
+                rates.h_profile, rates.psi_profile, rates.a_profile,
+            ),
+            n_max,
+            model.window,
         )
-        levels = [rng.uniform(-1, 1, math.comb(3, n)) for n in range(4)]
-        k = CorrelationHierarchy(3, 3, levels)
+        vec = np.random.default_rng(seed).uniform(-1.0, 1.0, model.dim)
+        k = CorrelationHierarchy.from_vector(m, n_max, vec)
+
         def permuted(hier):
             # new site i carries old site perm[i]'s data
-            out = CorrelationHierarchy.zero(3, 3)
-            from banachscale.kimura import level_configs
-
-            for n in range(4):
-                for idx, eta in enumerate(level_configs(3, n)):
+            out = CorrelationHierarchy.zero(m, n_max)
+            for n in range(n_max + 1):
+                for idx, eta in enumerate(level_configs(m, n)):
                     out.levels[n][idx] = hier.value(tuple(int(perm[i]) for i in eta))
             return out
 
         k_p = permuted(k)
         for op in (apply_A0, apply_A1, apply_ldelta):
-            lhs = permuted(op(model, 0.0, k))
-            rhs = op(model_p, 0.0, k_p)
-            for a_lv, b_lv in zip(lhs.levels, rhs.levels):
-                assert np.allclose(a_lv, b_lv, atol=1e-14)
+            lhs = permuted(op(model, t, k)).to_vector()
+            rhs = op(model_p, t, k_p).to_vector()
+            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_matrix_assembly_matches_direct_action(self, epistatic_model, epistatic_k0):
         vec = epistatic_k0.to_vector()
@@ -375,34 +404,6 @@ class TestApplyBatch:
         assert np.max(np.abs(pert.apply_batch(V, ts) - rows)) <= 1e-15
 
 
-profiles = st.one_of(
-    st.just(TimeProfile()),
-    st.builds(TimeProfile, st.just("exp_decay"), rate=st.floats(0.0, 5.0)),
-    st.builds(
-        TimeProfile, st.just("sinusoidal"), amp=st.floats(0.0, 1.0), freq=st.floats(-60.0, 60.0)
-    ),
-)
-
-
-@st.composite
-def rate_models(draw):
-    """Random weights, base rates, profiles and horizon on 1-5 sites, n_max 2-4."""
-    m = draw(st.integers(1, 5))
-    n_max = draw(st.integers(2, 4))
-
-    def array(lo, n):
-        values = st.floats(lo, 2.0, allow_subnormal=False)
-        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
-
-    weights, h, a = array(0.05, m), array(0.0, m), array(0.0, m)
-    psi = np.zeros((m, m))
-    psi[np.triu_indices(m, 1)] = array(0.0, m * (m - 1) // 2)
-    rates = RateData(h, psi + psi.T, a, draw(profiles), draw(profiles), draw(profiles))
-    window = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=draw(st.floats(0.1, 2.0)))
-    space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), weights)
-    return KimuraModel(space, rates, n_max, window)
-
-
 class TestRateDecomposition:
     """The four sparse components and the closed-form certificate pieces."""
 
@@ -508,6 +509,33 @@ class TestWorkCount:
         assert calls["a0_dot"] > 0
 
 
+    def test_norm_calls_do_not_grow_with_the_grid(self, shipped_configs, monkeypatch):
+        # every sup over the triangle makes one norm call per alpha, not per node
+        cfg = shipped_configs["desk-epistatic"]
+        window = cli.parse_window(cfg)
+        model = cli.parse_model(cfg, window)
+        problem = kimura.KimuraProblem.build(model, cli.parse_initial(cfg, model))
+        x = problem.k0.to_vector()
+        norm = KimuraModel.hierarchy_norm
+        calls = []
+
+        def counted(self, vec, alpha):
+            calls.append(alpha)
+            return norm(self, vec, alpha)
+
+        monkeypatch.setattr(KimuraModel, "hierarchy_norm", counted)
+        counts = []
+        for n_steps in (20, 80):
+            calls.clear()
+            _, rep = picard_solve(
+                x, problem.evolution, problem.perturbation, problem.resolved_window(),
+                problem.consts, problem.norm, n_steps=n_steps, k_max=2,
+            )
+            assert rep.iterations == 2
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
 class TestMemory:
     def test_evolution_law_check_retains_no_per_time_state(self, shipped_configs):
         # desk-smooth has time-varying rates: every RK4 substep sits at a new time
@@ -535,6 +563,14 @@ class TestHierarchyNorm:
             alpha = rng.uniform(0.0, 1.0)
             k = CorrelationHierarchy.from_vector(m, n_max, vec)
             assert model.hierarchy_norm(vec, alpha) == k.norm(alpha)
+            assert type(model.hierarchy_norm(vec, alpha)) is float
+            # a batch gives the row-wise values, for any leading shape
+            batch = rng.uniform(-2.0, 2.0, (2, 3, model.dim))
+            rowwise = [
+                [CorrelationHierarchy.from_vector(m, n_max, v).norm(alpha) for v in rows]
+                for rows in batch
+            ]
+            assert np.array_equal(model.hierarchy_norm(batch, alpha), rowwise)
 
 
 class TestModelConstants:
@@ -585,6 +621,17 @@ class TestModelConstants:
                 pert.apply(x + d1, 0.3) - pert.apply(x + d2, 0.3), hi
             )
             assert num * (hi - lo) / denom <= c.c2 * (1.0 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate_models(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    # one site attains the Bdelta bound; this sample reads one ulp above it
+    @example(
+        KimuraModel(DiscreteSpace.uniform(1), RateData.constant(1, 1.0, 0.0, 0.5), 2, WIN), 0.5, 3
+    )
+    def test_certificate_dominates_bound_verifier_samples(self, model, rho, seed):
+        k0 = CorrelationHierarchy.poisson(model.m, model.n_max, np.full(model.m, rho))
+        report = bound_verifier(model, k0, 3, seed)
+        assert report.clean, report.violations
 
     def test_kappa_closed_form(self, epistatic_model):
         # uniform weights 0.25: int h = 1, int int psi over distinct pairs

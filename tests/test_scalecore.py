@@ -163,7 +163,7 @@ class TestLambda0:
 
 def grid_with(values_scale, lam=1.0, n_steps=4, n_alpha=4):
     win = unit_window(lam=lam)
-    norm = lambda v, alpha: float(np.max(np.abs(v)))  # noqa: E731
+    norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
     g = make_grid(win, norm, 2, n_steps, n_alpha)
     g.values[:] = values_scale
     return g, win
@@ -187,9 +187,10 @@ class TestWeightedGammaNorm:
             t_grid = np.array([0.0])
             alpha_grid = np.array([1.0])
             mask = np.array([[True]])
+            values = np.zeros((1, 1))
 
-            def norm_at(self, j, alpha):
-                return 2.0
+            def norm(self, rows, alpha):
+                return np.full(rows.shape[:-1], 2.0)
 
         assert weighted_gamma_norm(OneNode(), win) == pytest.approx(2.0 * 0.5**0.5)
 
@@ -200,9 +201,10 @@ class TestWeightedGammaNorm:
             t_grid = np.array([])
             alpha_grid = np.array([])
             mask = np.zeros((0, 0), dtype=bool)
+            values = np.zeros((0, 1))
 
-            def norm_at(self, j, alpha):
-                return 0.0
+            def norm(self, rows, alpha):
+                return np.zeros(rows.shape[:-1])
 
         with pytest.raises(DomainError):
             weighted_gamma_norm(Empty(), win)
@@ -212,7 +214,7 @@ class TestWeightedGammaNorm:
     @settings(max_examples=40, deadline=None)
     def test_triangle_inequality(self, a_vals, b_vals):
         win = unit_window(lam=1.0)
-        norm = lambda v, alpha: float(np.max(np.abs(v)))  # noqa: E731
+        norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
         ga = make_grid(win, norm, 1, 4, 4)
         gb = make_grid(win, norm, 1, 4, 4)
         ga.values[:, 0] = a_vals

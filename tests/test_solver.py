@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banachscale.errors import (
     AdmissibilityError,
@@ -18,14 +20,16 @@ from banachscale.scalecore import (
 from banachscale.solver import (
     EvolutionSystem,
     PerturbationMap,
+    apriori_check,
     contraction_check,
     integral_map,
     make_grid,
+    monitor_m,
     picard_solve,
     residual_check,
 )
 
-FLAT_NORM = lambda v, alpha: float(np.max(np.abs(v)))  # noqa: E731
+FLAT_NORM = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
 
 
 class IdentityEvolution(EvolutionSystem):
@@ -323,3 +327,54 @@ class TestResidualCheck:
         u = make_grid(win, FLAT_NORM, 1, 1)
         with pytest.raises(DomainError):
             residual_check(u, IdentityEvolution(), LinearPerturbation(0.0, win), win)
+
+
+def pernode_sup(u, rows, window):
+    """Reference: the node-by-node weighted maximum, one norm call per node."""
+    lam = window.require_lam()
+    best = 0.0
+    for i, alpha in enumerate(u.alpha_grid):
+        for j, t in enumerate(u.t_grid):
+            if not u.mask[j, i]:
+                continue
+            w = (alpha - window.alpha0 - lam * t) ** window.gamma
+            best = max(best, w * u.norm(rows[j], alpha))
+    return best
+
+
+class TestTriangleKernel:
+    """Every sup over the triangle against the per-node loop, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 30),
+        st.integers(1, 10),
+        st.floats(0.05, 0.95),
+        st.floats(0.1, 50.0),
+        st.floats(0.05, 0.95),
+        st.floats(0.5, 0.99),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pernode_loop(
+        self, epistatic_problem, n_steps, n_alpha, alpha0, lam, gamma, theta, seed
+    ):
+        p = epistatic_problem
+        win = ScaleWindow(0.0, alpha0, 1.0, gamma=gamma, lam=lam)
+        x = p.k0.to_vector()
+        u = make_grid(win, p.norm, len(x), n_steps, n_alpha, theta)
+        u.values[:] = x + np.random.default_rng(seed).uniform(-0.5, 0.5, u.values.shape)
+        B = p.perturbation
+        assert weighted_gamma_norm(u, win) == pernode_sup(u, u.values, win)
+
+        def reference_m(n_tau):
+            taus = np.linspace(0.0, (win.alpha_top - win.alpha0) / lam, n_tau)
+            return max(
+                pernode_sup(u, B.apply_batch(u.values, np.full(len(u.t_grid), tau)), win)
+                for tau in taus
+            )
+
+        assert monitor_m(u, B, win) == reference_m(3)
+        rep = apriori_check(u, B, win, p.consts, n_tau=5)
+        assert rep.worst_lhs == reference_m(5)
+        assert rep.worst_margin == rep.rhs - rep.worst_lhs
+        assert rep.samples == 5 * int(u.mask.sum())
