@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,11 @@ from .errors import (
     ConfigurationError,
     ContractionViolationError,
     DomainError,
+    InfeasibleHorizonError,
     ModelValidationError,
 )
 from .kimura import (
+    AUTO_LAMBDA,
     CorrelationHierarchy,
     DiscreteSpace,
     KimuraModel,
@@ -45,7 +47,7 @@ from .oracles import (
     poisson_oracle,
     validate_poisson_closure,
 )
-from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0, lambda0_terms
+from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_terms
 from .solver import picard_solve
 from .stability import kimura_h_family, lambda1, stability_experiment
 
@@ -75,10 +77,35 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
+def _block(cfg: dict, path: str, default=None, required: bool = False) -> dict:
+    """The object at ``path``; an absent or null one reads as ``default`` (or {})."""
+    value = _get(cfg, path, required=required)
+    if value is None and not required:
+        value = {} if default is None else default
+    if not isinstance(value, dict):
+        raise _fail(path, f"expected an object, got {value!r}")
+    return value
+
+
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {value!r}")
+    # json reads NaN and Infinity literals as floats
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _as_int(value, path: str, positive: bool = True) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise _fail(path, f"expected {kind}, got {value!r}")
+    return value
+
+
+def _as_array(value, path: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _fail(path, f"expected numbers, got {value!r}") from exc
 
 
 def _rate_array(value, m: int, path: str, square: bool = False) -> np.ndarray:
@@ -86,7 +113,7 @@ def _rate_array(value, m: int, path: str, square: bool = False) -> np.ndarray:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         v = float(value)
         return np.full((m, m), v) if square else np.full(m, v)
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, path)
     want = (m, m) if square else (m,)
     if arr.shape != want:
         raise _fail(path, f"expected scalar or shape {want}, got shape {arr.shape}")
@@ -110,7 +137,7 @@ def _profile(cfg, path: str) -> TimeProfile:
 
 
 def parse_window(cfg: dict) -> ScaleWindow:
-    w = _get(cfg, "window", required=True)
+    w = _block(cfg, "window", required=True)
     lam_raw = w.get("lambda", "auto")
     if lam_raw == "auto":
         lam = None
@@ -134,22 +161,20 @@ def parse_window(cfg: dict) -> ScaleWindow:
 
 
 def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
-    m = _get(cfg, "model.m", required=True)
-    if not isinstance(m, int) or m < 1:
-        raise _fail("model.m", f"expected a positive integer, got {m!r}")
+    m = _as_int(_get(cfg, "model.m", required=True), "model.m")
     weights = _get(cfg, "model.weights", "uniform")
     try:
         if weights == "uniform":
             space = DiscreteSpace.uniform(m)
         else:
-            arr = np.asarray(weights, dtype=float)
+            arr = _as_array(weights, "model.weights")
             if arr.shape != (m,):
                 raise _fail("model.weights", f"expected {m} weights, got shape {arr.shape}")
             space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), arr)
     except ModelValidationError as exc:
         raise _fail("model.weights", str(exc)) from exc
 
-    rates_cfg = _get(cfg, "model.rates", required=True)
+    rates_cfg = _block(cfg, "model.rates", required=True)
     try:
         rates = RateData(
             h_base=_rate_array(_get(cfg, "model.rates.h", required=True), m, "model.rates.h"),
@@ -162,9 +187,7 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
     except ModelValidationError as exc:
         raise _fail("model.rates", str(exc)) from exc
 
-    n_max = _get(cfg, "model.n_max", required=True)
-    if not isinstance(n_max, int):
-        raise _fail("model.n_max", f"expected an integer, got {n_max!r}")
+    n_max = _as_int(_get(cfg, "model.n_max", required=True), "model.n_max", positive=False)
     try:
         return KimuraModel(space, rates, n_max, window)
     except ModelValidationError as exc:
@@ -172,14 +195,14 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
 
 
 def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
-    block = _get(cfg, "initial", {"poisson_z": 1.0})
+    block = _block(cfg, "initial", {"poisson_z": 1.0})
     if "poisson_z" in block:
         z = _as_float(block["poisson_z"], "initial.poisson_z")
         if z < 0:
             raise _fail("initial.poisson_z", "density must be nonnegative")
         rho = np.full(model.m, z)
     elif "rho" in block:
-        rho = np.asarray(block["rho"], dtype=float)
+        rho = _as_array(block["rho"], "initial.rho")
         if rho.shape != (model.m,):
             raise _fail("initial.rho", f"expected {model.m} densities, got shape {rho.shape}")
         if np.any(rho < 0):
@@ -190,36 +213,28 @@ def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
 
 
 def parse_solver_opts(cfg: dict) -> dict:
-    s = _get(cfg, "solver", {})
+    s = _block(cfg, "solver")
     opts = {
         "tol": _as_float(s.get("tol", 1e-10), "solver.tol"),
-        "k_max": s.get("k_max", 60),
-        "n_steps": s.get("n_steps", 100),
-        "n_alpha": s.get("n_alpha", 8),
+        "k_max": _as_int(s.get("k_max", 60), "solver.k_max"),
+        "n_steps": _as_int(s.get("n_steps", 100), "solver.n_steps"),
+        "n_alpha": _as_int(s.get("n_alpha", 8), "solver.n_alpha"),
         "theta": _as_float(s.get("theta", 0.9), "solver.theta"),
     }
-    for key in ("k_max", "n_steps", "n_alpha"):
-        if not isinstance(opts[key], int) or opts[key] < 1:
-            raise _fail(f"solver.{key}", f"expected a positive integer, got {opts[key]!r}")
     if not (0.0 < opts["theta"] < 1.0):
         raise _fail("solver.theta", f"safety factor must lie in (0, 1), got {opts['theta']}")
     return opts
 
 
-def parse_override(cfg: dict, base: OvcyannikovConstants) -> OvcyannikovConstants:
+def parse_override(cfg: dict) -> dict[str, float]:
     """Optional certificate override block, used for fault injection."""
-    ov = _get(cfg, "certificate_override")
-    if not ov:
-        return base
-    fields = {k: getattr(base, k) for k in ("c1", "beta", "c2", "c3", "cx", "x_norm")}
-    for key, value in ov.items():
-        if key not in fields:
+    known = {f.name for f in fields(OvcyannikovConstants)}
+    override = {}
+    for key, value in _block(cfg, "certificate_override").items():
+        if key not in known:
             raise _fail(f"certificate_override.{key}", "unknown constant")
-        fields[key] = _as_float(value, f"certificate_override.{key}")
-    try:
-        return OvcyannikovConstants(**fields)
-    except DomainError as exc:
-        raise _fail("certificate_override", str(exc)) from exc
+        override[key] = _as_float(value, f"certificate_override.{key}")
+    return override
 
 
 # ---------------------------------------------------------------------------
@@ -278,48 +293,37 @@ def trajectory_rows(u, model: KimuraModel) -> list[list]:
     return rows
 
 
-def _audit(window: ScaleWindow, consts: OvcyannikovConstants) -> dict:
-    return _sanitize(lambda0_terms(window, consts))
+def _audit(problem: KimuraProblem) -> dict:
+    return _sanitize(lambda0_terms(problem.window, problem.consts))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _prepare(cfg: dict):
+def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
+    """Parse the config and certify the problem: its horizon slope is resolved."""
     window = parse_window(cfg)
     model = parse_model(cfg, window)
     k0 = parse_initial(cfg, model)
     opts = parse_solver_opts(cfg)
-    problem = KimuraProblem.build(model, k0)
-    consts = parse_override(cfg, problem.consts)
-    lam0 = lambda0(window, consts)
-    if window.lam is None:
-        window = window.with_lam(2.0 * lam0)
-    return window, model, k0, opts, problem, consts, lam0
+    override = parse_override(cfg)
+    return KimuraProblem.build(model, k0, override), opts
+
+
+def _solve(cfg: dict):
+    """Prepare, certify and solve: the problem, the trajectory and its report."""
+    problem, opts = _prepare(cfg)
+    u, report = picard_solve(*problem.solver_args(), **opts)
+    return problem, u, report
 
 
 def run_solve(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
-    window, model, k0, opts, problem, consts, lam0 = _prepare(cfg)
-    if window.lam <= lam0:
-        print(
-            f"infeasible horizon slope: lambda = {window.lam} <= lambda0 = {lam0}",
-            file=sys.stderr,
-        )
-        return EXIT_HORIZON
-    u, report = picard_solve(
-        k0.to_vector(),
-        problem.evolution,
-        problem.perturbation,
-        window,
-        consts,
-        problem.norm,
-        **opts,
-    )
+    problem, u, report = _solve(cfg)
     write_csv(
         out / "trajectory.csv",
         ["t", "level", "config", "value"],
-        trajectory_rows(u, model),
+        trajectory_rows(u, problem.model),
     )
     conv_rows = []
     for k, d in enumerate(report.increments):
@@ -339,9 +343,9 @@ def run_solve(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         "subcommand": "solve",
         "config_sha256": config_digest(raw),
         "seed": seed,
-        "lambda": window.lam,
-        "lambda0_audit": _audit(window, consts),
-        "horizon": window.horizon(),
+        "lambda": problem.window.lam,
+        "lambda0_audit": _audit(problem),
+        "horizon": problem.window.horizon(),
         "grid_horizon": float(u.t_grid[-1]),
         "iterations": report.iterations,
         "converged": report.converged,
@@ -349,39 +353,32 @@ def run_solve(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         "rho": report.rho,
         "apriori_margin": report.apriori_margin,
         "quadrature_error_estimate": report.quadrature_error_estimate,
-        "constants": _sanitize(asdict(consts)),
+        "constants": _sanitize(asdict(problem.consts)),
         "level0_max_drift": float(np.max(np.abs(u.values[:, 0] - 1.0))),
     })
     return EXIT_OK
 
 
 def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
-    window, model, k0, opts, problem, consts, lam0 = _prepare(cfg)
-    fam_cfg = _get(cfg, "family", required=True)
+    problem, opts = _prepare(cfg)
+    fam_cfg = _block(cfg, "family", required=True)
     n_values = fam_cfg.get("n_values")
-    if not n_values:
+    if not isinstance(n_values, list) or not n_values:
         raise _fail("family.n_values", "need a nonempty list of family indices")
-    # the certificates do not depend on the horizon slope, so the family is
-    # built once and only its window changes
-    family = replace(kimura_h_family(model, k0, list(n_values)), window=window)
+    for i, n in enumerate(n_values):
+        _as_int(n, f"family.n_values[{i}]", positive=False)
+    family = kimura_h_family(problem, n_values)
     lam1 = lambda1(family)
-    if _get(cfg, "window.lambda", "auto") == "auto":
+    if problem.model.window.lam is None:
         # the auto rule must clear the family threshold, not just the limit's
-        window = window.with_lam(2.0 * lam1)
-        family = replace(family, window=window)
-    if window.lam <= lam1:
-        print(
-            f"infeasible horizon slope: lambda = {window.lam} <= lambda1 = {lam1}",
-            file=sys.stderr,
-        )
-        return EXIT_HORIZON
+        family = replace(family, window=family.window.with_lam(AUTO_LAMBDA * lam1))
+    window = family.window
     alpha = _as_float(fam_cfg.get("alpha", window.alpha_top), "family.alpha")
     t_prime = _as_float(
         fam_cfg.get("t_prime", 0.5 * (alpha - window.alpha0) / window.lam),
         "family.t_prime",
     )
-    solver_opts = {k: v for k, v in opts.items() if k != "tol"}
-    rep = stability_experiment(family, alpha, t_prime, tol=opts["tol"], **solver_opts)
+    rep = stability_experiment(family, alpha, t_prime, **opts)
     rows = [
         [n, rep.labels[i], rep.perturbation_sizes[i], rep.s_values[i], rep.floor]
         for i, n in enumerate(n_values)
@@ -397,7 +394,7 @@ def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         "seed": seed,
         "lambda": window.lam,
         "lambda1": lam1,
-        "lambda0_audit": _audit(window, consts),
+        "lambda0_audit": _audit(problem),
         "alpha": alpha,
         "t_prime": t_prime,
         "floor": rep.floor,
@@ -410,18 +407,16 @@ def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
 
 
 def run_verify(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
-    window, model, k0, opts, problem, consts, lam0 = _prepare(cfg)
-    samples = _get(cfg, "run.samples", 100)
-    if not isinstance(samples, int) or samples < 1:
-        raise _fail("run.samples", f"expected a positive integer, got {samples!r}")
-    report = bound_verifier(model, k0, samples, seed, consts=consts, window=window)
-    law = evolution_law_check(model, min(samples, 100), seed)
+    problem, _ = _prepare(cfg)
+    samples = _as_int(_block(cfg, "run").get("samples", 100), "run.samples")
+    report = bound_verifier(problem.model, problem.k0, samples, seed, consts=problem.consts)
+    law = evolution_law_check(problem.model, min(samples, 100), seed)
     summary = {
         "subcommand": "verify",
         "config_sha256": config_digest(raw),
         "seed": seed,
         "samples": samples,
-        "lambda0_audit": _audit(window, consts),
+        "lambda0_audit": _audit(problem),
         "worst_ratios": _sanitize(dict(sorted(report.worst.items()))),
         "violations": [
             {"inequality": name, "sample": idx, "ratio": _sanitize(ratio)}
@@ -452,35 +447,20 @@ def run_verify(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
 
 
 def run_oracle_compare(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
-    window, model, k0, opts, problem, consts, lam0 = _prepare(cfg)
-    if window.lam <= lam0:
-        print(
-            f"infeasible horizon slope: lambda = {window.lam} <= lambda0 = {lam0}",
-            file=sys.stderr,
-        )
-        return EXIT_HORIZON
-    u, report = picard_solve(
-        k0.to_vector(),
-        problem.evolution,
-        problem.perturbation,
-        window,
-        consts,
-        problem.norm,
-        **opts,
-    )
-    tol = _as_float(_get(cfg, "run.compare_tol", 1e-6), "run.compare_tol")
-    steps = _get(cfg, "run.oracle_steps", 400)
+    problem, u, _ = _solve(cfg)
+    model, k0 = problem.model, problem.k0
+    tol = _as_float(_block(cfg, "run").get("compare_tol", 1e-6), "run.compare_tol")
     psi_dead = bool(np.all(model.rates.psi_base[~np.eye(model.m, dtype=bool)] == 0.0)) if model.m > 1 else True
     if psi_dead:
         oracle_name = "poisson"
         rho0 = np.array([k0.value((i,)) for i in range(model.m)])
         validate_poisson_closure(model, rho0, float(u.t_grid[-1]))
-        refs = [poisson_oracle(model, rho0, float(t)) for t in u.t_grid]
+        refs = poisson_oracle(model, rho0, u.t_grid)
     else:
         oracle_name = "bruteforce"
         _, refs = bruteforce_oracle(model, k0, float(u.t_grid[-1]), len(u.t_grid) - 1)
     ref = np.array([r.to_vector() for r in refs])
-    alpha_ref = window.alpha_top
+    alpha_ref = problem.window.alpha_top
     dev = model.hierarchy_norm(u.values - ref, alpha_ref)
     rel = dev / np.maximum(model.hierarchy_norm(ref, alpha_ref), 1e-300)
     worst = float(np.max(rel, initial=0.0))
@@ -491,7 +471,7 @@ def run_oracle_compare(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         "config_sha256": config_digest(raw),
         "seed": seed,
         "oracle": oracle_name,
-        "lambda0_audit": _audit(window, consts),
+        "lambda0_audit": _audit(problem),
         "worst_relative_deviation": worst,
         "tolerance": tol,
         "passed": worst <= tol,
@@ -540,13 +520,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _DISPATCH[args.subcommand](cfg, out, raw, args.seed)
+    except InfeasibleHorizonError as exc:
+        print(f"infeasible horizon slope: {exc}", file=sys.stderr)
+        return EXIT_HORIZON
     except ConfigurationError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,11 @@ class DomainError(BanachScaleError, ValueError):
 
 
 class ConfigurationError(BanachScaleError, ValueError):
-    """A run configuration is inconsistent (e.g. horizon slope too small)."""
+    """A run configuration is malformed or inconsistent (CLI exit code 2)."""
+
+
+class InfeasibleHorizonError(ConfigurationError):
+    """The horizon slope does not exceed lambda0 (lambda1 for a family); exit code 4."""
 
 
 class AdmissibilityError(BanachScaleError):

@@ -10,14 +10,14 @@ fixed-point solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import accumulate, combinations
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DomainError, ModelValidationError
+from .errors import ConfigurationError, DomainError, ModelValidationError
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
 from .solver import (
     ConvergenceReport,
@@ -302,11 +302,6 @@ class KimuraModel:
         d = self._a0.shape[1]
         p_h, p_psi = self.rates.h_profile.value(t), self.rates.psi_profile.value(t)
         return p_h * self._a0[:d] + p_psi * self._a0[d:]
-
-    def a1_matrix(self, t: float) -> sparse.csr_matrix:
-        d = self._b.shape[1]
-        p_psi, p_a = self.rates.psi_profile.value(t), self.rates.a_profile.value(t)
-        return p_psi * self._b[:d] + p_a * self._b[d : 2 * d]
 
 
 def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
@@ -666,14 +661,11 @@ class KimuraEvolution(EvolutionSystem):
     engine are two precomputed sparse increments.
     """
 
-    def __init__(self, model: KimuraModel, c1: float, per_unit_tol: float = 1e-10):
+    def __init__(self, model: KimuraModel):
         self.model = model
-        self.c1 = c1
-        self.beta = 0.0
-        self.per_unit_tol = per_unit_tol
 
     def apply(self, t: float, s: float, v: np.ndarray) -> np.ndarray:
-        return evolution_u(self.model, t, s, v, self.per_unit_tol)
+        return evolution_u(self.model, t, s, v)
 
     def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
         return -self.model.a0_dot(t, v)
@@ -699,11 +691,8 @@ class KimuraEvolution(EvolutionSystem):
 class KimuraPerturbation(PerturbationMap):
     """B(k, t) = A1(t) k + Bdelta(t, k) k on the flattened hierarchy."""
 
-    def __init__(self, model: KimuraModel, c2: float, c3: float, r: float):
+    def __init__(self, model: KimuraModel):
         self.model = model
-        self.c2 = c2
-        self.c3 = c3
-        self.r = r
 
     def apply(self, v: np.ndarray, t: float) -> np.ndarray:
         return self.apply_batch(v[None, :], np.array([t]))[0]
@@ -725,34 +714,59 @@ class KimuraPerturbation(PerturbationMap):
         return (a1_v + bdelta_v * V.T).T
 
 
+#: an unset horizon slope is this multiple of its threshold (lambda0, or lambda1)
+AUTO_LAMBDA = 2.0
+
+
 @dataclass
 class KimuraProblem:
-    """Model + initial hierarchy wired into the generic solver interfaces."""
+    """Model + initial hierarchy wired into the generic solver interfaces.
+
+    ``consts`` is the one certificate of the problem and ``lam0`` its
+    threshold slope; ``window`` is the model's window with the slope resolved.
+    """
 
     model: KimuraModel
     k0: CorrelationHierarchy
     consts: OvcyannikovConstants
+    lam0: float
+    window: ScaleWindow
     evolution: KimuraEvolution
     perturbation: KimuraPerturbation
 
     @classmethod
-    def build(cls, model: KimuraModel, k0: CorrelationHierarchy) -> "KimuraProblem":
+    def build(
+        cls,
+        model: KimuraModel,
+        k0: CorrelationHierarchy,
+        override: dict[str, float] | None = None,
+    ) -> "KimuraProblem":
+        """Certify, with ``override`` replacing named constants (the config's
+        ``certificate_override``), and set an unset slope to AUTO_LAMBDA * lambda0."""
         consts = model_constants(model, k0)
-        ev = KimuraEvolution(model, consts.c1)
-        pert = KimuraPerturbation(model, consts.c2, consts.c3, model.window.r)
-        return cls(model, k0, consts, ev, pert)
+        if override:
+            try:
+                consts = replace(consts, **override)
+            except DomainError as exc:
+                raise ConfigurationError(f"certificate_override: {exc}") from exc
+        lam0 = lambda0(model.window, consts)
+        window = model.window
+        if window.lam is None:
+            window = window.with_lam(AUTO_LAMBDA * lam0)
+        return cls(
+            model, k0, consts, lam0, window, KimuraEvolution(model), KimuraPerturbation(model)
+        )
 
     @property
     def norm(self):
         return self.model.hierarchy_norm
 
-    def resolved_window(self, lam_multiplier: float = 2.0) -> ScaleWindow:
-        """Window with the horizon slope set (auto rule: lam = multiplier * lambda0)."""
-        win = self.model.window
-        if win.lam is not None:
-            return win
-        lam0 = lambda0(win.with_lam(1.0), self.consts)
-        return win.with_lam(lam_multiplier * lam0)
+    def solver_args(self) -> tuple:
+        """Positional arguments of :func:`picard_solve` for this problem."""
+        return (
+            self.k0.to_vector(), self.evolution, self.perturbation, self.window,
+            self.consts, self.norm,
+        )
 
 
 def solve_kimura(
@@ -765,14 +779,4 @@ def solve_kimura(
     if k0.levels[0][0] != 1.0:
         raise DomainError("initial hierarchy must be normalized: k0(empty) = 1")
     problem = KimuraProblem.build(model, k0)
-    window = problem.resolved_window()
-    return picard_solve(
-        k0.to_vector(),
-        problem.evolution,
-        problem.perturbation,
-        window,
-        problem.consts,
-        problem.norm,
-        tol=tol,
-        **solver_kwargs,
-    )
+    return picard_solve(*problem.solver_args(), tol=tol, **solver_kwargs)

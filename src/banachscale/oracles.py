@@ -25,7 +25,7 @@ from .kimura import (
     kappa_integral,
     rate_aggregates,
 )
-from .scalecore import OvcyannikovConstants, ScaleWindow
+from .scalecore import OvcyannikovConstants
 
 
 def _require_psi_zero(model: KimuraModel) -> None:
@@ -35,8 +35,8 @@ def _require_psi_zero(model: KimuraModel) -> None:
 
 
 def poisson_oracle(
-    model: KimuraModel, rho0: np.ndarray, t: float
-) -> CorrelationHierarchy:
+    model: KimuraModel, rho0: np.ndarray, t: float | np.ndarray
+) -> CorrelationHierarchy | list[CorrelationHierarchy]:
     """Product hierarchy k^(n)(eta) = prod rho_t(i) for the non-interacting case.
 
     Because the discrete raising sum skips sites already in the
@@ -46,7 +46,9 @@ def poisson_oracle(
         rho'(i) = a(t,i) - h(t,i) rho(i) + w(i) h(t,i) rho(i)^2.
 
     Each scalar equation is integrated by an adaptive high-order method to
-    1e-12.  This closure is implementer-derived: validate it against
+    1e-12.  ``t`` is one time, or an array of increasing times that one
+    integration covers and for which a list of hierarchies is returned.  This
+    closure is implementer-derived: validate it against
     :func:`bruteforce_oracle` (see :func:`validate_poisson_closure`) before
     relying on it.  The closure is exact only when the truncation is vacuous
     (n_max = m); the validation gate enforces that regime.
@@ -55,24 +57,32 @@ def poisson_oracle(
     rho0 = np.asarray(rho0, dtype=float)
     if np.any(rho0 < 0):
         raise OracleDomainError("initial densities must be nonnegative")
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.size and times[0] < 0:
+        raise DomainError(f"t must be nonnegative, got {times[0]}")
+    if np.any(np.diff(times) <= 0):
+        raise DomainError("times must be increasing")
     rates = model.rates
     w = model.space.weights
-    if t == 0.0:
-        return CorrelationHierarchy.poisson(model.m, model.n_max, rho0)
 
     def rhs(s, rho):
         h = rates.h(s)
         a = rates.a(s)
         return a - h * rho + w * h * rho**2
 
-    sol = solve_ivp(
-        rhs, (0.0, t), rho0, method="DOP853", rtol=1e-12, atol=1e-14, dense_output=False
-    )
-    if not sol.success:
-        raise OracleDomainError(f"density integration failed: {sol.message}")
-    return CorrelationHierarchy.poisson(model.m, model.n_max, sol.y[:, -1])
+    # t = 0 is the exact initial product; the positive times share one run
+    rhos = np.tile(rho0, (times.size, 1))
+    later = times > 0.0
+    if later.any():
+        sol = solve_ivp(
+            rhs, (0.0, times[-1]), rho0, method="DOP853", rtol=1e-12, atol=1e-14,
+            t_eval=times[later],
+        )
+        if not sol.success:
+            raise OracleDomainError(f"density integration failed: {sol.message}")
+        rhos[later] = sol.y.T
+    out = [CorrelationHierarchy.poisson(model.m, model.n_max, rho) for rho in rhos]
+    return out if np.ndim(t) else out[0]
 
 
 def bruteforce_oracle(
@@ -150,8 +160,7 @@ def validate_poisson_closure(
     t_grid, ref = bruteforce_oracle(model, k0, t_end, steps)
     alpha = model.window.alpha_top
     worst = 0.0
-    for t, kr in zip(t_grid, ref):
-        kp = poisson_oracle(model, rho0, t)
+    for kp, kr in zip(poisson_oracle(model, rho0, t_grid), ref):
         dev = (kp - kr).norm(alpha) / max(kr.norm(alpha), 1e-300)
         worst = max(worst, dev)
     if worst > tol:
@@ -208,7 +217,6 @@ def bound_verifier(
     samples: int,
     seed: int,
     consts: OvcyannikovConstants | None = None,
-    window: ScaleWindow | None = None,
 ) -> BoundReport:
     """Check every operator inequality on seeded random data.
 
@@ -220,7 +228,7 @@ def bound_verifier(
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    win = window if window is not None else model.window
+    win = model.window
     if consts is None:
         from .kimura import model_constants
 
@@ -231,7 +239,7 @@ def bound_verifier(
     x_vec = k0.to_vector()
     from .kimura import KimuraPerturbation
 
-    pert = KimuraPerturbation(model, consts.c2, consts.c3, win.r)
+    pert = KimuraPerturbation(model)
     r_ball = win.r if math.isfinite(win.r) else 1.0
 
     for idx in range(samples):

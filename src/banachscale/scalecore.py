@@ -102,20 +102,6 @@ class OvcyannikovConstants:
             raise DomainError(f"beta must lie in [0, 1/2), got {self.beta}")
 
 
-def time_horizon(alpha: float, window: ScaleWindow, t_prime: float) -> float:
-    """Linear horizon (alpha - alpha0)/(alpha_top - alpha0) * t_prime.
-
-    Vanishes at alpha = alpha0 and equals t_prime at alpha = alpha_top.
-    """
-    if not (window.alpha0 <= alpha <= window.alpha_top):
-        raise DomainError(
-            f"alpha = {alpha} outside [{window.alpha0}, {window.alpha_top}]"
-        )
-    if not (0.0 < t_prime <= window.T):
-        raise DomainError(f"t_prime = {t_prime} outside (0, {window.T}]")
-    return (alpha - window.alpha0) / (window.alpha_top - window.alpha0) * t_prime
-
-
 def lambda0(
     window: ScaleWindow, consts: OvcyannikovConstants, r_prime: float | None = None
 ) -> float:

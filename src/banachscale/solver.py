@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import (
     AdmissibilityError,
-    ConfigurationError,
     ContractionViolationError,
     DomainError,
+    InfeasibleHorizonError,
 )
 from .scalecore import (
     OvcyannikovConstants,
@@ -43,11 +43,8 @@ class EvolutionSystem(abc.ABC):
 
     Must satisfy U(t,t) = id, the cocycle law U(t,r)U(r,s) = U(t,s) up to
     integrator tolerance, and ||U(t,s)v||_alpha <= c1/(alpha-alpha')^beta
-    * ||v||_{alpha'}.
+    * ||v||_{alpha'} with the c1, beta of the problem's certificate.
     """
-
-    c1: float
-    beta: float
 
     @abc.abstractmethod
     def apply(self, t: float, s: float, v: np.ndarray) -> np.ndarray:
@@ -79,11 +76,8 @@ class EvolutionSystem(abc.ABC):
 
 
 class PerturbationMap(abc.ABC):
-    """Nonlinear part B(u,t) with declared Ovcyannikov constants c2, c3, r."""
-
-    c2: float
-    c3: float
-    r: float
+    """Nonlinear part B(u,t), bounded by the c2, c3 of the problem's certificate
+    inside the window's admissible ball of radius r."""
 
     @abc.abstractmethod
     def apply(self, v: np.ndarray, t: float) -> np.ndarray:
@@ -199,8 +193,9 @@ def integral_map(
     node-by-node Simpson evaluation up to integrator tolerance.  The Simpson
     increments c_j are formed for all steps at once.  ``steps`` are the grid
     actions of :meth:`EvolutionSystem.grid_steps`, built here when omitted.
+    u must stay in the ball of radius ``window.r`` around x.
     """
-    _radius_check(u, x, B.r)
+    _radius_check(u, x, window.r)
     t = u.t_grid
     n = len(t) - 1
     out = np.zeros_like(u.values)
@@ -283,18 +278,17 @@ def picard_solve(
 ) -> tuple[TriangleSolution, ConvergenceReport]:
     """Iterate u_{k+1} = U(.,0)x + T(u_k) until the increment drops below tol.
 
-    Requires lam > lambda0; measured increment ratios above lambda0/lam plus
-    slack abort with :class:`ContractionViolationError`.  ``u_init`` overrides
-    the default starting iterate U(.,0)x (used by the uniqueness surrogate).
+    Requires lam > lambda0, else :class:`InfeasibleHorizonError`; measured
+    increment ratios above lambda0/lam plus slack abort with
+    :class:`ContractionViolationError`.  ``u_init`` overrides the default
+    starting iterate U(.,0)x (used by the uniqueness surrogate).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     lam = window.require_lam()
     lam0 = lambda0(window, consts)
     if lam <= lam0:
-        raise ConfigurationError(
-            f"horizon slope lam = {lam} must exceed lambda0 = {lam0}"
-        )
+        raise InfeasibleHorizonError(f"lambda = {lam} <= lambda0 = {lam0}")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     rho = lam0 / lam
 
     grid = make_grid(window, norm, len(x), n_steps, n_alpha, theta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError, InfeasibleHorizonError
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
 from .solver import (
     ConvergenceReport,
@@ -124,16 +124,15 @@ def stability_experiment(
 ) -> StabilityReport:
     """Solve the limit and every member, report s_n at the diagnostic scale.
 
-    Requires lam > lambda1 so every solve contracts under the shared slope.
-    The floor is twice the worst certified tail bound across all solves: two
-    trajectories agreeing to solver accuracy cannot be told apart below it.
+    Requires lam > lambda1 so every solve contracts under the shared slope,
+    else :class:`InfeasibleHorizonError`.  The floor is twice the worst
+    certified tail bound across all solves: two trajectories agreeing to
+    solver accuracy cannot be told apart below it.
     """
     lam = family.window.require_lam()
     lam1 = lambda1(family)
     if lam <= lam1:
-        raise ConfigurationError(
-            f"horizon slope lam = {lam} must exceed lambda1 = {lam1}"
-        )
+        raise InfeasibleHorizonError(f"lambda = {lam} <= lambda1 = {lam1}")
     if not (family.window.alpha0 < alpha <= family.window.alpha_top):
         raise DomainError(
             f"diagnostic alpha = {alpha} outside ({family.window.alpha0}, "
@@ -144,39 +143,24 @@ def stability_experiment(
             f"t_prime = {t_prime} outside (0, {(alpha - family.window.alpha0) / lam})"
         )
 
-    u_lim, rep_lim = picard_solve(
-        family.limit.x,
-        family.limit.evolution,
-        family.limit.perturbation,
-        family.window,
-        family.limit.consts,
-        family.limit.norm,
-        tol=tol,
-        **solver_kwargs,
+    limit, members = family.limit, family.members
+    # the limit first, then one member at a time: one solution held besides it
+    solves = (
+        picard_solve(
+            inst.x, inst.evolution, inst.perturbation, family.window, inst.consts,
+            inst.norm, tol=tol, **solver_kwargs,
+        )
+        for inst in (limit, *members)
     )
-    s_values, sizes, labels, reports = [], [], [], []
-    tails = [rep_lim.tail_bound]
-    for inst in family.members:
-        u_n, rep_n = picard_solve(
-            inst.x,
-            inst.evolution,
-            inst.perturbation,
-            family.window,
-            inst.consts,
-            inst.norm,
-            tol=tol,
-            **solver_kwargs,
-        )
+    u_lim, rep_lim = next(solves)
+    s_values, reports = [], []
+    for u_n, rep_n in solves:
         s_values.append(_sup_deviation(u_n, u_lim, alpha, t_prime))
-        sizes.append(
-            float(family.limit.norm(inst.x - family.limit.x, family.window.alpha_star))
-        )
-        labels.append(inst.label)
         reports.append(rep_n)
-        tails.append(rep_n.tail_bound)
-    floor = 2.0 * max(max(tails), tol)
+    sizes = [float(limit.norm(inst.x - limit.x, family.window.alpha_star)) for inst in members]
+    floor = 2.0 * max(rep_lim.tail_bound, *(rep.tail_bound for rep in reports), tol)
     return StabilityReport(
-        s_values, sizes, floor, alpha, t_prime, labels, rep_lim, reports
+        s_values, sizes, floor, alpha, t_prime, [inst.label for inst in members], rep_lim, reports
     )
 
 
@@ -212,29 +196,29 @@ def propagator_convergence(
 # family builders
 
 
-def kimura_h_family(model, k0, n_values: list[int]) -> PerturbedFamily:
+def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
     """Family with selection cost h_n = h * (1 + 2^(-n)), psi and a fixed.
 
-    The limit is the unperturbed model.  Every instance gets its own extracted
-    constants certificate; the shared window must already carry a horizon
-    slope above lambda1 (resolve it with :func:`lambda1` first if needed).
+    The limit is ``problem``, a built :class:`~banachscale.kimura.KimuraProblem`,
+    with its certificate; every member gets its own.  The family shares the
+    problem's resolved window, whose slope need not clear lambda1 yet (swap
+    the window with ``dataclasses.replace`` after :func:`lambda1`).
     """
     from .kimura import KimuraProblem
 
-    def as_instance(mdl, label):
-        prob = KimuraProblem.build(mdl, k0)
+    def as_instance(prob, label):
         return ProblemInstance(
-            k0.to_vector(), prob.evolution, prob.perturbation, prob.consts,
+            prob.k0.to_vector(), prob.evolution, prob.perturbation, prob.consts,
             prob.norm, label,
         )
 
-    limit = as_instance(model, "limit")
+    model = problem.model
     members = []
     for n in n_values:
         rates_n = replace(model.rates, h_base=model.rates.h_base * (1.0 + 2.0 ** (-n)))
         model_n = replace(model, rates=rates_n)
-        members.append(as_instance(model_n, f"h*(1+2^-{n})"))
-    return PerturbedFamily(limit, members, model.window)
+        members.append(as_instance(KimuraProblem.build(model_n, problem.k0), f"h*(1+2^-{n})"))
+    return PerturbedFamily(as_instance(problem, "limit"), members, problem.window)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +230,6 @@ class ScalarEvolution(EvolutionSystem):
 
     def __init__(self, mu: float):
         self.mu = mu
-        self.c1 = 1.0 if mu >= 0 else math.inf
-        self.beta = 0.0
 
     def apply(self, t: float, s: float, v: np.ndarray) -> np.ndarray:
         return math.exp(-self.mu * (t - s)) * v
@@ -257,14 +239,10 @@ class ScalarEvolution(EvolutionSystem):
 
 
 class ScalarPerturbation(PerturbationMap):
-    """B(u, t) = c u; certificates are sized to the declared window."""
+    """B(u, t) = c u."""
 
-    def __init__(self, c: float, window: ScaleWindow, x0: float):
+    def __init__(self, c: float):
         self.c = c
-        span = window.alpha_top - window.alpha_star
-        self.c2 = abs(c) * span
-        self.c3 = abs(c) * abs(x0) * span
-        self.r = window.r
 
     def apply(self, v: np.ndarray, t: float) -> np.ndarray:
         return self.c * v
@@ -273,19 +251,23 @@ class ScalarPerturbation(PerturbationMap):
 def scalar_problem(
     mu: float, c: float, x0: float, window: ScaleWindow
 ) -> ProblemInstance:
-    """Instance for u' = -mu u + c u, exact solution x0 exp((c - mu) t)."""
-    ev = ScalarEvolution(mu)
-    pert = ScalarPerturbation(c, window, x0)
+    """Instance for u' = -mu u + c u, exact solution x0 exp((c - mu) t).
+
+    The certificate is sized to the declared window.
+    """
+    span = window.alpha_top - window.alpha_star
     consts = OvcyannikovConstants(
-        c1=ev.c1,
+        c1=1.0 if mu >= 0 else math.inf,
         beta=0.0,
-        c2=pert.c2,
-        c3=pert.c3,
+        c2=abs(c) * span,
+        c3=abs(c) * abs(x0) * span,
         cx=abs(mu) * abs(x0),
         x_norm=abs(x0),
     )
     norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
-    return ProblemInstance(np.array([x0]), ev, pert, consts, norm, f"x0={x0:g}")
+    return ProblemInstance(
+        np.array([x0]), ScalarEvolution(mu), ScalarPerturbation(c), consts, norm, f"x0={x0:g}"
+    )
 
 
 def scalar_family(

@@ -5,18 +5,14 @@ configs/ are the fixtures under test.
 """
 
 import json
-import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from banachscale.cli import parse_initial, parse_model, parse_solver_opts, parse_window
-from banachscale.kimura import (
-    CorrelationHierarchy,
-    KimuraModel,
-    KimuraProblem,
-)
+from banachscale.kimura import AUTO_LAMBDA, KimuraProblem
 from banachscale.oracles import (
     bound_verifier,
     bruteforce_oracle,
@@ -24,7 +20,7 @@ from banachscale.oracles import (
     poisson_oracle,
     validate_poisson_closure,
 )
-from banachscale.scalecore import lambda0, weighted_gamma_norm
+from banachscale.scalecore import weighted_gamma_norm
 from banachscale.solver import apriori_check, picard_solve, residual_check
 from banachscale.stability import (
     kimura_h_family,
@@ -44,30 +40,21 @@ def report(criterion, ok, detail):
 
 
 class SolvedConfig:
-    """One shipped config solved at lambda = 2 * lambda0."""
+    """One shipped config, certified by KimuraProblem.build and solved at its
+    resolved slope ("lambda": "auto", so AUTO_LAMBDA * lambda0)."""
 
     def __init__(self, name):
         cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         self.name = name
         window = parse_window(cfg)
-        model = parse_model(cfg, window)
-        self.k0 = parse_initial(cfg, model)
+        self.model = parse_model(cfg, window)
+        self.k0 = parse_initial(cfg, self.model)
         self.opts = parse_solver_opts(cfg)
-        problem = KimuraProblem.build(model, self.k0)
-        self.consts = problem.consts
-        self.lam0 = lambda0(window, self.consts)
-        self.window = window.with_lam(2.0 * self.lam0)
-        self.model = KimuraModel(model.space, model.rates, model.n_max, self.window)
-        self.problem = problem
-        self.u, self.rep = picard_solve(
-            self.k0.to_vector(),
-            problem.evolution,
-            problem.perturbation,
-            self.window,
-            self.consts,
-            problem.norm,
-            **self.opts,
-        )
+        self.problem = KimuraProblem.build(self.model, self.k0)
+        self.consts = self.problem.consts
+        self.lam0 = self.problem.lam0
+        self.window = self.problem.window
+        self.u, self.rep = picard_solve(*self.problem.solver_args(), **self.opts)
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +100,8 @@ def test_criterion_4_poisson_oracle_match(solved):
     assert gate <= 1e-8
     worst = 0.0
     alpha = sc.window.alpha_star
-    for j, t in enumerate(sc.u.t_grid):
-        ref = poisson_oracle(sc.model, rho0, float(t)).to_vector()
+    for j, k in enumerate(poisson_oracle(sc.model, rho0, sc.u.t_grid)):
+        ref = k.to_vector()
         dev = sc.model.hierarchy_norm(sc.u.values[j] - ref, alpha)
         worst = max(worst, dev / sc.model.hierarchy_norm(ref, alpha))
     ok = worst <= 1e-6
@@ -193,14 +180,11 @@ def test_criterion_10_stability(solved):
     # Kimura family h_n = h (1 + 2^-n): strict decrease for n = 1..5 and
     # floor attainment via an additional far member (n = 40)
     sc = solved["desk-epistatic"]
-    base = KimuraModel(sc.model.space, sc.model.rates, sc.model.n_max,
-                       sc.model.window.with_lam(1.0))
-    fam0 = kimura_h_family(base, sc.k0, [1, 2, 3, 4, 5, 40])
-    lam = 2.0 * lambda1(fam0)
-    model = KimuraModel(base.space, base.rates, base.n_max, base.window.with_lam(lam))
-    fam = kimura_h_family(model, sc.k0, [1, 2, 3, 4, 5, 40])
-    alpha = model.window.alpha_top
-    tp = 0.4 * (alpha - model.window.alpha0) / lam
+    fam0 = kimura_h_family(sc.problem, [1, 2, 3, 4, 5, 40])
+    lam = AUTO_LAMBDA * lambda1(fam0)
+    fam = replace(fam0, window=fam0.window.with_lam(lam))
+    alpha = fam.window.alpha_top
+    tp = 0.4 * (alpha - fam.window.alpha0) / lam
     rep = stability_experiment(fam, alpha, tp, n_steps=30)
     s = rep.s_values
     decreasing = all(b < a for a, b in zip(s[:5], s[1:5]))
@@ -211,7 +195,7 @@ def test_criterion_10_stability(solved):
     eps = [1e-2, 3e-3, 1e-3, 3e-4, 1e-4]
     win0 = solved["desk-free"].window  # alpha geometry only; slope re-resolved
     fam_s0 = scalar_family(1.0, 0.5, 1.0, eps, win0.with_lam(1.0))
-    lam_s = 2.0 * lambda1(fam_s0)
+    lam_s = AUTO_LAMBDA * lambda1(fam_s0)
     win_s = win0.with_lam(lam_s)
     fam_s = scalar_family(1.0, 0.5, 1.0, eps, win_s)
     tp_s = 0.4 * (win_s.alpha_top - win_s.alpha0) / lam_s

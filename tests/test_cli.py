@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from banachscale.cli import main
+from banachscale.cli import main, parse_initial, parse_model, parse_solver_opts, parse_window
+from banachscale.kimura import solve_kimura
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -32,6 +33,37 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def set_field(cfg, path, value):
+    *parents, leaf = path.split(".")
+    for part in parents:
+        cfg = cfg[part]
+    cfg[leaf] = value
+
+
+# (subcommand, field set, its value, field path the message must start with)
+MALFORMED = [
+    ("solve", "window", [0.0, 0.5, 1.0], "window"),
+    ("solve", "solver", [40], "solver"),
+    ("solve", "initial", 3, "initial"),
+    ("solve", "certificate_override", [1.0], "certificate_override"),
+    ("stability", "family", [1, 2], "family"),
+    ("stability", "family.n_values", "12", "family.n_values"),
+    ("stability", "family.n_values", [1, True], "family.n_values[1]"),
+    ("solve", "model.rates", 0.5, "model.rates"),
+    ("solve", "model.rates.h", "abc", "model.rates.h"),
+    ("solve", "model.weights", "abc", "model.weights"),
+    ("solve", "initial", {"rho": "x"}, "initial.rho"),
+    ("solve", "model.m", True, "model.m"),
+    ("solve", "model.n_max", True, "model.n_max"),
+    ("solve", "solver.k_max", True, "solver.k_max"),
+    ("solve", "solver.n_steps", True, "solver.n_steps"),
+    ("solve", "solver.n_alpha", True, "solver.n_alpha"),
+    ("verify", "run.samples", True, "run.samples"),
+    ("verify", "run", [30], "run"),
+    ("solve", "initial.poisson_z", float("nan"), "initial.poisson_z"),
+]
 
 
 class TestSolve:
@@ -94,8 +126,38 @@ class TestSolve:
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert run("solve", path, tmp_path / "out") == 2
+        for content in (b"{not json", b"\xff\xfe{"):  # bad syntax, bad encoding
+            path.write_bytes(content)
+            assert run("solve", path, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("subcommand, field, value, named", MALFORMED)
+    def test_malformed_field_exit_2_names_it(
+        self, tmp_path, capsys, subcommand, field, value, named
+    ):
+        cfg = base_config()
+        set_field(cfg, field, value)
+        assert run(subcommand, write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"invalid configuration: {named}: ")
+
+    def test_override_resolves_auto_lambda_from_overridden_certificate(self, tmp_path):
+        cfg = base_config()
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "plain") == 0
+        plain = json.loads((tmp_path / "plain" / "summary.json").read_text())
+        cfg["certificate_override"] = {"c2": 2.0 * plain["constants"]["c2"]}
+        assert run("solve", write_config(tmp_path, cfg, "raised.json"), tmp_path / "raised") == 0
+        raised = json.loads((tmp_path / "raised" / "summary.json").read_text())
+        assert raised["lambda"] == 2.0 * raised["lambda0_audit"]["lambda0"]
+        assert raised["lambda"] != plain["lambda"]
+
+    def test_library_solve_matches_cli_bit_for_bit(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "desk-epistatic.json").read_text())
+        model = parse_model(cfg, parse_window(cfg))
+        u, _ = solve_kimura(model, parse_initial(cfg, model), **parse_solver_opts(cfg))
+        out = tmp_path / "out"
+        assert run("solve", CONFIG_DIR / "desk-epistatic.json", out) == 0
+        with open(out / "trajectory.csv") as fh:
+            values = [float(r["value"]) for r in csv.DictReader(fh)]
+        assert values == u.values.ravel().tolist()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", tmp_path / "out") == 2
@@ -124,10 +186,12 @@ class TestStability:
         cfg = base_config(family={"n_values": []})
         assert run("stability", write_config(tmp_path, cfg), tmp_path / "out") == 2
 
-    def test_fixed_slope_below_lambda1_exit_4(self, tmp_path):
+    def test_fixed_slope_below_lambda1_exit_4(self, tmp_path, capsys):
         cfg = base_config()
         cfg["window"]["lambda"] = 50.0
         assert run("stability", write_config(tmp_path, cfg), tmp_path / "out") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible horizon slope: lambda = 50.0 <= lambda1 = ")
 
 
 class TestVerify:

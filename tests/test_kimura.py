@@ -271,8 +271,6 @@ class TestOperators:
         vec = epistatic_k0.to_vector()
         direct = apply_A0(epistatic_model, 0.2, epistatic_k0).to_vector()
         assert np.allclose(epistatic_model.a0_matrix(0.2) @ vec, direct, atol=1e-13)
-        direct1 = apply_A1(epistatic_model, 0.2, epistatic_k0).to_vector()
-        assert np.allclose(epistatic_model.a1_matrix(0.2) @ vec, direct1, atol=1e-13)
 
 
 class TestEvolution:
@@ -319,7 +317,7 @@ class TestGridSteps:
 
     def test_steps_match_rk4_on_picard_grid(self, epistatic_problem):
         model = epistatic_problem.model
-        win = epistatic_problem.resolved_window()
+        win = epistatic_problem.window
         t = make_grid(win, model.hierarchy_norm, model.dim, 100).t_grid
         full, half = epistatic_problem.evolution.grid_steps(t)
         rng = np.random.default_rng(3)
@@ -364,7 +362,7 @@ class TestGridSteps:
             h_profile=TimeProfile("sinusoidal", amp=0.5, freq=3.0),
         )
         model = KimuraModel(DiscreteSpace.uniform(3), rates, 3, WIN)
-        ev = KimuraEvolution(model, 1.0)
+        ev = KimuraEvolution(model)
         t = np.linspace(0.0, 0.01, 4)
         v = np.random.default_rng(7).uniform(-1.0, 1.0, model.dim)
         full, half = ev.grid_steps(t)
@@ -382,7 +380,7 @@ class TestGridSteps:
         v = np.random.default_rng(7).uniform(-1.0, 1.0, model.dim)
         expected = evolution_u(model, t[2], t[1], v)
         monkeypatch.setattr(kimura, "evolution_u", None)
-        full, _ = KimuraEvolution(model, 1.0).grid_steps(t)
+        full, _ = KimuraEvolution(model).grid_steps(t)
         assert np.max(np.abs(full(v, 1) - expected)) <= 1e-14
 
 
@@ -394,7 +392,7 @@ class TestApplyBatch:
             h_profile=profile, a_profile=profile,
         )
         model = KimuraModel(DiscreteSpace.uniform(4), rates, 3, WIN)
-        pert = KimuraPerturbation(model, 1.0, 1.0, 1.0)
+        pert = KimuraPerturbation(model)
         rng = np.random.default_rng(8)
         V = CorrelationHierarchy.poisson(4, 3, np.full(4, 0.5)).to_vector() + rng.uniform(
             -0.1, 0.1, (7, model.dim)
@@ -418,8 +416,7 @@ class TestRateDecomposition:
         close = dict(rtol=1e-12, atol=1e-12)
         assert np.allclose(model.a0_dot(t, vec), a0, **close)
         assert np.allclose(model.a0_matrix(t) @ vec, a0, **close)
-        assert np.allclose(model.a1_matrix(t) @ vec, a1, **close)
-        pert = KimuraPerturbation(model, 1.0, 1.0, 1.0)
+        pert = KimuraPerturbation(model)
         assert np.allclose(pert.apply(vec, t), a1 + b * vec, **close)
 
     @settings(max_examples=40, deadline=None)
@@ -428,7 +425,7 @@ class TestRateDecomposition:
         rng = np.random.default_rng(seed)
         V = rng.uniform(-1.0, 1.0, (rows, model.dim))
         ts = rng.uniform(0.0, model.window.T, rows)
-        pert = KimuraPerturbation(model, 1.0, 1.0, 1.0)
+        pert = KimuraPerturbation(model)
         rowwise = np.array([pert.apply(v, t) for v, t in zip(V, ts)])
         assert np.array_equal(pert.apply_batch(V, ts), rowwise)
 
@@ -528,7 +525,7 @@ class TestWorkCount:
         for n_steps in (20, 80):
             calls.clear()
             _, rep = picard_solve(
-                x, problem.evolution, problem.perturbation, problem.resolved_window(),
+                x, problem.evolution, problem.perturbation, problem.window,
                 problem.consts, problem.norm, n_steps=n_steps, k_max=2,
             )
             assert rep.iterations == 2

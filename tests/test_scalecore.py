@@ -11,7 +11,6 @@ from banachscale.scalecore import (
     ScaleWindow,
     lambda0,
     lambda0_terms,
-    time_horizon,
     weighted_gamma_norm,
 )
 from banachscale.solver import make_grid
@@ -75,34 +74,6 @@ class TestOvcyannikovConstants:
             unit_consts(c2=-1.0)
         with pytest.raises(DomainError):
             unit_consts(cx=-0.1)
-
-
-class TestTimeHorizon:
-    def test_lower_endpoint_zero(self):
-        assert time_horizon(0.5, unit_window(), 1.0) == 0.0
-
-    def test_upper_endpoint_identity(self):
-        assert time_horizon(1.0, unit_window(), 0.7) == pytest.approx(0.7)
-
-    def test_midpoint(self):
-        assert time_horizon(0.75, unit_window(), 1.0) == pytest.approx(0.5)
-
-    def test_out_of_window_alpha(self):
-        with pytest.raises(DomainError):
-            time_horizon(0.25, unit_window(), 1.0)
-        with pytest.raises(DomainError):
-            time_horizon(1.25, unit_window(), 1.0)
-
-    def test_bad_duration(self):
-        with pytest.raises(DomainError):
-            time_horizon(0.75, unit_window(), 2.0)
-
-    @given(st.floats(0.5, 1.0), st.floats(0.5, 1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_in_alpha(self, a, b):
-        win = unit_window()
-        lo, hi = sorted((a, b))
-        assert time_horizon(lo, win, 1.0) <= time_horizon(hi, win, 1.0) + 1e-15
 
 
 class TestLambda0:

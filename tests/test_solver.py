@@ -10,6 +10,7 @@ from banachscale.errors import (
     ConfigurationError,
     ContractionViolationError,
     DomainError,
+    InfeasibleHorizonError,
 )
 from banachscale.scalecore import (
     OvcyannikovConstants,
@@ -33,9 +34,6 @@ FLAT_NORM = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
 
 
 class IdentityEvolution(EvolutionSystem):
-    c1 = 1.0
-    beta = 0.0
-
     def apply(self, t, s, v):
         return np.asarray(v, dtype=float).copy()
 
@@ -46,11 +44,8 @@ class IdentityEvolution(EvolutionSystem):
 class ExpEvolution(EvolutionSystem):
     """U(t,s) = exp(-mu (t-s)) componentwise."""
 
-    beta = 0.0
-
     def __init__(self, mu):
         self.mu = mu
-        self.c1 = 1.0
 
     def apply(self, t, s, v):
         return math.exp(-self.mu * (t - s)) * np.asarray(v, dtype=float)
@@ -60,23 +55,16 @@ class ExpEvolution(EvolutionSystem):
 
 
 class ConstantPerturbation(PerturbationMap):
-    def __init__(self, c, window):
+    def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
-        self.c2 = 1.0
-        self.c3 = float(np.max(np.abs(self.c))) * (window.alpha_top - window.alpha_star)
-        self.r = window.r
 
     def apply(self, v, t):
         return self.c.copy()
 
 
 class LinearPerturbation(PerturbationMap):
-    def __init__(self, slope, window, declared_c2=None):
+    def __init__(self, slope):
         self.slope = slope
-        span = window.alpha_top - window.alpha_star
-        self.c2 = declared_c2 if declared_c2 is not None else abs(slope) * span
-        self.c3 = 1e-6
-        self.r = window.r
 
     def apply(self, v, t):
         return self.slope * np.asarray(v, dtype=float)
@@ -87,8 +75,6 @@ class ApplyOnlyEvolution(EvolutionSystem):
 
     def __init__(self, inner):
         self.inner = inner
-        self.c1 = inner.c1
-        self.beta = inner.beta
 
     def apply(self, t, s, v):
         return self.inner.apply(t, s, v)
@@ -100,7 +86,6 @@ class ApplyOnlyEvolution(EvolutionSystem):
 class ApplyOnlyPerturbation(PerturbationMap):
     def __init__(self, inner):
         self.inner = inner
-        self.c2, self.c3, self.r = inner.c2, inner.c3, inner.r
 
     def apply(self, v, t):
         return self.inner.apply(v, t)
@@ -140,14 +125,14 @@ class TestIntegralMap:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 2, 10)
         u.values[:] = 0.3
-        B = LinearPerturbation(0.0, win)
+        B = LinearPerturbation(0.0)
         out = integral_map(u, IdentityEvolution(), B, win, np.zeros(2))
         assert np.all(out.values == 0.0)
 
     def test_starts_at_zero(self):
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 2, 10)
-        B = ConstantPerturbation([1.0, -2.0], win)
+        B = ConstantPerturbation([1.0, -2.0])
         out = integral_map(u, IdentityEvolution(), B, win, np.zeros(2))
         assert np.all(out.values[0] == 0.0)
 
@@ -156,7 +141,7 @@ class TestIntegralMap:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 2, 20)
         c = np.array([1.0, -2.0])
-        out = integral_map(u, IdentityEvolution(), ConstantPerturbation(c, win), win, np.zeros(2))
+        out = integral_map(u, IdentityEvolution(), ConstantPerturbation(c), win, np.zeros(2))
         for j, t in enumerate(u.t_grid):
             assert out.values[j] == pytest.approx(t * c, abs=1e-10)
 
@@ -164,7 +149,7 @@ class TestIntegralMap:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 3, 17)
         u.values[:] = np.sin(np.outer(np.arange(18), [1.0, 2.0, 3.0]))
-        U, B = ExpEvolution(1.7), LinearPerturbation(-0.3, win)
+        U, B = ExpEvolution(1.7), LinearPerturbation(-0.3)
         out = integral_map(u, U, B, win, np.zeros(3))
         assert np.array_equal(out.values, stepwise_integral(u, U, B))
 
@@ -172,7 +157,7 @@ class TestIntegralMap:
         win = window(lam=1.0, r=0.1)
         u = make_grid(win, FLAT_NORM, 1, 5)
         u.values[:] = 5.0
-        B = LinearPerturbation(0.0, win)
+        B = LinearPerturbation(0.0)
         with pytest.raises(AdmissibilityError, match="alpha"):
             integral_map(u, IdentityEvolution(), B, win, np.zeros(1))
 
@@ -182,7 +167,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([2.0])
         u, rep = picard_solve(
-            x, ExpEvolution(1.0), LinearPerturbation(0.0, win), win, consts(), FLAT_NORM,
+            x, ExpEvolution(1.0), LinearPerturbation(0.0), win, consts(), FLAT_NORM,
             n_steps=20,
         )
         assert rep.increments[0] == 0.0
@@ -193,24 +178,27 @@ class TestPicardSolve:
     def test_zero_data_zero_solution(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            np.zeros(1), ExpEvolution(1.0), LinearPerturbation(0.5, win), win,
+            np.zeros(1), ExpEvolution(1.0), LinearPerturbation(0.5), win,
             consts(x_norm=0.0), FLAT_NORM, n_steps=10,
         )
         assert np.all(u.values == 0.0)
 
     def test_infeasible_slope_rejected(self):
         win = window(lam=0.5)
-        with pytest.raises(ConfigurationError, match="lambda0"):
+        lam0 = lambda0(win, consts())
+        with pytest.raises(InfeasibleHorizonError) as exc:
             picard_solve(
-                np.ones(1), ExpEvolution(1.0), LinearPerturbation(0.1, win), win,
+                np.ones(1), ExpEvolution(1.0), LinearPerturbation(0.1), win,
                 consts(), FLAT_NORM,
             )
+        assert str(exc.value) == f"lambda = 0.5 <= lambda0 = {lam0}"
+        assert isinstance(exc.value, ConfigurationError)
 
     def test_bad_tol_rejected(self):
         win = window(lam=40.0)
         with pytest.raises(DomainError):
             picard_solve(
-                np.ones(1), ExpEvolution(1.0), LinearPerturbation(0.1, win), win,
+                np.ones(1), ExpEvolution(1.0), LinearPerturbation(0.1), win,
                 consts(), FLAT_NORM, tol=0.0,
             )
 
@@ -224,7 +212,7 @@ class TestPicardSolve:
         with pytest.raises(ContractionViolationError):
             picard_solve(
                 np.ones(1), IdentityEvolution(),
-                LinearPerturbation(30.0, win, declared_c2=1e-3), win,
+                LinearPerturbation(30.0), win,
                 fake, FLAT_NORM, n_steps=40,
             )
 
@@ -233,7 +221,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([1.0])
         u, rep = picard_solve(
-            x, ExpEvolution(1.0), LinearPerturbation(0.5, win), win, consts(), FLAT_NORM,
+            x, ExpEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM,
             n_steps=50,
         )
         for j, t in enumerate(u.t_grid):
@@ -244,7 +232,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([1.0])
         tol = 1e-12
-        args = (x, ExpEvolution(1.0), LinearPerturbation(0.5, win), win, consts(), FLAT_NORM)
+        args = (x, ExpEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM)
         u1, r1 = picard_solve(*args, tol=tol, n_steps=30)
         u2, r2 = picard_solve(*args, tol=tol, n_steps=30, u_init=x)
         d = weighted_gamma_norm(u1.with_values(u1.values - u2.values), win)
@@ -253,7 +241,7 @@ class TestPicardSolve:
     def test_geometric_decrease(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            np.array([1.0]), ExpEvolution(1.0), LinearPerturbation(0.5, win), win,
+            np.array([1.0]), ExpEvolution(1.0), LinearPerturbation(0.5), win,
             consts(), FLAT_NORM, n_steps=30,
         )
         for ratio in rep.ratios:
@@ -264,7 +252,7 @@ class TestPicardSolve:
 class TestGridStepsInPicard:
     def test_kimura_fast_path_matches_apply_only_run(self, epistatic_problem, epistatic_k0):
         p = epistatic_problem
-        win = p.resolved_window()
+        win = p.window
         x = epistatic_k0.to_vector()
         args = (win, p.consts, p.norm)
         u_fast, r_fast = picard_solve(x, p.evolution, p.perturbation, *args, n_steps=30)
@@ -285,7 +273,7 @@ class TestContractionCheck:
         u.values[:] = 1.0
         rep = contraction_check(
             u, u.with_values(u.values.copy()), IdentityEvolution(),
-            LinearPerturbation(0.5, win), win, np.ones(1), consts(),
+            LinearPerturbation(0.5), win, np.ones(1), consts(),
         )
         assert not rep.defined
         assert rep.measured is None
@@ -298,7 +286,7 @@ class TestContractionCheck:
         u.values[:] = 1.0
         v.values[:, 0] = 1.0 + 0.01 * np.sin(np.arange(21))
         rep = contraction_check(
-            u, v, IdentityEvolution(), LinearPerturbation(0.5, win), win,
+            u, v, IdentityEvolution(), LinearPerturbation(0.5), win,
             np.ones(1), consts(),
         )
         assert rep.defined
@@ -311,7 +299,7 @@ class TestResidualCheck:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 1, 10)
         u.values[:] = 2.0
-        res = residual_check(u, IdentityEvolution(), LinearPerturbation(0.0, win), win)
+        res = residual_check(u, IdentityEvolution(), LinearPerturbation(0.0), win)
         assert res <= 1e-14
 
     def test_exact_exponential_residual_is_taylor_remainder(self):
@@ -319,14 +307,14 @@ class TestResidualCheck:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 1, 40)
         u.values[:, 0] = np.exp(-u.t_grid)
-        res = residual_check(u, ExpEvolution(1.0), LinearPerturbation(0.0, win), win)
+        res = residual_check(u, ExpEvolution(1.0), LinearPerturbation(0.0), win)
         assert res <= u.dt**2 / 6.0 + 1e-12
 
     def test_too_few_nodes_rejected(self):
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 1, 1)
         with pytest.raises(DomainError):
-            residual_check(u, IdentityEvolution(), LinearPerturbation(0.0, win), win)
+            residual_check(u, IdentityEvolution(), LinearPerturbation(0.0), win)
 
 
 def pernode_sup(u, rows, window):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from banachscale.errors import ConfigurationError, DomainError
-from banachscale.kimura import KimuraModel
+from banachscale.errors import ConfigurationError, DomainError, InfeasibleHorizonError
+from banachscale.kimura import AUTO_LAMBDA
 from banachscale.scalecore import ScaleWindow, lambda0
 from banachscale.stability import (
     PerturbedFamily,
@@ -35,19 +37,13 @@ class TestLambda1:
         limit_l0 = lambda0(fam.window, fam.limit.consts)
         assert lambda1(fam) == pytest.approx(limit_l0)
 
-    def test_dominates_every_member(self, epistatic_model, epistatic_k0):
-        model = KimuraModel(
-            epistatic_model.space, epistatic_model.rates, epistatic_model.n_max,
-            epistatic_model.window.with_lam(1.0),
-        )
-        fam = kimura_h_family(model, epistatic_k0, [1, 3])
+    def test_dominates_every_member(self, epistatic_problem):
+        fam = kimura_h_family(epistatic_problem, [1, 3])
         l1 = lambda1(fam)
         for inst in (fam.limit, *fam.members):
             assert l1 >= lambda0(fam.window, inst.consts) - 1e-12
 
     def test_beta_mismatch_rejected(self):
-        from dataclasses import replace
-
         limit = scalar_problem(1.0, 0.5, 1.0, SCALAR_WIN)
         member = scalar_problem(1.0, 0.5, 1.1, SCALAR_WIN)
         member.consts = replace(member.consts, beta=0.1)
@@ -64,9 +60,12 @@ class TestLambda1:
 class TestStabilityExperiment:
     def test_slope_must_clear_lambda1(self):
         fam, win = resolved_scalar_family([0.1])
-        bad = scalar_family(1.0, 0.5, 1.0, [0.1], win.with_lam(lambda1(fam) * 0.5))
-        with pytest.raises(ConfigurationError):
+        lam1 = lambda1(fam)
+        bad = scalar_family(1.0, 0.5, 1.0, [0.1], win.with_lam(lam1 * 0.5))
+        with pytest.raises(InfeasibleHorizonError) as exc:
             stability_experiment(bad, 1.0, 1e-3)
+        assert str(exc.value) == f"lambda = {lam1 * 0.5} <= lambda1 = {lam1}"
+        assert isinstance(exc.value, ConfigurationError)
 
     def test_bad_t_prime_rejected(self):
         fam, win = resolved_scalar_family([0.1])
@@ -100,29 +99,18 @@ class TestStabilityExperiment:
         for j, t in enumerate(u.t_grid):
             assert u.values[j, 0] == pytest.approx(scalar_exact(1.0, 0.5, 1.0, t), rel=1e-8)
 
-    def test_monotone_majorant_in_alpha(self, epistatic_model, epistatic_k0):
-        model = KimuraModel(
-            epistatic_model.space, epistatic_model.rates, epistatic_model.n_max,
-            epistatic_model.window.with_lam(1.0),
-        )
-        fam0 = kimura_h_family(model, epistatic_k0, [1, 2])
-        lam = 2.0 * lambda1(fam0)
-        model = KimuraModel(
-            model.space, model.rates, model.n_max, model.window.with_lam(lam)
-        )
-        fam = kimura_h_family(model, epistatic_k0, [1, 2])
+    def test_monotone_majorant_in_alpha(self, epistatic_problem):
+        fam0 = kimura_h_family(epistatic_problem, [1, 2])
+        lam = AUTO_LAMBDA * lambda1(fam0)
+        fam = replace(fam0, window=fam0.window.with_lam(lam))
         tp = 0.4 * (0.75 - 0.5) / lam
         hi = stability_experiment(fam, 1.0, tp, n_steps=20)
         lo = stability_experiment(fam, 0.75, tp, n_steps=20)
         for s_hi, s_lo in zip(hi.s_values, lo.s_values):
             assert s_hi <= s_lo + 1e-15
 
-    def test_propagator_convergence_sampling(self, epistatic_model, epistatic_k0):
-        model = KimuraModel(
-            epistatic_model.space, epistatic_model.rates, epistatic_model.n_max,
-            epistatic_model.window.with_lam(1.0),
-        )
-        fam = kimura_h_family(model, epistatic_k0, [1, 4])
+    def test_propagator_convergence_sampling(self, epistatic_problem):
+        fam = kimura_h_family(epistatic_problem, [1, 4])
         gaps = propagator_convergence(fam, samples=10, seed=3)
         assert len(gaps) == 2
         # the closer member (n = 4) has the smaller propagator gap

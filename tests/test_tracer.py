@@ -1,6 +1,7 @@
 """The benchmark's tracer rebinds program names; a renamed one must fail here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +32,25 @@ def test_tracer_installs_and_uninstalls_cleanly(tmp_path):
         assert owner.__dict__[attr] is original
     for name in ("solver.picard", "solver.monitor", "scalecore.weighted_norm", "kimura.norm"):
         assert tr.calls[name] > 0, name
+    # the problem is certified once, through the traced name
+    assert tr.calls["kimura.certify"] == 1
+
+
+def test_stability_certifies_the_limit_once(tmp_path):
+    from banachscale.cli import main
+
+    cfg = json.loads((ROOT / "configs" / "desk-free.json").read_text())
+    cfg["family"]["n_values"] = [1, 2]
+    cfg["solver"]["n_steps"] = 20
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    tr = load_tracer().Tracer()
+    tr.install()
+    try:
+        assert main(["stability", "--config", str(config), "--out", str(tmp_path)]) == 0
+    finally:
+        tr.uninstall()
+    assert tr.calls["stability.family_build"] == 1
+    assert tr.calls["stability.experiment"] == 1
+    # the limit reuses the run's certificate; each member gets its own
+    assert tr.calls["kimura.certify"] == 1 + len(cfg["family"]["n_values"])
