@@ -57,6 +57,9 @@ EXIT_CONTRACTION = 3
 EXIT_HORIZON = 4
 EXIT_BOUND = 5
 
+#: largest x with e^x finite in double precision
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 # ---------------------------------------------------------------------------
 # configuration parsing
@@ -188,6 +191,13 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
         raise _fail("model.rates", str(exc)) from exc
 
     n_max = _as_int(_get(cfg, "model.n_max", required=True), "model.n_max", positive=False)
+    # the scale weights e^(-alpha n) and the growth rate's e^alpha, e^(2 alpha)
+    # are scalar math.exp values, which raise once they overflow
+    top = max(2, n_max)
+    for name in ("alpha_star", "alpha_top"):
+        alpha = getattr(window, name)
+        if abs(alpha) * top > _LOG_MAX:
+            raise _fail(f"window.{name}", f"e^({alpha} * {top}) overflows a double")
     try:
         return KimuraModel(space, rates, n_max, window)
     except ModelValidationError as exc:
@@ -221,9 +231,25 @@ def parse_solver_opts(cfg: dict) -> dict:
         "n_alpha": _as_int(s.get("n_alpha", 8), "solver.n_alpha"),
         "theta": _as_float(s.get("theta", 0.9), "solver.theta"),
     }
+    if not opts["tol"] > 0.0:
+        raise _fail("solver.tol", f"tolerance must be positive, got {opts['tol']}")
     if not (0.0 < opts["theta"] < 1.0):
         raise _fail("solver.theta", f"safety factor must lie in (0, 1), got {opts['theta']}")
     return opts
+
+
+def _check_grid(window: ScaleWindow, opts: dict) -> None:
+    """The quadrature budget divides by dt^2, so dt^2 must not underflow.
+
+    An infinite slope (from an infinite lambda0) is left to the solver's
+    horizon check, which reports it as infeasible.
+    """
+    dt = opts["theta"] * window.horizon() / opts["n_steps"]
+    if math.isfinite(window.lam) and dt * dt < sys.float_info.min:
+        raise _fail(
+            "window.lambda",
+            f"horizon {window.horizon()} gives grid step {dt}, whose square underflows",
+        )
 
 
 def parse_override(cfg: dict) -> dict[str, float]:
@@ -314,6 +340,7 @@ def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
 def _solve(cfg: dict):
     """Prepare, certify and solve: the problem, the trajectory and its report."""
     problem, opts = _prepare(cfg)
+    _check_grid(problem.window, opts)
     u, report = picard_solve(*problem.solver_args(), **opts)
     return problem, u, report
 
@@ -373,11 +400,19 @@ def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         # the auto rule must clear the family threshold, not just the limit's
         family = replace(family, window=family.window.with_lam(AUTO_LAMBDA * lam1))
     window = family.window
+    _check_grid(window, opts)
     alpha = _as_float(fam_cfg.get("alpha", window.alpha_top), "family.alpha")
-    t_prime = _as_float(
-        fam_cfg.get("t_prime", 0.5 * (alpha - window.alpha0) / window.lam),
-        "family.t_prime",
-    )
+    if not (window.alpha0 < alpha <= window.alpha_top):
+        raise _fail(
+            "family.alpha",
+            f"diagnostic scale must lie in ({window.alpha0}, {window.alpha_top}], got {alpha}",
+        )
+    horizon = (alpha - window.alpha0) / window.lam
+    t_prime = 0.5 * horizon
+    if "t_prime" in fam_cfg:
+        t_prime = _as_float(fam_cfg["t_prime"], "family.t_prime")
+        if not (0.0 < t_prime < horizon):
+            raise _fail("family.t_prime", f"must lie in (0, {horizon}), got {t_prime}")
     rep = stability_experiment(family, alpha, t_prime, **opts)
     rows = [
         [n, rep.labels[i], rep.perturbation_sizes[i], rep.s_values[i], rep.floor]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 from scipy import sparse
@@ -292,11 +292,42 @@ class KimuraModel:
         level_max = np.maximum.reduceat(np.abs(vec), self._offsets[: self.m + 1], axis=-1)
         return _graded_max(level_max, alpha)
 
-    def a0_dot(self, t: float, v: np.ndarray) -> np.ndarray:
-        """A0(t) v from one product with the stacked components."""
-        y = self._a0 @ v
-        d = len(v)
-        return self.rates.h_profile.value(t) * y[:d] + self.rates.psi_profile.value(t) * y[d:]
+    def a0_factors(self, t: float | np.ndarray) -> tuple:
+        """Profile values (p_h, p_psi) at t, or at each time of an array t.
+
+        Each value is one scalar ``math`` evaluation: numpy's vectorised sin
+        and exp may differ from it in the last bit.  A constant profile is
+        exactly 1 and reads None, so its product is skipped.
+        """
+
+        def values(profile: TimeProfile):
+            if profile.is_constant:
+                return None
+            if np.ndim(t) == 0:
+                return profile.value(t)
+            flat = [profile.value(x) for x in np.ravel(t).tolist()]
+            return np.array(flat).reshape(np.shape(t))
+
+        return values(self.rates.h_profile), values(self.rates.psi_profile)
+
+    def a0_dot(
+        self, t: float | np.ndarray, V: np.ndarray, factors: tuple | None = None
+    ) -> np.ndarray:
+        """A0(t[i]) V[i] for every row of V, from one product with the stacked components.
+
+        ``t`` holds one time per row; a scalar t with one vector is the
+        one-row case.  ``factors`` are the :meth:`a0_factors` of t when the
+        caller has them already (RK4 stages share their times).
+        """
+        p_h, p_psi = self.a0_factors(t) if factors is None else factors
+        d = V.shape[-1]
+        Y = self._a0 @ V.T
+        y_h, y_psi = Y[:d], Y[d:]
+        if p_h is not None:
+            y_h = p_h * y_h
+        if p_psi is not None:
+            y_psi = p_psi * y_psi
+        return (y_h + y_psi).T
 
     def a0_matrix(self, t: float) -> sparse.csr_matrix:
         d = self._a0.shape[1]
@@ -443,55 +474,130 @@ def apply_ldelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Corre
 
 def evolution_u(
     model: KimuraModel,
-    t: float,
-    s: float,
+    t: float | np.ndarray,
+    s: float | np.ndarray,
     k: np.ndarray | CorrelationHierarchy,
     per_unit_tol: float = 1e-10,
 ) -> np.ndarray | CorrelationHierarchy:
-    """Propagate v' = -A0(tau) v from s to t with fixed-step RK4.
+    """Propagate v' = -A0(tau) v from s to t by step-doubling RK4, one interval per row.
 
-    The substep count doubles until a step-halving comparison is below
-    ``per_unit_tol`` per unit time.  Returns the finer result; t = s is the
-    exact identity.
+    ``k`` is a matrix with one vector per row and ``t``, ``s`` hold one
+    interval per row (a scalar applies to every row); one vector or a
+    :class:`CorrelationHierarchy` is the one-row case and keeps its type.
+    Each row doubles its own substep count until its step-halving comparison
+    is below ``per_unit_tol`` per unit time and returns the finer result, so
+    every row is bit for bit what it would be if propagated alone.  A row
+    with t = s is an exact copy; a row with t < s raises :class:`DomainError`.
     """
-    if t < s:
-        raise DomainError(f"evolution requires t >= s, got t = {t}, s = {s}")
     as_hierarchy = isinstance(k, CorrelationHierarchy)
     v0 = k.to_vector() if as_hierarchy else np.asarray(k, dtype=float)
-    if t == s:
-        out = v0.copy()
-    else:
-        n_sub = max(1, int(math.ceil((t - s) / 0.05)))
-        # round-off floor: halving comparisons cannot resolve below a few ulps
-        scale = max(1.0, float(np.max(np.abs(v0))))
-        tol = per_unit_tol * (t - s) * scale + 64.0 * np.finfo(float).eps * scale
-        coarse = _rk4_a0(model, s, t, v0, n_sub)
-        while True:
-            fine = _rk4_a0(model, s, t, v0, 2 * n_sub)
-            if float(np.max(np.abs(fine - coarse))) <= tol:
-                out = fine
-                break
-            coarse = fine
-            n_sub *= 2
-            if n_sub > 2**20:
-                raise DomainError("evolution integrator failed to reach tolerance")
+    V0 = np.atleast_2d(v0)
+    T, S = _per_row(t, len(V0)), _per_row(s, len(V0))
+    span = T - S
+    bad = np.flatnonzero(~(span >= 0.0))
+    if bad.size:
+        i = bad[0]
+        where = "" if v0.ndim == 1 else f" in row {i}"
+        raise DomainError(f"evolution requires t >= s, got t = {T[i]}, s = {S[i]}{where}")
+    out = V0.copy()
+    moving = np.flatnonzero(span > 0.0)
+    if moving.size:
+        out[moving] = _rk4_doubling(model, S[moving], span[moving], V0[moving], per_unit_tol)
     if as_hierarchy:
-        return CorrelationHierarchy.from_vector(model.m, model.n_max, out)
+        return CorrelationHierarchy.from_vector(model.m, model.n_max, out[0])
+    return out[0] if v0.ndim == 1 else out
+
+
+def _per_row(x: float | np.ndarray, rows: int) -> np.ndarray:
+    return np.full(rows, x, dtype=float) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def _rk4_doubling(
+    model: KimuraModel, s: np.ndarray, span: np.ndarray, V0: np.ndarray, per_unit_tol: float
+) -> np.ndarray:
+    """Rows of V0 propagated over [s, s + span], span > 0, each with its own doubling loop.
+
+    The first coarse and fine runs of every row share one call; later calls
+    carry only the rows whose halving comparison is still above tolerance.
+    """
+    n = np.maximum(1.0, np.ceil(span / 0.05))
+    if n.max() > 2**20:
+        raise DomainError(f"an interval of length {span.max()} needs more than 2^20 RK4 substeps")
+    n = n.astype(np.int64)
+    # round-off floor: halving comparisons cannot resolve below a few ulps
+    scale = np.maximum(1.0, np.max(np.abs(V0), axis=1))
+    tol = per_unit_tol * span * scale + 64.0 * np.finfo(float).eps * scale
+    twice = (np.concatenate([a, a]) for a in (s, span, V0))
+    both = _rk4_rows(model, *twice, np.concatenate([2 * n, n]))
+    fine, coarse = both[: len(n)], both[len(n) :]
+    out = np.empty_like(V0)
+    active = np.arange(len(n))
+    while True:
+        done = np.max(np.abs(fine - coarse), axis=1) <= tol[active]
+        out[active[done]] = fine[done]
+        keep = ~done
+        active, coarse, n = active[keep], fine[keep], 2 * n[keep]
+        if not active.size:
+            return out
+        if n.max() > 2**20:
+            raise DomainError("evolution integrator failed to reach tolerance")
+        fine = _rk4_rows(model, s[active], span[active], V0[active], 2 * n)
+
+
+#: RK4 steps whose stage times and profile values are tabulated at once
+_TIME_BLOCK = 64
+
+
+def _rk4_rows(
+    model: KimuraModel, s: np.ndarray, span: np.ndarray, V0: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """Classical RK4: row i takes n[i] steps of span[i] / n[i] from s[i].
+
+    Rows are sorted by step count, most first, so the rows still stepping
+    are a prefix; the loop runs in segments between distinct counts and
+    drops finished rows from the tail.  Step times accumulate sequentially
+    (tau += h, as one step after another would), and the profile values of
+    a block of steps are taken at once.  The state holds one column per row,
+    so a stage is one sparse product on a contiguous block.  Stages hold
+    A0 v rather than -A0 v: negation is exact, so v - c (A0 v) rounds as
+    v + c (-A0 v).
+    """
+    order = np.argsort(-n, kind="stable")
+    n = n[order]
+    h = span[order] / n
+    half, sixth = 0.5 * h, h / 6.0
+    x = V0[order].T.copy()
+    out = np.empty_like(V0)
+    tau = s[order]
+    steps, rows = 0, len(n)
+    while rows:
+        last = int(n[rows - 1])
+        while steps < last:
+            # at most _TIME_BLOCK steps of times at once: memory stays per row
+            block = min(last - steps, _TIME_BLOCK)
+            times = np.empty((block + 1, rows))
+            times[0], times[1:] = tau, h
+            ends = np.add.accumulate(times, axis=0)
+            mids = ends[:-1] + half
+            f_ends, f_mids = (_per_step(model.a0_factors(ts), len(ts)) for ts in (ends, mids))
+            for i in range(block):
+                f, f_mid, f_end = f_ends[i], f_mids[i], f_ends[i + 1]
+                k1 = model.a0_dot(ends[i], x.T, f).T
+                k2 = model.a0_dot(mids[i], (x - half * k1).T, f_mid).T
+                k3 = model.a0_dot(mids[i], (x - half * k2).T, f_mid).T
+                k4 = model.a0_dot(ends[i + 1], (x - h * k3).T, f_end).T
+                x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            steps, tau = steps + block, ends[-1]
+        done = int(np.count_nonzero(n[:rows] == last))
+        out[order[rows - done : rows]] = x[:, rows - done :].T
+        rows -= done
+        x, tau, h, half, sixth = x[:, :rows], tau[:rows], h[:rows], half[:rows], sixth[:rows]
     return out
 
 
-def _rk4_a0(model: KimuraModel, s: float, t: float, v0: np.ndarray, n: int) -> np.ndarray:
-    h = (t - s) / n
-    v = v0.copy()
-    tau = s
-    for _ in range(n):
-        k1 = -model.a0_dot(tau, v)
-        k2 = -model.a0_dot(tau + 0.5 * h, v + 0.5 * h * k1)
-        k3 = -model.a0_dot(tau + 0.5 * h, v + 0.5 * h * k2)
-        k4 = -model.a0_dot(tau + h, v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau += h
-    return v
+def _per_step(factors: tuple, steps: int) -> list[tuple]:
+    """Profile values with one row per step as one (p_h, p_psi) tuple per step."""
+    return list(zip(*(repeat(None, steps) if p is None else p for p in factors)))
 
 
 def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
@@ -623,7 +729,13 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
             "the hierarchy perturbation is quadratic; a finite admissible radius r is required"
         )
     agg = rate_aggregates(model)
-    c1 = math.exp(kappa_integral(model, 0.0, win.T, win.alpha_top))
+    try:
+        c1 = math.exp(kappa_integral(model, 0.0, win.T, win.alpha_top))
+    except OverflowError:
+        raise ModelValidationError(
+            "c1 = exp(int_0^T kappa(t, alpha_top) dt) overflows a double: "
+            "shorten T or lower alpha_top or the rates"
+        ) from None
 
     x_norm = k0.norm(win.alpha_star)
     ball = win.r + x_norm
@@ -655,7 +767,8 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
 class KimuraEvolution(EvolutionSystem):
     """Evolution system generated by -A0 on the flattened hierarchy.
 
-    Single propagations integrate with step-doubling RK4 (:func:`evolution_u`).
+    Propagations integrate with step-doubling RK4, a batch of independent
+    intervals in one call (:func:`evolution_u`).
     A0 involves h and psi only; with constant profiles for both,
     U(t,s) = exp(-(t-s) A0) is a semigroup, so the grid steps of the Picard
     engine are two precomputed sparse increments.
@@ -666,6 +779,9 @@ class KimuraEvolution(EvolutionSystem):
 
     def apply(self, t: float, s: float, v: np.ndarray) -> np.ndarray:
         return evolution_u(self.model, t, s, v)
+
+    def apply_rows(self, t: np.ndarray, s: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return evolution_u(self.model, t, s, V)
 
     def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
         return -self.model.a0_dot(t, v)

@@ -44,6 +44,9 @@ class EvolutionSystem(abc.ABC):
     Must satisfy U(t,t) = id, the cocycle law U(t,r)U(r,s) = U(t,s) up to
     integrator tolerance, and ||U(t,s)v||_alpha <= c1/(alpha-alpha')^beta
     * ||v||_{alpha'} with the c1, beta of the problem's certificate.
+    :meth:`apply` propagates one vector; :meth:`apply_rows` propagates a
+    batch of independent intervals, one per row, and :meth:`grid_steps`
+    gives the steps of a Picard grid.
     """
 
     @abc.abstractmethod
@@ -54,12 +57,21 @@ class EvolutionSystem(abc.ABC):
     def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
         """Apply A(t) to v (used by the residual monitor)."""
 
+    def apply_rows(self, t: np.ndarray, s: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Propagate row i of V from time s[i] to time t[i].
+
+        This default calls :meth:`apply` once per row; subclasses that can
+        propagate independent intervals together may override it.
+        """
+        return np.array([self.apply(b, a, v) for b, a, v in zip(t, s, V)])
+
     def grid_steps(self, t_grid: np.ndarray) -> tuple[StepAction, StepAction]:
         """Full-step and half-step actions of U on the grid ``t_grid``.
 
         The full step j is U(t_{j+1}, t_j), the half step j is
-        U(t_{j+1}, t_j + dt_j/2).  This default calls :meth:`apply` once per
-        vector; subclasses with a cheaper precomputed step may override it.
+        U(t_{j+1}, t_j + dt_j/2).  This default calls :meth:`apply` for one
+        vector and :meth:`apply_rows` for a batch; subclasses with a cheaper
+        precomputed step may override it.
         """
         t = np.asarray(t_grid, dtype=float)
         dt = t[1:] - t[:-1]
@@ -68,7 +80,7 @@ class EvolutionSystem(abc.ABC):
             def action(v: np.ndarray, j: int | None = None) -> np.ndarray:
                 if j is not None:
                     return self.apply(t_to[j], t_from[j], v)
-                return np.array([self.apply(b, a, row) for a, b, row in zip(t_from, t_to, v)])
+                return self.apply_rows(t_to, t_from, v)
 
             return action
 

@@ -63,6 +63,13 @@ MALFORMED = [
     ("verify", "run.samples", True, "run.samples"),
     ("verify", "run", [30], "run"),
     ("solve", "initial.poisson_z", float("nan"), "initial.poisson_z"),
+    # extreme values and ranges the library used to report without a field path
+    ("solve", "window.alpha_top", 1e308, "window.alpha_top"),
+    ("verify", "window.alpha_top", 1e308, "window.alpha_top"),
+    ("solve", "window.lambda", 1e308, "window.lambda"),
+    ("solve", "solver.tol", 0, "solver.tol"),
+    ("stability", "family.alpha", 0.4, "family.alpha"),
+    ("stability", "family.t_prime", -1, "family.t_prime"),
 ]
 
 
@@ -138,6 +145,14 @@ class TestSolve:
         set_field(cfg, field, value)
         assert run(subcommand, write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(f"invalid configuration: {named}: ")
+
+    @pytest.mark.parametrize("field, value", [("window.T", 1e6), ("window.alpha_top", 200.0)])
+    def test_overflowing_certificate_exit_2(self, tmp_path, capsys, field, value):
+        # c1 = exp of the growth integral over [0, T] at alpha_top
+        cfg = base_config()
+        set_field(cfg, field, value)
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: c1 = exp(")
 
     def test_override_resolves_auto_lambda_from_overridden_certificate(self, tmp_path):
         cfg = base_config()

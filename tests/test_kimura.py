@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from banachscale import cli, kimura
 from banachscale.errors import DomainError, ModelValidationError
@@ -35,7 +37,7 @@ from banachscale.kimura import (
 )
 from banachscale.oracles import bound_verifier, evolution_law_check
 from banachscale.scalecore import ScaleWindow
-from banachscale.solver import make_grid, picard_solve
+from banachscale.solver import EvolutionSystem, make_grid, picard_solve
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
 
@@ -312,6 +314,65 @@ class TestEvolution:
             assert out.norm(alpha) <= bound * (1.0 + 1e-10)
 
 
+#: interval lengths from none (t == s) to most of a window
+SPANS = st.sampled_from([0.0, 1e-9, 1e-5, 1e-3, 0.04, 0.3, 1.0])
+
+
+class TestBatchedEvolution:
+    """evolution_u with one interval per row is the stacked one-row calls."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rate_models(), st.data())
+    def test_rows_equal_single_calls_bit_for_bit(self, model, data):
+        rows = data.draw(st.integers(1, 6))
+        s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
+        t = s + np.array(data.draw(st.lists(SPANS, min_size=rows, max_size=rows)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        V = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, model.dim))
+        single = np.array([evolution_u(model, a, b, v) for a, b, v in zip(t, s, V)])
+        assert np.array_equal(evolution_u(model, t, s, V), single)
+        # the override and the base class's row loop over apply agree too
+        ev = KimuraEvolution(model)
+        assert np.array_equal(ev.apply_rows(t, s, V), single)
+        assert np.array_equal(EvolutionSystem.apply_rows(ev, t, s, V), single)
+
+    def test_equal_times_rows_are_exact_copies(self, epistatic_model):
+        V = np.random.default_rng(9).uniform(-1.0, 1.0, (3, epistatic_model.dim))
+        out = evolution_u(epistatic_model, np.array([0.2, 0.5, 0.7]), np.array([0.2, 0.1, 0.7]), V)
+        assert np.array_equal(out[[0, 2]], V[[0, 2]])
+        assert not np.array_equal(out[1], V[1])
+
+    def test_any_reversed_row_rejected(self, epistatic_model):
+        V = np.zeros((3, epistatic_model.dim))
+        with pytest.raises(DomainError, match=r"t = 0.1, s = 0.5 in row 2"):
+            evolution_u(epistatic_model, np.array([0.5, 0.9, 0.1]), np.array([0.1, 0.9, 0.5]), V)
+
+    def test_rows_match_exponential_for_constant_rates(self, shipped_configs):
+        # an independent propagator: U(t, s) = exp(-(t - s) A0) when A0 is constant
+        cfg = shipped_configs["desk-epistatic"]
+        model = cli.parse_model(cfg, cli.parse_window(cfg))
+        a0 = model.a0_matrix(0.0)
+        rng = np.random.default_rng(12)
+        s, t = np.sort(rng.uniform(0.0, 1.0, (2, 8)), axis=0)
+        t[0] = s[0] + 1e-6
+        V = rng.uniform(-1.0, 1.0, (8, model.dim))
+        out = evolution_u(model, t, s, V)
+        for row, a, b, v in zip(out, t, s, V):
+            exact = expm_multiply(-(a - b) * a0, v)
+            assert np.max(np.abs(row - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_batched_a0_dot_matches_rows(self, shipped_configs):
+        cfg = shipped_configs["desk-smooth"]
+        model = cli.parse_model(cfg, cli.parse_window(cfg))
+        rng = np.random.default_rng(13)
+        t = rng.uniform(0.0, 0.5, 5)
+        V = rng.uniform(-1.0, 1.0, (5, model.dim))
+        batch = model.a0_dot(t, V)
+        for a, v, row in zip(t, V, batch):
+            assert np.array_equal(row, model.a0_dot(a, v))
+            assert np.allclose(row, model.a0_matrix(a) @ v, rtol=1e-14, atol=1e-15)
+
+
 class TestGridSteps:
     """Exact step propagators of the time-constant evolution system."""
 
@@ -368,6 +429,19 @@ class TestGridSteps:
         full, half = ev.grid_steps(t)
         assert np.array_equal(full(v, 1), ev.apply(t[2], t[1], v))
         assert np.array_equal(half(v, 1), ev.apply(t[2], t[1] + 0.5 * (t[2] - t[1]), v))
+
+    def test_time_varying_batch_equals_single_steps(self):
+        # a batch with one row per grid step is one apply_rows call, bit for bit
+        rates = RateData(
+            np.full(3, 0.5), np.full((3, 3), 0.1), np.full(3, 0.2),
+            h_profile=TimeProfile("sinusoidal", amp=0.5, freq=3.0),
+        )
+        model = KimuraModel(DiscreteSpace.uniform(3), rates, 3, WIN)
+        full, half = KimuraEvolution(model).grid_steps(np.linspace(0.0, 0.01, 4))
+        V = np.random.default_rng(8).uniform(-1.0, 1.0, (3, model.dim))
+        for j in range(3):
+            assert np.array_equal(full(V)[j], full(V[j], j))
+            assert np.array_equal(half(V)[j], half(V[j], j))
 
     def test_varying_appearance_keeps_exact_steps(self, monkeypatch):
         # A0 has no a term, so U is a semigroup whenever h and psi are constant
@@ -531,6 +605,25 @@ class TestWorkCount:
             assert rep.iterations == 2
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_verify_propagates_once_per_phase(self, shipped_configs, tmp_path, monkeypatch):
+        # bound_verifier needs one batched propagation, evolution_law_check four
+        from banachscale import oracles
+
+        calls = []
+        propagate = oracles.evolution_u
+
+        def counted(model, t, s, k):
+            calls.append(np.shape(k))
+            return propagate(model, t, s, k)
+
+        monkeypatch.setattr(oracles, "evolution_u", counted)
+        cfg = dict(shipped_configs["desk-smooth"], run={"samples": 20})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert len(calls) <= 5
+        assert all(shape[0] == 20 for shape in calls)
 
 
 class TestMemory:

@@ -54,3 +54,32 @@ def test_stability_certifies_the_limit_once(tmp_path):
     assert tr.calls["stability.experiment"] == 1
     # the limit reuses the run's certificate; each member gets its own
     assert tr.calls["kimura.certify"] == 1 + len(cfg["family"]["n_values"])
+
+
+def test_traced_verify_sees_one_propagation_per_phase(tmp_path):
+    from banachscale.cli import main
+
+    cfg = json.loads((ROOT / "configs" / "desk-smooth.json").read_text())
+    cfg["run"] = {"samples": 5}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    tracer = load_tracer()
+    before = {(owner, attr): owner.__dict__[attr] for owner, attr, _ in tracer.TRACE_POINTS}
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+    finally:
+        tr.uninstall()
+    for (owner, attr), original in before.items():
+        assert owner.__dict__[attr] is original
+    # the batched propagations go through the oracles' evolution_u name: one
+    # for bound_verifier, four for evolution_law_check
+    assert tr.calls["kimura.propagator"] == 5
+    prop = tr.names.index("kimura.propagator")
+    callers = [
+        tr.names[tr.span_name[parent]]
+        for name, parent in zip(tr.span_name, tr.span_parent)
+        if name == prop
+    ]
+    assert sorted(callers) == ["oracles.bound_verifier"] + ["oracles.evolution_law"] * 4
