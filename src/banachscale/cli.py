@@ -41,6 +41,7 @@ from .kimura import (
     level_configs,
 )
 from .oracles import (
+    COCYCLE_TOL,
     bound_verifier,
     bruteforce_oracle,
     evolution_law_check,
@@ -465,14 +466,14 @@ def run_verify(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
     clean = (
         report.clean
         and law.identity_exact
-        and law.cocycle_worst <= 1e-8
+        and law.cocycle_worst <= COCYCLE_TOL
         and law.growth_violations == 0
     )
     if not clean:
         names = sorted({name for name, _, _ in report.violations})
         if not law.identity_exact:
             names.append("evolution-identity")
-        if law.cocycle_worst > 1e-8:
+        if law.cocycle_worst > COCYCLE_TOL:
             names.append("evolution-cocycle")
         if law.growth_violations:
             names.append("evolution-growth")

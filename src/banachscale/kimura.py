@@ -98,11 +98,17 @@ class TimeProfile:
         # dt times (1 - e^-x)/x or sin(y)/y, both accurate down to subnormal x, y
         if self.kind == "exp_decay":
             x = self.rate * dt
+            if math.isinf(x):
+                # e^-x is below every double, so the integral is e^(-rate s) / rate
+                return math.exp(-self.rate * s) / self.rate
             return math.exp(-self.rate * s) * dt * (-math.expm1(-x) / x if x else 1.0)
         if self.kind == "sinusoidal":
             y = 0.5 * self.freq * dt
+            phase = 0.5 * self.freq * (t + s)
+            if math.isinf(phase) or math.isinf(y):
+                raise OverflowError("the phase of a sinusoidal profile overflows")
             ratio = math.sin(y) / y if y else 1.0
-            return dt + self.amp * math.sin(0.5 * self.freq * (t + s)) * dt * ratio
+            return dt + self.amp * math.sin(phase) * dt * ratio
         return dt
 
     def sup(self, T: float) -> float:
@@ -110,6 +116,9 @@ class TimeProfile:
         if self.kind != "sinusoidal":
             return 1.0
         lo, hi = sorted((0.0, self.freq * T))
+        if hi - lo >= 2.0 * math.pi:
+            # a full period holds a peak, also when freq * T overflows
+            return 1.0 + self.amp
         # the first peak pi/2 + 2 pi k of sin at or above lo
         peak = 0.5 * math.pi + 2.0 * math.pi * math.ceil((lo - 0.5 * math.pi) / (2.0 * math.pi))
         top = 1.0 if peak <= hi else max(math.sin(lo), math.sin(hi))
@@ -472,25 +481,24 @@ def apply_ldelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Corre
     return out
 
 
+#: step-halving tolerance of the propagator, per unit time
+EVOLUTION_TOL = 1e-10
+
+
 def evolution_u(
-    model: KimuraModel,
-    t: float | np.ndarray,
-    s: float | np.ndarray,
-    k: np.ndarray | CorrelationHierarchy,
-    per_unit_tol: float = 1e-10,
-) -> np.ndarray | CorrelationHierarchy:
+    model: KimuraModel, t: float | np.ndarray, s: float | np.ndarray, V: np.ndarray
+) -> np.ndarray:
     """Propagate v' = -A0(tau) v from s to t by step-doubling RK4, one interval per row.
 
-    ``k`` is a matrix with one vector per row and ``t``, ``s`` hold one
-    interval per row (a scalar applies to every row); one vector or a
-    :class:`CorrelationHierarchy` is the one-row case and keeps its type.
-    Each row doubles its own substep count until its step-halving comparison
-    is below ``per_unit_tol`` per unit time and returns the finer result, so
-    every row is bit for bit what it would be if propagated alone.  A row
-    with t = s is an exact copy; a row with t < s raises :class:`DomainError`.
+    ``V`` is a matrix with one vector per row and ``t``, ``s`` hold one
+    interval per row (a scalar applies to every row); one vector is the
+    one-row case.  Each row doubles its own substep count until its
+    step-halving comparison is below EVOLUTION_TOL per unit time and returns
+    the finer result, so every row is bit for bit what it would be if
+    propagated alone.  A row with t = s is an exact copy; a row with t < s
+    raises :class:`DomainError`.
     """
-    as_hierarchy = isinstance(k, CorrelationHierarchy)
-    v0 = k.to_vector() if as_hierarchy else np.asarray(k, dtype=float)
+    v0 = np.asarray(V, dtype=float)
     V0 = np.atleast_2d(v0)
     T, S = _per_row(t, len(V0)), _per_row(s, len(V0))
     span = T - S
@@ -502,9 +510,7 @@ def evolution_u(
     out = V0.copy()
     moving = np.flatnonzero(span > 0.0)
     if moving.size:
-        out[moving] = _rk4_doubling(model, S[moving], span[moving], V0[moving], per_unit_tol)
-    if as_hierarchy:
-        return CorrelationHierarchy.from_vector(model.m, model.n_max, out[0])
+        out[moving] = _rk4_doubling(model, S[moving], span[moving], V0[moving])
     return out[0] if v0.ndim == 1 else out
 
 
@@ -513,7 +519,7 @@ def _per_row(x: float | np.ndarray, rows: int) -> np.ndarray:
 
 
 def _rk4_doubling(
-    model: KimuraModel, s: np.ndarray, span: np.ndarray, V0: np.ndarray, per_unit_tol: float
+    model: KimuraModel, s: np.ndarray, span: np.ndarray, V0: np.ndarray
 ) -> np.ndarray:
     """Rows of V0 propagated over [s, s + span], span > 0, each with its own doubling loop.
 
@@ -526,7 +532,7 @@ def _rk4_doubling(
     n = n.astype(np.int64)
     # round-off floor: halving comparisons cannot resolve below a few ulps
     scale = np.maximum(1.0, np.max(np.abs(V0), axis=1))
-    tol = per_unit_tol * span * scale + 64.0 * np.finfo(float).eps * scale
+    tol = EVOLUTION_TOL * span * scale + 64.0 * np.finfo(float).eps * scale
     twice = (np.concatenate([a, a]) for a in (s, span, V0))
     both = _rk4_rows(model, *twice, np.concatenate([2 * n, n]))
     fine, coarse = both[: len(n)], both[len(n) :]
@@ -630,12 +636,10 @@ def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
 
 
 def _increment_step(d: sparse.csr_matrix) -> StepAction:
-    """Step action v -> v + D v of a time-invariant step, on a vector or on rows."""
+    """Step action V -> V + D V of a time-invariant step, on one vector or on rows."""
 
-    def action(v: np.ndarray, j: int | None = None) -> np.ndarray:
-        if j is not None:
-            return v + d @ v
-        return v + (d @ v.T).T
+    def action(V: np.ndarray, j: int | slice = slice(None)) -> np.ndarray:
+        return V + (d @ V.T).T
 
     return action
 
@@ -732,10 +736,13 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
     try:
         c1 = math.exp(kappa_integral(model, 0.0, win.T, win.alpha_top))
     except OverflowError:
+        c1 = math.inf
+    # an integral that overflows to inf makes exp return inf without raising
+    if math.isinf(c1):
         raise ModelValidationError(
             "c1 = exp(int_0^T kappa(t, alpha_top) dt) overflows a double: "
             "shorten T or lower alpha_top or the rates"
-        ) from None
+        )
 
     x_norm = k0.norm(win.alpha_star)
     ball = win.r + x_norm
@@ -777,14 +784,11 @@ class KimuraEvolution(EvolutionSystem):
     def __init__(self, model: KimuraModel):
         self.model = model
 
-    def apply(self, t: float, s: float, v: np.ndarray) -> np.ndarray:
-        return evolution_u(self.model, t, s, v)
-
-    def apply_rows(self, t: np.ndarray, s: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def apply(self, t: float | np.ndarray, s: float | np.ndarray, V: np.ndarray) -> np.ndarray:
         return evolution_u(self.model, t, s, V)
 
-    def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        return -self.model.a0_dot(t, v)
+    def generator_apply(self, t: float | np.ndarray, V: np.ndarray) -> np.ndarray:
+        return -self.model.a0_dot(t, V)
 
     def grid_steps(self, t_grid: np.ndarray) -> tuple[StepAction, StepAction]:
         t = np.asarray(t_grid, dtype=float)
@@ -810,24 +814,23 @@ class KimuraPerturbation(PerturbationMap):
     def __init__(self, model: KimuraModel):
         self.model = model
 
-    def apply(self, v: np.ndarray, t: float) -> np.ndarray:
-        return self.apply_batch(v[None, :], np.array([t]))[0]
-
-    def apply_batch(self, V: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    def apply(self, V: np.ndarray, ts: float | np.ndarray) -> np.ndarray:
         """Rows B(V[i], ts[i]) from one product with the stacked components.
 
         Row 0 of A0 is the Bdelta functional, because selection_cost(()) = 0.
         """
+        rows = np.atleast_2d(V)
         rates = self.model.rates
         p_h, p_psi, p_a = (
-            np.array([p.value(t) for t in ts])
+            np.array([p.value(t) for t in _per_row(ts, len(rows))])
             for p in (rates.h_profile, rates.psi_profile, rates.a_profile)
         )
-        d = V.shape[1]
-        Y = self.model._b @ V.T
+        d = rows.shape[1]
+        Y = self.model._b @ rows.T
         a1_v = p_psi * Y[:d] + p_a * Y[d : 2 * d]
         bdelta_v = p_h * Y[2 * d] + p_psi * Y[2 * d + 1]
-        return (a1_v + bdelta_v * V.T).T
+        out = (a1_v + bdelta_v * rows.T).T
+        return out[0] if np.ndim(V) == 1 else out
 
 
 #: an unset horizon slope is this multiple of its threshold (lambda0, or lambda1)

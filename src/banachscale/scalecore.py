@@ -66,12 +66,9 @@ class ScaleWindow:
             raise DomainError("horizon slope lam is unset; resolve it first")
         return self.lam
 
-    def horizon(self, alpha: float | None = None) -> float:
-        """Blow-up time (alpha - alpha0)/lam of the triangle at scale alpha."""
-        lam = self.require_lam()
-        if alpha is None:
-            alpha = self.alpha_top
-        return (alpha - self.alpha0) / lam
+    def horizon(self) -> float:
+        """Blow-up time (alpha_top - alpha0)/lam of the triangle at the top scale."""
+        return self.width / self.require_lam()
 
 
 @dataclass(frozen=True)
@@ -102,26 +99,18 @@ class OvcyannikovConstants:
             raise DomainError(f"beta must lie in [0, 1/2), got {self.beta}")
 
 
-def lambda0(
-    window: ScaleWindow, consts: OvcyannikovConstants, r_prime: float | None = None
-) -> float:
+def lambda0(window: ScaleWindow, consts: OvcyannikovConstants) -> float:
     """Smallest admissible horizon slope, as a four-term maximum.
 
     Any slope strictly above this value makes the integral map a contraction
-    on the weighted space; 1/inf is read as 0 when r_prime is infinite.  The
-    terms are those of :func:`lambda0_terms`.
+    on the weighted space; 1/inf is read as 0 when the radius r is infinite.
+    The terms are those of :func:`lambda0_terms`.
     """
-    return lambda0_terms(window, consts, r_prime)["lambda0"]
+    return lambda0_terms(window, consts)["lambda0"]
 
 
-def lambda0_terms(
-    window: ScaleWindow, consts: OvcyannikovConstants, r_prime: float | None = None
-) -> dict[str, float]:
+def lambda0_terms(window: ScaleWindow, consts: OvcyannikovConstants) -> dict[str, float]:
     """Audit trail: the four individual max-terms behind :func:`lambda0`."""
-    if r_prime is None:
-        r_prime = window.r
-    if not (0.0 < r_prime <= window.r):
-        raise DomainError(f"r_prime = {r_prime} outside (0, {window.r}]")
     if consts.beta != window.beta:
         raise DomainError(
             f"constants declare beta = {consts.beta}, window has beta = {window.beta}"
@@ -130,16 +119,17 @@ def lambda0_terms(
     gamma = window.gamma
     # __post_init__ already guarantees beta < gamma < 1 - beta
     a_width = window.alpha_top - window.alpha0
-    if math.isinf(r_prime):
+    r = window.r
+    if math.isinf(r):
         t4 = 0.0
     else:
         t4 = (
-            consts.cx * a_width / r_prime
+            consts.cx * a_width / r
             + consts.c1
             * (consts.c3 / (window.alpha0 - window.alpha_star) + consts.cx)
             * a_width
             * (1.0 + consts.x_norm)
-            / ((1.0 - gamma) * r_prime)
+            / ((1.0 - gamma) * r)
         )
     terms = {
         "time_span": (window.alpha_top - window.alpha_star) / window.T,

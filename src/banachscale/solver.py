@@ -33,9 +33,13 @@ from .scalecore import (
 #: shape ``V.shape[:-1]``, and a float for a single vector
 ScaleNorm = Callable[[np.ndarray, float], np.ndarray | float]
 
-#: step action on a time grid: ``step(v, j)`` propagates one vector over grid
-#: step j; ``step(V)`` propagates a batch with one row per step, row j over step j
+#: step action on a time grid: ``step(V, j)`` is ``U.apply`` over grid step j
+#: for one vector or every row of V; ``step(V)`` takes row j over step j
 StepAction = Callable[..., np.ndarray]
+
+#: round-off allowance on a measured contraction ratio, besides the
+#: quadrature budget
+RATIO_SLACK = 1e-9
 
 
 class EvolutionSystem(abc.ABC):
@@ -44,43 +48,32 @@ class EvolutionSystem(abc.ABC):
     Must satisfy U(t,t) = id, the cocycle law U(t,r)U(r,s) = U(t,s) up to
     integrator tolerance, and ||U(t,s)v||_alpha <= c1/(alpha-alpha')^beta
     * ||v||_{alpha'} with the c1, beta of the problem's certificate.
-    :meth:`apply` propagates one vector; :meth:`apply_rows` propagates a
-    batch of independent intervals, one per row, and :meth:`grid_steps`
-    gives the steps of a Picard grid.
+    Both methods are row-batched: row i of V goes with the times t[i] and
+    s[i], a scalar time applies to every row, and a 1-D V is the one-row
+    case.  :meth:`grid_steps` gives the steps of a Picard grid.
     """
 
     @abc.abstractmethod
-    def apply(self, t: float, s: float, v: np.ndarray) -> np.ndarray:
-        """Propagate v from time s to time t."""
+    def apply(self, t: float | np.ndarray, s: float | np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Propagate row i of V from time s[i] to time t[i]."""
 
     @abc.abstractmethod
-    def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        """Apply A(t) to v (used by the residual monitor)."""
-
-    def apply_rows(self, t: np.ndarray, s: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Propagate row i of V from time s[i] to time t[i].
-
-        This default calls :meth:`apply` once per row; subclasses that can
-        propagate independent intervals together may override it.
-        """
-        return np.array([self.apply(b, a, v) for b, a, v in zip(t, s, V)])
+    def generator_apply(self, t: float | np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Apply A(t[i]) to row i of V (used by the residual monitor)."""
 
     def grid_steps(self, t_grid: np.ndarray) -> tuple[StepAction, StepAction]:
         """Full-step and half-step actions of U on the grid ``t_grid``.
 
         The full step j is U(t_{j+1}, t_j), the half step j is
-        U(t_{j+1}, t_j + dt_j/2).  This default calls :meth:`apply` for one
-        vector and :meth:`apply_rows` for a batch; subclasses with a cheaper
-        precomputed step may override it.
+        U(t_{j+1}, t_j + dt_j/2).  This default calls :meth:`apply`;
+        subclasses with a cheaper precomputed step may override it.
         """
         t = np.asarray(t_grid, dtype=float)
         dt = t[1:] - t[:-1]
 
         def step(t_from: np.ndarray, t_to: np.ndarray) -> StepAction:
-            def action(v: np.ndarray, j: int | None = None) -> np.ndarray:
-                if j is not None:
-                    return self.apply(t_to[j], t_from[j], v)
-                return self.apply_rows(t_to, t_from, v)
+            def action(V: np.ndarray, j: int | slice = slice(None)) -> np.ndarray:
+                return self.apply(t_to[j], t_from[j], V)
 
             return action
 
@@ -89,15 +82,15 @@ class EvolutionSystem(abc.ABC):
 
 class PerturbationMap(abc.ABC):
     """Nonlinear part B(u,t), bounded by the c2, c3 of the problem's certificate
-    inside the window's admissible ball of radius r."""
+    inside the window's admissible ball of radius r.
+
+    Row-batched like :class:`EvolutionSystem`: a scalar time applies to
+    every row and a 1-D V is the one-row case.
+    """
 
     @abc.abstractmethod
-    def apply(self, v: np.ndarray, t: float) -> np.ndarray:
-        """Evaluate B(v, t)."""
-
-    def apply_batch(self, V: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    def apply(self, V: np.ndarray, ts: float | np.ndarray) -> np.ndarray:
         """Evaluate B row by row: row i of the result is B(V[i], ts[i])."""
-        return np.array([self.apply(v, t) for v, t in zip(V, ts)])
 
 
 @dataclass
@@ -217,8 +210,8 @@ def integral_map(
         return u.with_values(out)
     full, half = U.grid_steps(t) if steps is None else steps
     dt = t[1:] - t[:-1]
-    g_nodes = B.apply_batch(u.values, t)
-    g_mid = B.apply_batch(0.5 * (u.values[:-1] + u.values[1:]), t[:-1] + 0.5 * dt)
+    g_nodes = B.apply(u.values, t)
+    g_mid = B.apply(0.5 * (u.values[:-1] + u.values[1:]), t[:-1] + 0.5 * dt)
     incr = (dt / 6.0)[:, None] * (full(g_nodes[:-1]) + 4.0 * half(g_mid) + g_nodes[1:])
     acc = np.zeros_like(u.values[0])
     for j in range(n):
@@ -242,7 +235,7 @@ def monitor_m(
     """M(u): weighted sup of ||B(u(t), tau)||_alpha over the triangle and n_tau taus."""
     lam = window.require_lam()
     taus = np.linspace(0.0, (window.alpha_top - window.alpha0) / lam, n_tau)
-    b_vals = np.stack([B.apply_batch(u.values, np.full(len(u.t_grid), tau)) for tau in taus])
+    b_vals = np.stack([B.apply(u.values, tau) for tau in taus])
     return triangle_sup(u, b_vals, window)
 
 
@@ -265,7 +258,7 @@ def _quadrature_estimate(u: TriangleSolution, B: PerturbationMap) -> float:
     t = u.t_grid
     if len(t) < 3:
         return 0.0
-    g = B.apply_batch(u.values, t)
+    g = B.apply(u.values, t)
     dt = u.dt
     alpha_top = float(u.alpha_grid[-1])
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
@@ -286,12 +279,11 @@ def picard_solve(
     n_alpha: int = 8,
     theta: float = 0.9,
     u_init: np.ndarray | None = None,
-    ratio_slack: float = 1e-9,
 ) -> tuple[TriangleSolution, ConvergenceReport]:
     """Iterate u_{k+1} = U(.,0)x + T(u_k) until the increment drops below tol.
 
     Requires lam > lambda0, else :class:`InfeasibleHorizonError`; measured
-    increment ratios above lambda0/lam plus slack abort with
+    increment ratios above lambda0/lam plus RATIO_SLACK abort with
     :class:`ContractionViolationError`.  ``u_init`` overrides the default
     starting iterate U(.,0)x (used by the uniqueness surrogate).
     """
@@ -334,10 +326,10 @@ def picard_solve(
         if prev_d is not None and prev_d > 0:
             ratio = d / prev_d
             report.ratios.append(ratio)
-            if d > tol and ratio > rho + ratio_slack + quad_budget:
+            if d > tol and ratio > rho + RATIO_SLACK + quad_budget:
                 raise ContractionViolationError(
                     f"measured ratio {ratio} exceeds lambda0/lam = {rho} "
-                    f"plus slack {ratio_slack + quad_budget}"
+                    f"plus slack {RATIO_SLACK + quad_budget}"
                 )
         u = u_next
         prev_d = d
@@ -363,20 +355,19 @@ def contraction_check(
     window: ScaleWindow,
     x: np.ndarray,
     consts: OvcyannikovConstants,
-    slack: float = 1e-9,
 ) -> ContractionReport:
     """Measure ||T(u)-T(v)||^(gamma) / ||u-v||^(gamma) against lambda0/lam."""
     lam = window.require_lam()
     bound = lambda0(window, consts) / lam
     denom = _weighted_diff_norm(u, v, window)
     if denom == 0.0:
-        return ContractionReport(False, None, bound, slack, False)
+        return ContractionReport(False, None, bound, RATIO_SLACK, False)
     steps = U.grid_steps(u.t_grid)
     tu = integral_map(u, U, B, window, x, steps)
     tv = integral_map(v, U, B, window, x, steps)
     measured = _weighted_diff_norm(tu, tv, window) / denom
     quad = max(_quadrature_estimate(u, B), _quadrature_estimate(v, B))
-    tol = slack + quad
+    tol = RATIO_SLACK + quad
     return ContractionReport(True, measured, bound, tol, measured > bound + tol)
 
 
@@ -405,7 +396,7 @@ def residual_check(
         raise DomainError("residual check needs at least 3 time nodes")
     dt = u.dt
     alpha_top = window.alpha_top
-    b_vals = B.apply_batch(u.values[1:-1], t[1:-1])
+    b_vals = B.apply(u.values[1:-1], t[1:-1])
     dudt = (u.values[2:] - u.values[:-2]) / (2.0 * dt)
-    a_vals = np.array([U.generator_apply(t[j], u.values[j]) for j in range(1, len(t) - 1)])
+    a_vals = U.generator_apply(t[1:-1], u.values[1:-1])
     return float(np.max(u.norm(dudt - a_vals - b_vals, alpha_top)))

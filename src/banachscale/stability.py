@@ -67,15 +67,11 @@ class PerturbedFamily:
         )
 
 
-def lambda1(family: PerturbedFamily, r_prime: float | None = None) -> float:
+def lambda1(family: PerturbedFamily) -> float:
     """max{lambda0(limit), sup_n lambda0(member_n)} over the shared window."""
     if not family.members:
         raise DomainError("family has no members")
-    values = [
-        lambda0(family.window, inst.consts, r_prime)
-        for inst in (family.limit, *family.members)
-    ]
-    return max(values)
+    return max(lambda0(family.window, inst.consts) for inst in (family.limit, *family.members))
 
 
 @dataclass
@@ -179,10 +175,10 @@ def propagator_convergence(
     dim = len(family.limit.x)
     vecs = rng.uniform(-1.0, 1.0, (samples, dim))
     s, t = np.sort(rng.uniform(0.0, win.T, (samples, 2)), axis=1).T
-    limit = family.limit.evolution.apply_rows(t, s, vecs)
+    limit = family.limit.evolution.apply(t, s, vecs)
     return [
         float(np.max(
-            family.limit.norm(inst.evolution.apply_rows(t, s, vecs) - limit, win.alpha_top),
+            family.limit.norm(inst.evolution.apply(t, s, vecs) - limit, win.alpha_top),
             initial=0.0,
         ))
         for inst in family.members
@@ -223,16 +219,19 @@ def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
 
 
 class ScalarEvolution(EvolutionSystem):
-    """U(t,s) = exp(-mu (t-s)) on a one-dimensional state, norm flat in alpha."""
+    """U(t,s) = exp(-mu (t-s)), applied componentwise."""
 
     def __init__(self, mu: float):
         self.mu = mu
 
-    def apply(self, t: float, s: float, v: np.ndarray) -> np.ndarray:
-        return math.exp(-self.mu * (t - s)) * v
+    def apply(self, t: float | np.ndarray, s: float | np.ndarray, V: np.ndarray) -> np.ndarray:
+        # one scalar exp per row, like the profiles of the hierarchy
+        span = np.subtract(t, s)
+        factors = np.array([math.exp(-self.mu * x) for x in np.ravel(span).tolist()])
+        return factors.reshape(np.shape(span) + (1,)) * V
 
-    def generator_apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        return -self.mu * v
+    def generator_apply(self, t: float | np.ndarray, V: np.ndarray) -> np.ndarray:
+        return -self.mu * V
 
 
 class ScalarPerturbation(PerturbationMap):
@@ -241,8 +240,8 @@ class ScalarPerturbation(PerturbationMap):
     def __init__(self, c: float):
         self.c = c
 
-    def apply(self, v: np.ndarray, t: float) -> np.ndarray:
-        return self.c * v
+    def apply(self, V: np.ndarray, ts: float | np.ndarray) -> np.ndarray:
+        return self.c * V
 
 
 def scalar_problem(

@@ -146,11 +146,27 @@ class TestSolve:
         assert run(subcommand, write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(f"invalid configuration: {named}: ")
 
-    @pytest.mark.parametrize("field, value", [("window.T", 1e6), ("window.alpha_top", 200.0)])
-    def test_overflowing_certificate_exit_2(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize(
+        "field, value, h_profile",
+        [
+            ("window.T", 1e6, None),
+            ("window.alpha_top", 200.0, None),
+            # the growth integral itself overflows to inf
+            ("window.T", 1e308, None),
+            # the phase freq * T of a sinusoidal rate overflows first
+            ("window.T", 1e308, {"kind": "sinusoidal", "amp": 1.0, "freq": 40.0}),
+        ],
+        ids=[
+            "window.T-1000000.0", "window.alpha_top-200.0", "window.T-1e308",
+            "window.T-1e308-sinusoidal",
+        ],
+    )
+    def test_overflowing_certificate_exit_2(self, tmp_path, capsys, field, value, h_profile):
         # c1 = exp of the growth integral over [0, T] at alpha_top
         cfg = base_config()
         set_field(cfg, field, value)
+        if h_profile is not None:
+            cfg["model"]["rates"]["h_profile"] = h_profile
         assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("invalid configuration: c1 = exp(")
 

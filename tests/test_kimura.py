@@ -37,7 +37,7 @@ from banachscale.kimura import (
 )
 from banachscale.oracles import bound_verifier, evolution_law_check
 from banachscale.scalecore import ScaleWindow
-from banachscale.solver import EvolutionSystem, make_grid, picard_solve
+from banachscale.solver import make_grid, picard_solve, residual_check
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
 
@@ -148,6 +148,15 @@ class TestTimeProfile:
         for t in (0.3, 1.2):
             ref, _ = quad(profile.value, 0.0, t, epsabs=1e-13)
             assert profile.integral(t) == pytest.approx(ref, abs=1e-11)
+
+    def test_overflowing_horizon(self):
+        # e^(-rate T) is below every double: the integral is the exact tail 1/rate
+        assert TimeProfile("exp_decay", rate=2.0).integral(1e308) == 0.5
+        # the phase freq * T of a sinusoid overflows: no value rather than a guess
+        with pytest.raises(OverflowError):
+            TimeProfile("sinusoidal", amp=1.0, freq=40.0).integral(1e308)
+        # [0, T] holds a full period, wherever the phase ends
+        assert TimeProfile("sinusoidal", amp=0.5, freq=-40.0).sup(1e308) == 1.5
 
 
 class TestSelectionCost:
@@ -282,10 +291,9 @@ class TestEvolution:
         assert np.array_equal(out, vec)
 
     def test_zero_generator_identity(self, dead_model):
-        k = CorrelationHierarchy.poisson(3, 3, np.array([0.1, 0.5, 0.9]))
-        out = evolution_u(dead_model, 0.8, 0.1, k)
-        for a, b in zip(out.levels, k.levels):
-            assert np.allclose(a, b, atol=1e-14)
+        vec = CorrelationHierarchy.poisson(3, 3, np.array([0.1, 0.5, 0.9])).to_vector()
+        out = evolution_u(dead_model, 0.8, 0.1, vec)
+        assert np.allclose(out, vec, atol=1e-14)
 
     def test_reversed_times_rejected(self, epistatic_model, epistatic_k0):
         with pytest.raises(DomainError):
@@ -297,7 +305,7 @@ class TestEvolution:
         model = single_site_model(h=1.0, w=1.0)
         k = CorrelationHierarchy(1, 2, [np.array([1.0]), np.array([0.6]), np.zeros(0)])
         t, s = 0.9, 0.2
-        out = evolution_u(model, t, s, k)
+        out = CorrelationHierarchy.from_vector(1, 2, evolution_u(model, t, s, k.to_vector()))
         decay = math.exp(-(t - s))
         assert out.levels[1][0] == pytest.approx(0.6 * decay, abs=1e-9)
         assert out.levels[0][0] == pytest.approx(1.0 - 0.6 * (1.0 - decay), abs=1e-9)
@@ -309,9 +317,9 @@ class TestEvolution:
             levels = [rng.uniform(-1, 1, math.comb(4, n)) * math.exp(alpha * n) for n in range(4)]
             k = CorrelationHierarchy(4, 3, levels)
             s, t = np.sort(rng.uniform(0.0, 1.0, 2))
-            out = evolution_u(epistatic_model, t, s, k)
+            out = evolution_u(epistatic_model, t, s, k.to_vector())
             bound = math.exp(kappa_integral(epistatic_model, s, t, alpha)) * k.norm(alpha)
-            assert out.norm(alpha) <= bound * (1.0 + 1e-10)
+            assert epistatic_model.hierarchy_norm(out, alpha) <= bound * (1.0 + 1e-10)
 
 
 #: interval lengths from none (t == s) to most of a window
@@ -331,10 +339,8 @@ class TestBatchedEvolution:
         V = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, model.dim))
         single = np.array([evolution_u(model, a, b, v) for a, b, v in zip(t, s, V)])
         assert np.array_equal(evolution_u(model, t, s, V), single)
-        # the override and the base class's row loop over apply agree too
-        ev = KimuraEvolution(model)
-        assert np.array_equal(ev.apply_rows(t, s, V), single)
-        assert np.array_equal(EvolutionSystem.apply_rows(ev, t, s, V), single)
+        # the solver-facing apply agrees too
+        assert np.array_equal(KimuraEvolution(model).apply(t, s, V), single)
 
     def test_equal_times_rows_are_exact_copies(self, epistatic_model):
         V = np.random.default_rng(9).uniform(-1.0, 1.0, (3, epistatic_model.dim))
@@ -431,7 +437,7 @@ class TestGridSteps:
         assert np.array_equal(half(v, 1), ev.apply(t[2], t[1] + 0.5 * (t[2] - t[1]), v))
 
     def test_time_varying_batch_equals_single_steps(self):
-        # a batch with one row per grid step is one apply_rows call, bit for bit
+        # a batch with one row per grid step is one apply call, bit for bit
         rates = RateData(
             np.full(3, 0.5), np.full((3, 3), 0.1), np.full(3, 0.2),
             h_profile=TimeProfile("sinusoidal", amp=0.5, freq=3.0),
@@ -458,24 +464,6 @@ class TestGridSteps:
         assert np.max(np.abs(full(v, 1) - expected)) <= 1e-14
 
 
-class TestApplyBatch:
-    @pytest.mark.parametrize("profile", [TimeProfile(), TimeProfile("sinusoidal", amp=0.8, freq=5.0)])
-    def test_batch_equals_rowwise_apply(self, profile):
-        rates = RateData(
-            np.array([1.0, 0.6, 1.4, 0.8]), np.full((4, 4), 0.2), np.full(4, 0.5),
-            h_profile=profile, a_profile=profile,
-        )
-        model = KimuraModel(DiscreteSpace.uniform(4), rates, 3, WIN)
-        pert = KimuraPerturbation(model)
-        rng = np.random.default_rng(8)
-        V = CorrelationHierarchy.poisson(4, 3, np.full(4, 0.5)).to_vector() + rng.uniform(
-            -0.1, 0.1, (7, model.dim)
-        )
-        ts = rng.uniform(0.0, 1.0, 7)
-        rows = np.array([pert.apply(v, t) for v, t in zip(V, ts)])
-        assert np.max(np.abs(pert.apply_batch(V, ts) - rows)) <= 1e-15
-
-
 class TestRateDecomposition:
     """The four sparse components and the closed-form certificate pieces."""
 
@@ -495,13 +483,18 @@ class TestRateDecomposition:
 
     @settings(max_examples=40, deadline=None)
     @given(rate_models(), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_apply_batch_equals_rowwise_apply(self, model, rows, seed):
+    def test_batch_equals_stacked_one_row_calls(self, model, rows, seed):
+        # B and A(t) act on each row alone: a batch is the one-row calls, bit for bit
         rng = np.random.default_rng(seed)
         V = rng.uniform(-1.0, 1.0, (rows, model.dim))
         ts = rng.uniform(0.0, model.window.T, rows)
-        pert = KimuraPerturbation(model)
-        rowwise = np.array([pert.apply(v, t) for v, t in zip(V, ts)])
-        assert np.array_equal(pert.apply_batch(V, ts), rowwise)
+        pert, ev = KimuraPerturbation(model), KimuraEvolution(model)
+        assert np.array_equal(pert.apply(V, ts), [pert.apply(v, t) for v, t in zip(V, ts)])
+        assert np.array_equal(
+            ev.generator_apply(ts, V), [ev.generator_apply(t, v) for t, v in zip(ts, V)]
+        )
+        # a scalar time applies to every row
+        assert np.array_equal(pert.apply(V, ts[0]), [pert.apply(v, ts[0]) for v in V])
 
     @settings(max_examples=40, deadline=None)
     @given(profiles, st.floats(0.01, 3.0))
@@ -624,6 +617,40 @@ class TestWorkCount:
         assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert len(calls) <= 5
         assert all(shape[0] == 20 for shape in calls)
+
+    def test_verify_evaluates_b_once(self, shipped_configs, tmp_path, monkeypatch):
+        # bound_verifier evaluates B on the B2 pair and the B3 datum of every
+        # sample in one call; nothing else in verify evaluates B
+        calls = []
+        apply = KimuraPerturbation.apply
+
+        def counted(self, V, ts):
+            calls.append(np.shape(V))
+            return apply(self, V, ts)
+
+        monkeypatch.setattr(KimuraPerturbation, "apply", counted)
+        cfg = dict(shipped_configs["desk-smooth"], run={"samples": 5})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert calls == [(15, 8)]
+
+    def test_residual_check_applies_the_generator_once(self, shipped_configs, monkeypatch):
+        cfg = shipped_configs["desk-smooth"]
+        window = cli.parse_window(cfg)
+        model = cli.parse_model(cfg, window)
+        problem = kimura.KimuraProblem.build(model, cli.parse_initial(cfg, model))
+        u, _ = picard_solve(*problem.solver_args(), n_steps=20, k_max=2)
+        calls = []
+        generator_apply = KimuraEvolution.generator_apply
+
+        def counted(self, t, V):
+            calls.append(np.shape(V))
+            return generator_apply(self, t, V)
+
+        monkeypatch.setattr(KimuraEvolution, "generator_apply", counted)
+        residual_check(u, problem.evolution, problem.perturbation, problem.window)
+        assert calls == [(19, model.dim)]
 
 
 class TestMemory:

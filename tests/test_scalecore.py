@@ -95,12 +95,6 @@ class TestLambda0:
         with pytest.raises(DomainError):
             lambda0(unit_window(beta=0.1, gamma=0.5), unit_consts())
 
-    def test_r_prime_range(self):
-        with pytest.raises(DomainError):
-            lambda0(unit_window(r=1.0), unit_consts(), r_prime=2.0)
-        with pytest.raises(DomainError):
-            lambda0(unit_window(r=1.0), unit_consts(), r_prime=0.0)
-
     @given(
         st.floats(0.1, 5.0),
         st.floats(0.1, 5.0),

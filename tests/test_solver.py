@@ -29,6 +29,7 @@ from banachscale.solver import (
     picard_solve,
     residual_check,
 )
+from banachscale.stability import ScalarEvolution
 
 FLAT_NORM = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
 
@@ -41,25 +42,12 @@ class IdentityEvolution(EvolutionSystem):
         return np.zeros_like(v)
 
 
-class ExpEvolution(EvolutionSystem):
-    """U(t,s) = exp(-mu (t-s)) componentwise."""
-
-    def __init__(self, mu):
-        self.mu = mu
-
-    def apply(self, t, s, v):
-        return math.exp(-self.mu * (t - s)) * np.asarray(v, dtype=float)
-
-    def generator_apply(self, t, v):
-        return -self.mu * np.asarray(v, dtype=float)
-
-
 class ConstantPerturbation(PerturbationMap):
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
 
     def apply(self, v, t):
-        return self.c.copy()
+        return np.broadcast_to(self.c, np.shape(v)).copy()
 
 
 class LinearPerturbation(PerturbationMap):
@@ -71,7 +59,7 @@ class LinearPerturbation(PerturbationMap):
 
 
 class ApplyOnlyEvolution(EvolutionSystem):
-    """Wrapper that hides every method of ``inner`` but apply/generator_apply."""
+    """Wrapper that hides ``grid_steps`` of ``inner``: only apply/generator_apply."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -81,14 +69,6 @@ class ApplyOnlyEvolution(EvolutionSystem):
 
     def generator_apply(self, t, v):
         return self.inner.generator_apply(t, v)
-
-
-class ApplyOnlyPerturbation(PerturbationMap):
-    def __init__(self, inner):
-        self.inner = inner
-
-    def apply(self, v, t):
-        return self.inner.apply(v, t)
 
 
 def stepwise_integral(u, U, B):
@@ -149,7 +129,7 @@ class TestIntegralMap:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 3, 17)
         u.values[:] = np.sin(np.outer(np.arange(18), [1.0, 2.0, 3.0]))
-        U, B = ExpEvolution(1.7), LinearPerturbation(-0.3)
+        U, B = ScalarEvolution(1.7), LinearPerturbation(-0.3)
         out = integral_map(u, U, B, win, np.zeros(3))
         assert np.array_equal(out.values, stepwise_integral(u, U, B))
 
@@ -167,7 +147,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([2.0])
         u, rep = picard_solve(
-            x, ExpEvolution(1.0), LinearPerturbation(0.0), win, consts(), FLAT_NORM,
+            x, ScalarEvolution(1.0), LinearPerturbation(0.0), win, consts(), FLAT_NORM,
             n_steps=20,
         )
         assert rep.increments[0] == 0.0
@@ -178,7 +158,7 @@ class TestPicardSolve:
     def test_zero_data_zero_solution(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            np.zeros(1), ExpEvolution(1.0), LinearPerturbation(0.5), win,
+            np.zeros(1), ScalarEvolution(1.0), LinearPerturbation(0.5), win,
             consts(x_norm=0.0), FLAT_NORM, n_steps=10,
         )
         assert np.all(u.values == 0.0)
@@ -188,7 +168,7 @@ class TestPicardSolve:
         lam0 = lambda0(win, consts())
         with pytest.raises(InfeasibleHorizonError) as exc:
             picard_solve(
-                np.ones(1), ExpEvolution(1.0), LinearPerturbation(0.1), win,
+                np.ones(1), ScalarEvolution(1.0), LinearPerturbation(0.1), win,
                 consts(), FLAT_NORM,
             )
         assert str(exc.value) == f"lambda = 0.5 <= lambda0 = {lam0}"
@@ -198,7 +178,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         with pytest.raises(DomainError):
             picard_solve(
-                np.ones(1), ExpEvolution(1.0), LinearPerturbation(0.1), win,
+                np.ones(1), ScalarEvolution(1.0), LinearPerturbation(0.1), win,
                 consts(), FLAT_NORM, tol=0.0,
             )
 
@@ -221,7 +201,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([1.0])
         u, rep = picard_solve(
-            x, ExpEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM,
+            x, ScalarEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM,
             n_steps=50,
         )
         for j, t in enumerate(u.t_grid):
@@ -232,7 +212,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([1.0])
         tol = 1e-12
-        args = (x, ExpEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM)
+        args = (x, ScalarEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM)
         u1, r1 = picard_solve(*args, tol=tol, n_steps=30)
         u2, r2 = picard_solve(*args, tol=tol, n_steps=30, u_init=x)
         d = weighted_gamma_norm(u1.with_values(u1.values - u2.values), win)
@@ -241,7 +221,7 @@ class TestPicardSolve:
     def test_geometric_decrease(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            np.array([1.0]), ExpEvolution(1.0), LinearPerturbation(0.5), win,
+            np.array([1.0]), ScalarEvolution(1.0), LinearPerturbation(0.5), win,
             consts(), FLAT_NORM, n_steps=30,
         )
         for ratio in rep.ratios:
@@ -257,8 +237,7 @@ class TestGridStepsInPicard:
         args = (win, p.consts, p.norm)
         u_fast, r_fast = picard_solve(x, p.evolution, p.perturbation, *args, n_steps=30)
         u_ref, r_ref = picard_solve(
-            x, ApplyOnlyEvolution(p.evolution), ApplyOnlyPerturbation(p.perturbation), *args,
-            n_steps=30,
+            x, ApplyOnlyEvolution(p.evolution), p.perturbation, *args, n_steps=30,
         )
         assert r_fast.iterations == r_ref.iterations
         for a, b in zip(r_fast.increments, r_ref.increments):
@@ -307,7 +286,7 @@ class TestResidualCheck:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 1, 40)
         u.values[:, 0] = np.exp(-u.t_grid)
-        res = residual_check(u, ExpEvolution(1.0), LinearPerturbation(0.0), win)
+        res = residual_check(u, ScalarEvolution(1.0), LinearPerturbation(0.0), win)
         assert res <= u.dt**2 / 6.0 + 1e-12
 
     def test_too_few_nodes_rejected(self):
@@ -357,7 +336,7 @@ class TestTriangleKernel:
         def reference_m(n_tau):
             taus = np.linspace(0.0, (win.alpha_top - win.alpha0) / lam, n_tau)
             return max(
-                pernode_sup(u, B.apply_batch(u.values, np.full(len(u.t_grid), tau)), win)
+                pernode_sup(u, B.apply(u.values, tau), win)
                 for tau in taus
             )
 
