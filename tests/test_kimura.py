@@ -464,6 +464,24 @@ class TestGridSteps:
         assert np.max(np.abs(full(v, 1) - expected)) <= 1e-14
 
 
+class TestApplyBatch:
+    @pytest.mark.parametrize("profile", [TimeProfile(), TimeProfile("sinusoidal", amp=0.8, freq=5.0)])
+    def test_batch_equals_rowwise_apply(self, profile):
+        rates = RateData(
+            np.array([1.0, 0.6, 1.4, 0.8]), np.full((4, 4), 0.2), np.full(4, 0.5),
+            h_profile=profile, a_profile=profile,
+        )
+        model = KimuraModel(DiscreteSpace.uniform(4), rates, 3, WIN)
+        pert = KimuraPerturbation(model)
+        rng = np.random.default_rng(8)
+        V = CorrelationHierarchy.poisson(4, 3, np.full(4, 0.5)).to_vector() + rng.uniform(
+            -0.1, 0.1, (7, model.dim)
+        )
+        ts = rng.uniform(0.0, 1.0, 7)
+        rows = np.array([pert.apply(v, t) for v, t in zip(V, ts)])
+        assert np.max(np.abs(pert.apply(V, ts) - rows)) <= 1e-15
+
+
 class TestRateDecomposition:
     """The four sparse components and the closed-form certificate pieces."""
 
@@ -483,7 +501,7 @@ class TestRateDecomposition:
 
     @settings(max_examples=40, deadline=None)
     @given(rate_models(), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_batch_equals_stacked_one_row_calls(self, model, rows, seed):
+    def test_apply_batch_equals_rowwise_apply(self, model, rows, seed):
         # B and A(t) act on each row alone: a batch is the one-row calls, bit for bit
         rng = np.random.default_rng(seed)
         V = rng.uniform(-1.0, 1.0, (rows, model.dim))
