@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import (
     ModelValidationError,
 )
 from .kimura import (
-    AUTO_LAMBDA,
+    MAX_SPAN,
     CorrelationHierarchy,
     DiscreteSpace,
     KimuraModel,
@@ -40,14 +40,7 @@ from .kimura import (
     TimeProfile,
     level_configs,
 )
-from .oracles import (
-    COCYCLE_TOL,
-    bound_verifier,
-    bruteforce_oracle,
-    evolution_law_check,
-    poisson_oracle,
-    validate_poisson_closure,
-)
+from .oracles import bound_verifier, evolution_law_check, oracle_reference, relative_deviation
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_terms
 from .solver import picard_solve
 from .stability import kimura_h_family, lambda1, stability_experiment
@@ -239,20 +232,6 @@ def parse_solver_opts(cfg: dict) -> dict:
     return opts
 
 
-def _check_grid(window: ScaleWindow, opts: dict) -> None:
-    """The quadrature budget divides by dt^2, so dt^2 must not underflow.
-
-    An infinite slope (from an infinite lambda0) is left to the solver's
-    horizon check, which reports it as infeasible.
-    """
-    dt = opts["theta"] * window.horizon() / opts["n_steps"]
-    if math.isfinite(window.lam) and dt * dt < sys.float_info.min:
-        raise _fail(
-            "window.lambda",
-            f"horizon {window.horizon()} gives grid step {dt}, whose square underflows",
-        )
-
-
 def parse_override(cfg: dict) -> dict[str, float]:
     """Optional certificate override block, used for fault injection."""
     known = {f.name for f in fields(OvcyannikovConstants)}
@@ -278,18 +257,8 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def write_summary(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if math.isinf(obj) if isinstance(obj, float) else False:
-        return "inf"
-    return str(obj)
 
 
 def _sanitize(obj):
@@ -320,12 +289,9 @@ def trajectory_rows(u, model: KimuraModel) -> list[list]:
     return rows
 
 
-def _audit(problem: KimuraProblem) -> dict:
-    return _sanitize(lambda0_terms(problem.window, problem.consts))
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its CSV tables and returns the certified problem,
+# its own summary fields and the exit code
 
 
 def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
@@ -341,12 +307,11 @@ def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
 def _solve(cfg: dict):
     """Prepare, certify and solve: the problem, the trajectory and its report."""
     problem, opts = _prepare(cfg)
-    _check_grid(problem.window, opts)
     u, report = picard_solve(*problem.solver_args(), **opts)
     return problem, u, report
 
 
-def run_solve(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
+def run_solve(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int]:
     problem, u, report = _solve(cfg)
     write_csv(
         out / "trajectory.csv",
@@ -367,12 +332,8 @@ def run_solve(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         ["iteration", "increment", "ratio", "monitor", "apriori_margin"],
         conv_rows,
     )
-    write_summary(out / "summary.json", {
-        "subcommand": "solve",
-        "config_sha256": config_digest(raw),
-        "seed": seed,
+    return problem, {
         "lambda": problem.window.lam,
-        "lambda0_audit": _audit(problem),
         "horizon": problem.window.horizon(),
         "grid_horizon": float(u.t_grid[-1]),
         "iterations": report.iterations,
@@ -381,13 +342,12 @@ def run_solve(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         "rho": report.rho,
         "apriori_margin": report.apriori_margin,
         "quadrature_error_estimate": report.quadrature_error_estimate,
-        "constants": _sanitize(asdict(problem.consts)),
+        "constants": asdict(problem.consts),
         "level0_max_drift": float(np.max(np.abs(u.values[:, 0] - 1.0))),
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
+def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int]:
     problem, opts = _prepare(cfg)
     fam_cfg = _block(cfg, "family", required=True)
     n_values = fam_cfg.get("n_values")
@@ -396,12 +356,7 @@ def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
     for i, n in enumerate(n_values):
         _as_int(n, f"family.n_values[{i}]", positive=False)
     family = kimura_h_family(problem, n_values)
-    lam1 = lambda1(family)
-    if problem.model.window.lam is None:
-        # the auto rule must clear the family threshold, not just the limit's
-        family = replace(family, window=family.window.with_lam(AUTO_LAMBDA * lam1))
     window = family.window
-    _check_grid(window, opts)
     alpha = _as_float(fam_cfg.get("alpha", window.alpha_top), "family.alpha")
     if not (window.alpha0 < alpha <= window.alpha_top):
         raise _fail(
@@ -424,13 +379,9 @@ def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         ["n", "label", "perturbation", "deviation", "floor"],
         rows,
     )
-    write_summary(out / "summary.json", {
-        "subcommand": "stability",
-        "config_sha256": config_digest(raw),
-        "seed": seed,
+    return problem, {
         "lambda": window.lam,
-        "lambda1": lam1,
-        "lambda0_audit": _audit(problem),
+        "lambda1": lambda1(family),
         "alpha": alpha,
         "t_prime": t_prime,
         "floor": rep.floor,
@@ -438,87 +389,56 @@ def run_stability(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
         "strictly_decreasing": all(
             rep.s_values[i + 1] < rep.s_values[i] for i in range(len(rep.s_values) - 1)
         ),
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def run_verify(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
+def run_verify(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int]:
     problem, _ = _prepare(cfg)
     samples = _as_int(_block(cfg, "run").get("samples", 100), "run.samples")
+    T = problem.window.T
+    if T > MAX_SPAN:
+        raise _fail(
+            "window.T",
+            f"verify propagates over intervals drawn from [0, {T}], "
+            f"longer than the propagator accepts ({MAX_SPAN})",
+        )
     report = bound_verifier(problem.model, problem.k0, samples, seed, consts=problem.consts)
     law = evolution_law_check(problem.model, min(samples, 100), seed)
-    summary = {
-        "subcommand": "verify",
-        "config_sha256": config_digest(raw),
-        "seed": seed,
+    failed = report.failed + law.failed
+    if failed:
+        print("bound violation: " + ", ".join(failed), file=sys.stderr)
+    return problem, {
         "samples": samples,
-        "lambda0_audit": _audit(problem),
-        "worst_ratios": _sanitize(dict(sorted(report.worst.items()))),
+        "worst_ratios": dict(sorted(report.worst.items())),
         "violations": [
-            {"inequality": name, "sample": idx, "ratio": _sanitize(ratio)}
+            {"inequality": name, "sample": idx, "ratio": ratio}
             for name, idx, ratio in report.violations
         ],
         "evolution_identity_exact": law.identity_exact,
         "evolution_cocycle_worst": law.cocycle_worst,
         "evolution_growth_violations": law.growth_violations,
-    }
-    write_summary(out / "summary.json", summary)
-    clean = (
-        report.clean
-        and law.identity_exact
-        and law.cocycle_worst <= COCYCLE_TOL
-        and law.growth_violations == 0
-    )
-    if not clean:
-        names = sorted({name for name, _, _ in report.violations})
-        if not law.identity_exact:
-            names.append("evolution-identity")
-        if law.cocycle_worst > COCYCLE_TOL:
-            names.append("evolution-cocycle")
-        if law.growth_violations:
-            names.append("evolution-growth")
-        print("bound violation: " + ", ".join(names), file=sys.stderr)
-        return EXIT_BOUND
-    return EXIT_OK
+    }, EXIT_BOUND if failed else EXIT_OK
 
 
-def run_oracle_compare(cfg: dict, out: Path, raw: bytes, seed: int) -> int:
+def run_oracle_compare(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int]:
     problem, u, _ = _solve(cfg)
-    model, k0 = problem.model, problem.k0
     tol = _as_float(_block(cfg, "run").get("compare_tol", 1e-6), "run.compare_tol")
-    psi_dead = bool(np.all(model.rates.psi_base[~np.eye(model.m, dtype=bool)] == 0.0)) if model.m > 1 else True
-    if psi_dead:
-        oracle_name = "poisson"
-        rho0 = np.array([k0.value((i,)) for i in range(model.m)])
-        validate_poisson_closure(model, rho0, float(u.t_grid[-1]))
-        refs = poisson_oracle(model, rho0, u.t_grid)
-    else:
-        oracle_name = "bruteforce"
-        _, refs = bruteforce_oracle(model, k0, float(u.t_grid[-1]), len(u.t_grid) - 1)
-    ref = np.array([r.to_vector() for r in refs])
-    alpha_ref = problem.window.alpha_top
-    dev = model.hierarchy_norm(u.values - ref, alpha_ref)
-    rel = dev / np.maximum(model.hierarchy_norm(ref, alpha_ref), 1e-300)
+    oracle_name, ref = oracle_reference(problem.model, problem.k0, u.t_grid)
+    rel = relative_deviation(problem.model, u.values, ref, problem.window.alpha_top)
     worst = float(np.max(rel, initial=0.0))
     rows = list(zip(u.t_grid.tolist(), rel.tolist()))
     write_csv(out / "comparison.csv", ["t", "relative_deviation"], rows)
-    write_summary(out / "summary.json", {
-        "subcommand": "oracle-compare",
-        "config_sha256": config_digest(raw),
-        "seed": seed,
-        "oracle": oracle_name,
-        "lambda0_audit": _audit(problem),
-        "worst_relative_deviation": worst,
-        "tolerance": tol,
-        "passed": worst <= tol,
-    })
     if worst > tol:
         print(
             f"oracle mismatch: worst relative deviation {worst:.3e} > {tol:.1e}",
             file=sys.stderr,
         )
-        return EXIT_BOUND
-    return EXIT_OK
+    return problem, {
+        "oracle": oracle_name,
+        "worst_relative_deviation": worst,
+        "tolerance": tol,
+        "passed": worst <= tol,
+    }, EXIT_BOUND if worst > tol else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _DISPATCH[args.subcommand](cfg, out, raw, args.seed)
+        problem, summary, code = _DISPATCH[args.subcommand](cfg, out, args.seed)
     except InfeasibleHorizonError as exc:
         print(f"infeasible horizon slope: {exc}", file=sys.stderr)
         return EXIT_HORIZON
@@ -578,6 +498,14 @@ def main(argv: list[str] | None = None) -> int:
     except BanachScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    write_summary(out / "summary.json", {
+        "subcommand": args.subcommand,
+        "config_sha256": config_digest(raw),
+        "seed": args.seed,
+        "lambda0_audit": lambda0_terms(problem.window, problem.consts),
+        **summary,
+    })
+    return code
 
 
 if __name__ == "__main__":

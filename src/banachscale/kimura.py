@@ -56,8 +56,8 @@ class DiscreteSpace:
             raise ModelValidationError("weights must be finite and strictly positive")
 
     @classmethod
-    def uniform(cls, m: int, total: float = 1.0) -> "DiscreteSpace":
-        return cls(tuple(f"x{i}" for i in range(m)), np.full(m, total / m))
+    def uniform(cls, m: int) -> "DiscreteSpace":
+        return cls(tuple(f"x{i}" for i in range(m)), np.full(m, 1.0 / m))
 
     @property
     def m(self) -> int:
@@ -484,6 +484,13 @@ def apply_ldelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Corre
 #: step-halving tolerance of the propagator, per unit time
 EVOLUTION_TOL = 1e-10
 
+#: most RK4 substeps one propagation may take, and the length of its first substep
+_MAX_SUBSTEPS = 2**20
+_FIRST_SUBSTEP = 0.05
+
+#: longest interval the propagator accepts
+MAX_SPAN = _MAX_SUBSTEPS * _FIRST_SUBSTEP
+
 
 def evolution_u(
     model: KimuraModel, t: float | np.ndarray, s: float | np.ndarray, V: np.ndarray
@@ -526,10 +533,11 @@ def _rk4_doubling(
     The first coarse and fine runs of every row share one call; later calls
     carry only the rows whose halving comparison is still above tolerance.
     """
-    n = np.maximum(1.0, np.ceil(span / 0.05))
-    if n.max() > 2**20:
-        raise DomainError(f"an interval of length {span.max()} needs more than 2^20 RK4 substeps")
-    n = n.astype(np.int64)
+    if span.max() > MAX_SPAN:
+        raise DomainError(
+            f"an interval of length {span.max()} is longer than the propagator's limit {MAX_SPAN}"
+        )
+    n = np.maximum(1.0, np.ceil(span / _FIRST_SUBSTEP)).astype(np.int64)
     # round-off floor: halving comparisons cannot resolve below a few ulps
     scale = np.maximum(1.0, np.max(np.abs(V0), axis=1))
     tol = EVOLUTION_TOL * span * scale + 64.0 * np.finfo(float).eps * scale
@@ -545,7 +553,7 @@ def _rk4_doubling(
         active, coarse, n = active[keep], fine[keep], 2 * n[keep]
         if not active.size:
             return out
-        if n.max() > 2**20:
+        if n.max() > _MAX_SUBSTEPS:
             raise DomainError("evolution integrator failed to reach tolerance")
         fine = _rk4_rows(model, s[active], span[active], V0[active], 2 * n)
 
@@ -710,12 +718,12 @@ def kappa_integral(model: KimuraModel, s: float, t: float, alpha: float) -> floa
     return _growth(model, alpha, rates.h_profile.integral(t, s), rates.psi_profile.integral(t, s))
 
 
-def a1_part_constant(model: KimuraModel, alpha: float, agg: RateAggregates) -> float:
+def a1_part_constant(alpha: float, agg: RateAggregates) -> float:
     """Scale-Lipschitz constant of A1 with the 1/(alpha-alpha') factor stripped."""
     return (math.exp(alpha) * agg.psi_row_int_sup + math.exp(-alpha) * agg.a_sup) / math.e
 
 
-def bdelta_constant(model: KimuraModel, alpha: float, agg: RateAggregates) -> float:
+def bdelta_constant(alpha: float, agg: RateAggregates) -> float:
     """|Bdelta(t,k)| <= this * ||k||_alpha; also bounds the A0 raising terms."""
     return math.exp(alpha) * agg.int_h_sup + 0.5 * math.exp(2.0 * alpha) * agg.int_psi_sup
 
@@ -746,7 +754,7 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
 
     x_norm = k0.norm(win.alpha_star)
     ball = win.r + x_norm
-    cb_top = bdelta_constant(model, win.alpha_top, agg)
+    cb_top = bdelta_constant(win.alpha_top, agg)
     # termwise sup of the A1 constant over alpha' in the window
     a1_sup = (
         math.exp(win.alpha_top) * agg.psi_row_int_sup
@@ -754,7 +762,7 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
     ) / math.e
     c2 = a1_sup + cb_top * (win.alpha_top - win.alpha_star) * ball + cb_top * ball
     c3 = (
-        a1_part_constant(model, win.alpha_star, agg) * x_norm
+        a1_part_constant(win.alpha_star, agg) * x_norm
         + cb_top * (win.alpha_top - win.alpha_star) * x_norm**2
     )
     # |A0(t) k0| <= sup p_h |A0_h k0| + sup p_psi |A0_psi k0| entrywise on [0, T]

@@ -27,7 +27,7 @@ from .kimura import (
     model_constants,
     rate_aggregates,
 )
-from .scalecore import OvcyannikovConstants
+from .scalecore import ROUNDOFF, OvcyannikovConstants
 
 #: step-halving deviation above which the reference integrator warns of stiffness
 HALVING_TOL = 1e-10
@@ -36,10 +36,28 @@ HALVING_TOL = 1e-10
 COCYCLE_TOL = 1e-8
 
 
-def _require_psi_zero(model: KimuraModel) -> None:
+def _psi_vanishes(model: KimuraModel) -> bool:
+    """Whether psi is zero between distinct sites, the closed-form product's domain."""
     off = ~np.eye(model.m, dtype=bool)
-    if model.m > 1 and np.any(model.rates.psi_base[off] != 0.0):
+    return not np.any(model.rates.psi_base[off] != 0.0)
+
+
+def _require_psi_zero(model: KimuraModel) -> None:
+    if not _psi_vanishes(model):
         raise OracleDomainError("closed-form product oracle requires psi identically zero")
+
+
+def relative_deviation(
+    model: KimuraModel, values: np.ndarray, ref: np.ndarray, alpha: float
+) -> np.ndarray | float:
+    """||values - ref||_alpha / ||ref||_alpha per row, the reference norm floored at 1e-300."""
+    return model.hierarchy_norm(values - ref, alpha) / np.maximum(
+        model.hierarchy_norm(ref, alpha), 1e-300
+    )
+
+
+def _stack(hierarchies: list[CorrelationHierarchy]) -> np.ndarray:
+    return np.array([k.to_vector() for k in hierarchies])
 
 
 def poisson_oracle(
@@ -165,16 +183,33 @@ def validate_poisson_closure(
         )
     k0 = CorrelationHierarchy.poisson(model.m, model.n_max, rho0)
     t_grid, ref = bruteforce_oracle(model, k0, t_end, steps)
-    alpha = model.window.alpha_top
-    worst = 0.0
-    for kp, kr in zip(poisson_oracle(model, rho0, t_grid), ref):
-        dev = (kp - kr).norm(alpha) / max(kr.norm(alpha), 1e-300)
-        worst = max(worst, dev)
+    closure = poisson_oracle(model, rho0, t_grid)
+    worst = float(np.max(relative_deviation(
+        model, _stack(closure), _stack(ref), model.window.alpha_top
+    )))
     if worst > tol:
         raise OracleDomainError(
             f"product closure disagrees with the reference integrator: {worst:.3e} > {tol:.1e}"
         )
     return worst
+
+
+def oracle_reference(
+    model: KimuraModel, k0: CorrelationHierarchy, t_grid: np.ndarray
+) -> tuple[str, np.ndarray]:
+    """Independent reference trajectory on ``t_grid``, one row per time, and its name.
+
+    With psi zero between distinct sites it is the product solution
+    (``"poisson"``), validated against the reference integrator first;
+    otherwise the reference integrator itself (``"bruteforce"``).
+    """
+    t_end = float(t_grid[-1])
+    if _psi_vanishes(model):
+        rho0 = np.array([k0.value((i,)) for i in range(model.m)])
+        validate_poisson_closure(model, rho0, t_end)
+        return "poisson", _stack(poisson_oracle(model, rho0, t_grid))
+    _, refs = bruteforce_oracle(model, k0, t_end, len(t_grid) - 1)
+    return "bruteforce", _stack(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +221,7 @@ class BoundReport:
     """Worst observed/bound ratios per inequality plus any violations.
 
     A bound that is attained exactly (Bdelta on one site) can read a ratio one
-    ulp above 1, so only ratios above the round-off allowance 1 + 1e-12 count
+    ulp above 1, so only ratios above the round-off allowance ROUNDOFF count
     as violations; ``worst`` keeps the unrounded ratios.
     """
 
@@ -199,12 +234,17 @@ class BoundReport:
         ratio = observed / bound if bound > 0 else (0.0 if observed == 0.0 else math.inf)
         if ratio > self.worst.get(name, 0.0):
             self.worst[name] = ratio
-        if ratio > 1.0 + 1e-12:
+        if ratio > ROUNDOFF:
             self.violations.append((name, index, ratio))
 
     @property
     def clean(self) -> bool:
         return not self.violations
+
+    @property
+    def failed(self) -> list[str]:
+        """Names of the violated inequalities, sorted."""
+        return sorted({name for name, _, _ in self.violations})
 
 
 def _random_hierarchy(
@@ -286,11 +326,11 @@ def bound_verifier(
         ) * k_norm_lo
         report.record("A0", idx, apply_A0(model, t, k).norm(hi), a0_bound)
 
-        a1_bound = a1_part_constant(model, lo, agg) / b * k_norm_lo
+        a1_bound = a1_part_constant(lo, agg) / b * k_norm_lo
         report.record("A1", idx, apply_A1(model, t, k).norm(hi), a1_bound)
 
         report.record(
-            "Bdelta", idx, abs(bdelta(model, t, k)), bdelta_constant(model, lo, agg) * k_norm_lo
+            "Bdelta", idx, abs(bdelta(model, t, k)), bdelta_constant(lo, agg) * k_norm_lo
         )
 
         # Lipschitz bound of the nonlinear part inside the admissible ball
@@ -318,6 +358,19 @@ class EvolutionLawReport:
     growth_violations: int
     samples: int
 
+    @property
+    def failed(self) -> list[str]:
+        """Names of the laws that fail, in the order identity, cocycle, growth.
+
+        A cocycle deviation fails unless it is at most COCYCLE_TOL, so NaN fails.
+        """
+        checks = (
+            ("evolution-identity", self.identity_exact),
+            ("evolution-cocycle", self.cocycle_worst <= COCYCLE_TOL),
+            ("evolution-growth", self.growth_violations == 0),
+        )
+        return [name for name, holds in checks if not holds]
+
 
 def evolution_law_check(model: KimuraModel, samples: int, seed: int) -> EvolutionLawReport:
     """Identity, cocycle and growth-bound checks on seeded samples."""
@@ -340,7 +393,7 @@ def evolution_law_check(model: KimuraModel, samples: int, seed: int) -> Evolutio
     growth_violations = 0
     for alpha, k, v, s_i, t_i in zip(alphas, ks, direct, s, t):
         bound = math.exp(kappa_integral(model, s_i, t_i, alpha)) * k.norm(alpha)
-        if model.hierarchy_norm(v, alpha) > bound * (1.0 + 1e-12):
+        if model.hierarchy_norm(v, alpha) > bound * ROUNDOFF:
             growth_violations += 1
     if cocycle_worst > COCYCLE_TOL:
         warnings.warn(

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import DomainError
 
+#: factor a certified bound may be exceeded by before a measurement counts as a
+#: violation: a bound attained exactly can read one ulp above it
+ROUNDOFF = 1.0 + 1e-12
+
 
 @dataclass(frozen=True)
 class ScaleWindow:

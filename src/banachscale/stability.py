@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DomainError, InfeasibleHorizonError
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
 from .solver import (
-    ConvergenceReport,
     EvolutionSystem,
     PerturbationMap,
     ScaleNorm,
@@ -84,8 +83,6 @@ class StabilityReport:
     alpha: float
     t_prime: float
     labels: list[str] = field(default_factory=list)
-    limit_report: ConvergenceReport | None = None
-    member_reports: list[ConvergenceReport] = field(default_factory=list)
 
     def loglog_slope(self) -> float:
         """Least-squares slope of log s_n vs log perturbation size.
@@ -149,15 +146,13 @@ def stability_experiment(
         for inst in (limit, *members)
     )
     u_lim, rep_lim = next(solves)
-    s_values, reports = [], []
+    s_values, tails = [], [rep_lim.tail_bound]
     for u_n, rep_n in solves:
         s_values.append(_sup_deviation(u_n, u_lim, alpha, t_prime))
-        reports.append(rep_n)
+        tails.append(rep_n.tail_bound)
     sizes = [float(limit.norm(inst.x - limit.x, family.window.alpha_star)) for inst in members]
-    floor = 2.0 * max(rep_lim.tail_bound, *(rep.tail_bound for rep in reports), tol)
-    return StabilityReport(
-        s_values, sizes, floor, alpha, t_prime, [inst.label for inst in members], rep_lim, reports
-    )
+    floor = 2.0 * max(*tails, tol)
+    return StabilityReport(s_values, sizes, floor, alpha, t_prime, [inst.label for inst in members])
 
 
 def propagator_convergence(
@@ -194,10 +189,10 @@ def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
 
     The limit is ``problem``, a built :class:`~banachscale.kimura.KimuraProblem`,
     with its certificate; every member gets its own.  The family shares the
-    problem's resolved window, whose slope need not clear lambda1 yet (swap
-    the window with ``dataclasses.replace`` after :func:`lambda1`).
+    problem's window with its slope resolved for the family: the model's slope
+    when one is set, else AUTO_LAMBDA * :func:`lambda1`.
     """
-    from .kimura import KimuraProblem
+    from .kimura import AUTO_LAMBDA, KimuraProblem
 
     def as_instance(prob, label):
         return ProblemInstance(
@@ -211,7 +206,10 @@ def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
         rates_n = replace(model.rates, h_base=model.rates.h_base * (1.0 + 2.0 ** (-n)))
         model_n = replace(model, rates=rates_n)
         members.append(as_instance(KimuraProblem.build(model_n, problem.k0), f"h*(1+2^-{n})"))
-    return PerturbedFamily(as_instance(problem, "limit"), members, problem.window)
+    family = PerturbedFamily(as_instance(problem, "limit"), members, problem.window)
+    if model.window.lam is None:
+        family.window = family.window.with_lam(AUTO_LAMBDA * lambda1(family))
+    return family
 
 
 # ---------------------------------------------------------------------------

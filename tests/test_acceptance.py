@@ -5,7 +5,6 @@ configs/ are the fixtures under test.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +179,9 @@ def test_criterion_10_stability(solved):
     # Kimura family h_n = h (1 + 2^-n): strict decrease for n = 1..5 and
     # floor attainment via an additional far member (n = 40)
     sc = solved["desk-epistatic"]
-    fam0 = kimura_h_family(sc.problem, [1, 2, 3, 4, 5, 40])
-    lam = AUTO_LAMBDA * lambda1(fam0)
-    fam = replace(fam0, window=fam0.window.with_lam(lam))
+    fam = kimura_h_family(sc.problem, [1, 2, 3, 4, 5, 40])
     alpha = fam.window.alpha_top
-    tp = 0.4 * (alpha - fam.window.alpha0) / lam
+    tp = 0.4 * (alpha - fam.window.alpha0) / fam.window.lam
     rep = stability_experiment(fam, alpha, tp, n_steps=30)
     s = rep.s_values
     decreasing = all(b < a for a, b in zip(s[:5], s[1:5]))

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,6 @@ MALFORMED = [
     # extreme values and ranges the library used to report without a field path
     ("solve", "window.alpha_top", 1e308, "window.alpha_top"),
     ("verify", "window.alpha_top", 1e308, "window.alpha_top"),
-    ("solve", "window.lambda", 1e308, "window.lambda"),
     ("solve", "solver.tol", 0, "solver.tol"),
     ("stability", "family.alpha", 0.4, "family.alpha"),
     ("stability", "family.t_prime", -1, "family.t_prime"),
@@ -145,6 +145,13 @@ class TestSolve:
         set_field(cfg, field, value)
         assert run(subcommand, write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(f"invalid configuration: {named}: ")
+
+    @pytest.mark.parametrize("subcommand", ["solve", "stability", "oracle-compare"])
+    def test_huge_fixed_slope_exit_0(self, tmp_path, subcommand):
+        # a horizon of 5e-309 gives a subnormal grid step; nothing divides by its square
+        cfg = base_config()
+        cfg["window"]["lambda"] = 1e308
+        assert run(subcommand, write_config(tmp_path, cfg), tmp_path / "out") == 0
 
     @pytest.mark.parametrize(
         "field, value, h_profile",
@@ -262,6 +269,22 @@ class TestVerify:
         assert "B2" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert any(v["inequality"] == "B2" for v in summary["violations"])
+
+    @pytest.mark.parametrize("T", [1e5, 1e300, 1e308])
+    def test_horizon_beyond_propagator_limit_exit_2(self, tmp_path, capsys, T):
+        # solve certifies and solves this window; verify would sample intervals
+        # longer than the propagator accepts
+        cfg = json.loads((CONFIG_DIR / "desk-free.json").read_text())
+        cfg["model"]["rates"]["h_profile"] = {"kind": "exp_decay", "rate": 2}
+        cfg["window"]["T"] = T
+        config = write_config(tmp_path, cfg)
+        assert run("solve", config, tmp_path / "solve") == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("verify", config, tmp_path / "verify") == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.startswith("invalid configuration: window.T: ")
 
     def test_deterministic_report(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -728,7 +728,7 @@ class TestModelConstants:
         from banachscale.kimura import a1_part_constant, rate_aggregates
 
         agg = rate_aggregates(model)
-        assert a1_part_constant(model, 0.5, agg) == 0.0
+        assert a1_part_constant(0.5, agg) == 0.0
 
     def test_infinite_radius_rejected(self):
         win = ScaleWindow(0.0, 0.5, 1.0, r=math.inf, T=1.0)

@@ -167,3 +167,4 @@ class TestEvolutionLaws:
         assert rep.identity_exact
         assert rep.cocycle_worst <= 1e-8
         assert rep.growth_violations == 0
+        assert rep.failed == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from banachscale.errors import ConfigurationError, DomainError, InfeasibleHorizonError
-from banachscale.kimura import AUTO_LAMBDA
+from banachscale.kimura import AUTO_LAMBDA, KimuraProblem
 from banachscale.scalecore import ScaleWindow, lambda0
 from banachscale.stability import (
     PerturbedFamily,
@@ -100,10 +100,8 @@ class TestStabilityExperiment:
             assert u.values[j, 0] == pytest.approx(scalar_exact(1.0, 0.5, 1.0, t), rel=1e-8)
 
     def test_monotone_majorant_in_alpha(self, epistatic_problem):
-        fam0 = kimura_h_family(epistatic_problem, [1, 2])
-        lam = AUTO_LAMBDA * lambda1(fam0)
-        fam = replace(fam0, window=fam0.window.with_lam(lam))
-        tp = 0.4 * (0.75 - 0.5) / lam
+        fam = kimura_h_family(epistatic_problem, [1, 2])
+        tp = 0.4 * (0.75 - 0.5) / fam.window.lam
         hi = stability_experiment(fam, 1.0, tp, n_steps=20)
         lo = stability_experiment(fam, 0.75, tp, n_steps=20)
         for s_hi, s_lo in zip(hi.s_values, lo.s_values):
@@ -115,3 +113,17 @@ class TestStabilityExperiment:
         assert len(gaps) == 2
         # the closer member (n = 4) has the smaller propagator gap
         assert gaps[1] < gaps[0]
+
+
+class TestKimuraFamily:
+    def test_auto_slope_clears_lambda1(self, epistatic_problem):
+        assert epistatic_problem.model.window.lam is None
+        fam = kimura_h_family(epistatic_problem, [1, 3])
+        assert fam.window.lam == AUTO_LAMBDA * lambda1(fam)
+        assert fam.window.lam > AUTO_LAMBDA * epistatic_problem.lam0
+
+    def test_fixed_slope_is_kept(self, epistatic_model, epistatic_k0):
+        window = epistatic_model.window.with_lam(12345.0)
+        problem = KimuraProblem.build(replace(epistatic_model, window=window), epistatic_k0)
+        fam = kimura_h_family(problem, [1, 3])
+        assert fam.window == window
