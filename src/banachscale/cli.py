@@ -142,12 +142,15 @@ def parse_window(cfg: dict) -> ScaleWindow:
         lam = _as_float(lam_raw, "window.lambda")
     r_raw = w.get("r", "inf")
     r = math.inf if r_raw in ("inf", None) else _as_float(r_raw, "window.r")
+    # beta belongs to the certificate, and model_constants declares 0
+    beta = _as_float(w.get("beta", 0.0), "window.beta")
+    if beta != 0.0:
+        raise _fail("window.beta", f"the certificate declares beta = 0, got {beta}")
     try:
         return ScaleWindow(
             alpha_star=_as_float(_get(cfg, "window.alpha_star", required=True), "window.alpha_star"),
             alpha0=_as_float(_get(cfg, "window.alpha0", required=True), "window.alpha0"),
             alpha_top=_as_float(_get(cfg, "window.alpha_top", required=True), "window.alpha_top"),
-            beta=_as_float(w.get("beta", 0.0), "window.beta"),
             gamma=_as_float(w.get("gamma", 0.5), "window.gamma"),
             lam=lam,
             r=r,
@@ -307,7 +310,7 @@ def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
 def _solve(cfg: dict):
     """Prepare, certify and solve: the problem, the trajectory and its report."""
     problem, opts = _prepare(cfg)
-    u, report = picard_solve(*problem.solver_args(), **opts)
+    u, report = picard_solve(problem, **opts)
     return problem, u, report
 
 

@@ -19,14 +19,7 @@ from scipy import sparse
 
 from .errors import ConfigurationError, DomainError, ModelValidationError
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
-from .solver import (
-    ConvergenceReport,
-    EvolutionSystem,
-    PerturbationMap,
-    StepAction,
-    TriangleSolution,
-    picard_solve,
-)
+from .solver import EvolutionSystem, PerturbationMap, Problem, StepAction
 
 
 @lru_cache(maxsize=None)
@@ -38,6 +31,12 @@ def level_configs(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def config_index(m: int, n: int) -> dict[tuple[int, ...], int]:
     return {eta: i for i, eta in enumerate(level_configs(m, n))}
+
+
+@lru_cache(maxsize=None)
+def level_starts(m: int, n_max: int) -> tuple[int, ...]:
+    """Position of each level 0..n_max in the flattened hierarchy."""
+    return tuple(accumulate((math.comb(m, n) for n in range(n_max)), initial=0))
 
 
 @dataclass(frozen=True)
@@ -171,12 +170,16 @@ class RateData:
         return self.a_base * self.a_profile.value(t)
 
 
-def _graded_max(level_max: np.ndarray, alpha: float) -> np.ndarray | float:
-    """max_n e^(-alpha n) level_max[..., n]: the scale norm from per-level maxima.
+def graded_norm(vec: np.ndarray, m: int, n_max: int, alpha: float) -> np.ndarray | float:
+    """max_n e^(-alpha n) max_eta |k^(n)(eta)| of each flattened hierarchy along the last axis.
 
+    Returns an array of shape ``vec.shape[:-1]``, a float for one vector.
+    Levels n > m are empty and contribute 0; they sit at the tail, so the
+    starts of the nonempty levels are the first min(m, n_max) + 1 starts.
     The level weights are scalar ``math.exp`` values; numpy's vectorised exp
     may differ from it in the last bit.
     """
+    level_max = np.maximum.reduceat(np.abs(vec), level_starts(m, n_max)[: m + 1], axis=-1)
     weights = np.array([math.exp(-alpha * n) for n in range(level_max.shape[-1])])
     best = np.max(level_max * weights, axis=-1)
     return float(best) if best.ndim == 0 else best
@@ -234,10 +237,8 @@ class CorrelationHierarchy:
         return cls(m, n_max, levels)
 
     def norm(self, alpha: float) -> float:
-        """max_n e^(-alpha n) max_eta |k^(n)(eta)|."""
-        return _graded_max(
-            np.array([np.max(np.abs(lv)) if lv.size else 0.0 for lv in self.levels]), alpha
-        )
+        """max_n e^(-alpha n) max_eta |k^(n)(eta)|, by :func:`graded_norm`."""
+        return graded_norm(self.to_vector(), self.m, self.n_max, alpha)
 
     def __add__(self, other):
         return CorrelationHierarchy(
@@ -268,7 +269,6 @@ class KimuraModel:
     rates: RateData
     n_max: int
     window: ScaleWindow
-    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _a0: sparse.csr_matrix = field(init=False, repr=False, compare=False)
     _b: sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
@@ -277,8 +277,6 @@ class KimuraModel:
             raise ModelValidationError("n_max must be at least 2 (pair term of Bdelta)")
         if len(self.rates.h_base) != self.space.m:
             raise ModelValidationError("rates and space disagree on the site count")
-        sizes = [math.comb(self.m, n) for n in range(self.n_max)]
-        self._offsets = tuple(accumulate(sizes, initial=0))
         a0_h, a0_psi, a1_psi, a1_a = _assemble_components(self)
         self._a0 = sparse.vstack([a0_h, a0_psi], format="csr")
         self._b = sparse.vstack([a1_psi, a1_a, a0_h[0], a0_psi[0]], format="csr")
@@ -292,14 +290,8 @@ class KimuraModel:
         return sum(math.comb(self.m, n) for n in range(self.n_max + 1))
 
     def hierarchy_norm(self, vec: np.ndarray, alpha: float) -> np.ndarray | float:
-        """Scale norm of each flattened hierarchy vector along the last axis.
-
-        Returns an array of shape ``vec.shape[:-1]``, a float for one vector.
-        Levels n > m are empty and contribute 0; they sit at the tail, so the
-        starts of the nonempty levels are the first min(m, n_max) + 1 offsets.
-        """
-        level_max = np.maximum.reduceat(np.abs(vec), self._offsets[: self.m + 1], axis=-1)
-        return _graded_max(level_max, alpha)
+        """Scale norm of each flattened hierarchy vector, by :func:`graded_norm`."""
+        return graded_norm(vec, self.m, self.n_max, alpha)
 
     def a0_factors(self, t: float | np.ndarray) -> tuple:
         """Profile values (p_h, p_psi) at t, or at each time of an array t.
@@ -351,7 +343,8 @@ def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
     raising of A0 and the pair part of the selection cost, both half sums over
     ordered pairs, are sums over unordered pairs.
     """
-    m, n_max, d, off = model.m, model.n_max, model.dim, model._offsets
+    m, n_max, d = model.m, model.n_max, model.dim
+    off = level_starts(m, n_max)
     w = model.space.weights
     h, psi, a = model.rates.h_base, model.rates.psi_base, model.rates.a_base
     # (row, col, value) triples per component
@@ -846,20 +839,12 @@ AUTO_LAMBDA = 2.0
 
 
 @dataclass
-class KimuraProblem:
-    """Model + initial hierarchy wired into the generic solver interfaces.
-
-    ``consts`` is the one certificate of the problem and ``lam0`` its
-    threshold slope; ``window`` is the model's window with the slope resolved.
-    """
+class KimuraProblem(Problem):
+    """The hierarchy problem: a :class:`~banachscale.solver.Problem` built from
+    a model and its initial hierarchy by :meth:`build`."""
 
     model: KimuraModel
     k0: CorrelationHierarchy
-    consts: OvcyannikovConstants
-    lam0: float
-    window: ScaleWindow
-    evolution: KimuraEvolution
-    perturbation: KimuraPerturbation
 
     @classmethod
     def build(
@@ -869,41 +854,23 @@ class KimuraProblem:
         override: dict[str, float] | None = None,
     ) -> "KimuraProblem":
         """Certify, with ``override`` replacing named constants (the config's
-        ``certificate_override``), and set an unset slope to AUTO_LAMBDA * lambda0."""
+        ``certificate_override``), and set an unset slope to AUTO_LAMBDA * lambda0.
+
+        ``k0`` must be normalized, k0(empty) = 1.
+        """
+        if k0.levels[0][0] != 1.0:
+            raise DomainError("initial hierarchy must be normalized: k0(empty) = 1")
         consts = model_constants(model, k0)
-        if override:
-            try:
-                consts = replace(consts, **override)
-            except DomainError as exc:
-                raise ConfigurationError(f"certificate_override: {exc}") from exc
-        lam0 = lambda0(model.window, consts)
+        try:
+            consts = replace(consts, **(override or {}))
+            lam0 = lambda0(model.window, consts)
+        except DomainError as exc:
+            # model_constants certifies beta = 0, which every window admits
+            raise ConfigurationError(f"certificate_override: {exc}") from exc
         window = model.window
         if window.lam is None:
             window = window.with_lam(AUTO_LAMBDA * lam0)
         return cls(
-            model, k0, consts, lam0, window, KimuraEvolution(model), KimuraPerturbation(model)
+            k0.to_vector(), KimuraEvolution(model), KimuraPerturbation(model),
+            model.hierarchy_norm, window, consts, model, k0,
         )
-
-    @property
-    def norm(self):
-        return self.model.hierarchy_norm
-
-    def solver_args(self) -> tuple:
-        """Positional arguments of :func:`picard_solve` for this problem."""
-        return (
-            self.k0.to_vector(), self.evolution, self.perturbation, self.window,
-            self.consts, self.norm,
-        )
-
-
-def solve_kimura(
-    model: KimuraModel,
-    k0: CorrelationHierarchy,
-    tol: float = 1e-10,
-    **solver_kwargs,
-) -> tuple[TriangleSolution, ConvergenceReport]:
-    """Solve the hierarchy equation by Picard iteration on the mild form."""
-    if k0.levels[0][0] != 1.0:
-        raise DomainError("initial hierarchy must be normalized: k0(empty) = 1")
-    problem = KimuraProblem.build(model, k0)
-    return picard_solve(*problem.solver_args(), tol=tol, **solver_kwargs)

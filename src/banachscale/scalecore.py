@@ -31,7 +31,6 @@ class ScaleWindow:
     alpha_star: float
     alpha0: float
     alpha_top: float
-    beta: float = 0.0
     gamma: float = 0.5
     lam: float | None = None
     r: float = math.inf
@@ -43,13 +42,8 @@ class ScaleWindow:
                 f"need alpha_star < alpha0 < alpha_top, got "
                 f"{self.alpha_star}, {self.alpha0}, {self.alpha_top}"
             )
-        if not (0.0 <= self.beta < 0.5):
-            raise DomainError(f"beta must lie in [0, 1/2), got {self.beta}")
-        if not (self.beta < self.gamma < 1.0 - self.beta):
-            raise DomainError(
-                f"gamma must lie in (beta, 1-beta) = ({self.beta}, {1 - self.beta}), "
-                f"got {self.gamma}"
-            )
+        if not (0.0 < self.gamma < 1.0):
+            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.lam is not None and not self.lam > 0.0:
             raise DomainError(f"horizon slope must be positive, got {self.lam}")
         if not self.T > 0.0:
@@ -114,14 +108,17 @@ def lambda0(window: ScaleWindow, consts: OvcyannikovConstants) -> float:
 
 
 def lambda0_terms(window: ScaleWindow, consts: OvcyannikovConstants) -> dict[str, float]:
-    """Audit trail: the four individual max-terms behind :func:`lambda0`."""
-    if consts.beta != window.beta:
-        raise DomainError(
-            f"constants declare beta = {consts.beta}, window has beta = {window.beta}"
-        )
-    beta = window.beta
+    """Audit trail: the four individual max-terms behind :func:`lambda0`.
+
+    ``beta`` is the certificate's; the window's ``gamma`` must lie in
+    (beta, 1 - beta).
+    """
+    beta = consts.beta
     gamma = window.gamma
-    # __post_init__ already guarantees beta < gamma < 1 - beta
+    if not (beta < gamma < 1.0 - beta):
+        raise DomainError(
+            f"gamma must lie in (beta, 1-beta) = ({beta}, {1 - beta}), got {gamma}"
+        )
     a_width = window.alpha_top - window.alpha0
     r = window.r
     if math.isinf(r):

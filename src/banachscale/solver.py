@@ -95,6 +95,22 @@ class PerturbationMap(abc.ABC):
 
 
 @dataclass
+class Problem:
+    """The data (x, U, B) the engine solves, with its certificate.
+
+    ``norm`` is the row-batched scale norm of the state space, ``window``
+    has its horizon slope resolved, and ``consts`` certify U and B on it.
+    """
+
+    x: np.ndarray
+    evolution: EvolutionSystem
+    perturbation: PerturbationMap
+    norm: ScaleNorm
+    window: ScaleWindow
+    consts: OvcyannikovConstants
+
+
+@dataclass
 class TriangleSolution:
     """Values of u on the (t, alpha) triangle grid.
 
@@ -185,10 +201,7 @@ def _radius_check(u: TriangleSolution, x: np.ndarray, r: float) -> None:
 
 def integral_map(
     u: TriangleSolution,
-    U: EvolutionSystem,
-    B: PerturbationMap,
-    window: ScaleWindow,
-    x: np.ndarray,
+    problem: Problem,
     steps: tuple[StepAction, StepAction] | None = None,
 ) -> TriangleSolution:
     """T(u)(t) = int_0^t U(t,s) B(u(s),s) ds by composite Simpson.
@@ -201,7 +214,7 @@ def integral_map(
     actions of :meth:`EvolutionSystem.grid_steps`, built here when omitted.
     u must stay in the ball of radius ``window.r`` around x.
     """
-    _radius_check(u, x, window.r)
+    _radius_check(u, problem.x, problem.window.r)
     t = u.t_grid
     n = len(t) - 1
     out = np.zeros_like(u.values)
@@ -209,8 +222,9 @@ def integral_map(
         raise DomainError("empty time grid")
     if n == 0:
         return u.with_values(out)
-    full, half = U.grid_steps(t) if steps is None else steps
+    full, half = problem.evolution.grid_steps(t) if steps is None else steps
     dt = t[1:] - t[:-1]
+    B = problem.perturbation
     g_nodes = B.apply(u.values, t)
     g_mid = B.apply(0.5 * (u.values[:-1] + u.values[1:]), t[:-1] + 0.5 * dt)
     incr = (dt / 6.0)[:, None] * (full(g_nodes[:-1]) + 4.0 * half(g_mid) + g_nodes[1:])
@@ -266,12 +280,7 @@ def _quadrature_estimate(u: TriangleSolution, B: PerturbationMap) -> float:
 
 
 def picard_solve(
-    x: np.ndarray,
-    U: EvolutionSystem,
-    B: PerturbationMap,
-    window: ScaleWindow,
-    consts: OvcyannikovConstants,
-    norm: ScaleNorm,
+    problem: Problem,
     tol: float = 1e-10,
     k_max: int = 60,
     n_steps: int = 100,
@@ -286,19 +295,20 @@ def picard_solve(
     :class:`ContractionViolationError`.  ``u_init`` overrides the default
     starting iterate U(.,0)x (used by the uniqueness surrogate).
     """
+    x, B, window = problem.x, problem.perturbation, problem.window
     lam = window.require_lam()
-    lam0 = lambda0(window, consts)
+    lam0 = lambda0(window, problem.consts)
     if lam <= lam0:
         raise InfeasibleHorizonError(f"lambda = {lam} <= lambda0 = {lam0}")
     if tol <= 0:
         raise DomainError("tol must be positive")
     rho = lam0 / lam
 
-    grid = make_grid(window, norm, len(x), n_steps, n_alpha, theta)
+    grid = make_grid(window, problem.norm, len(x), n_steps, n_alpha, theta)
     t = grid.t_grid
 
     # the grid is the same for every iterate: build its step actions once
-    steps = U.grid_steps(t)
+    steps = problem.evolution.grid_steps(t)
     full = steps[0]
 
     # propagate the free trajectory U(t,0)x once, stepwise via the cocycle
@@ -316,7 +326,7 @@ def picard_solve(
     prev_d = None
     quad_budget = 0.0
     for k in range(k_max):
-        tu = integral_map(u, U, B, window, x, steps)
+        tu = integral_map(u, problem, steps)
         u_next = grid.with_values(u_free.values + tu.values)
         d = _weighted_diff_norm(u_next, u, window)
         report.increments.append(d)
@@ -340,62 +350,45 @@ def picard_solve(
     last_d = report.increments[-1] if report.increments else 0.0
     report.tail_bound = last_d * rho / (1.0 - rho)
     report.quadrature_error_estimate = quad_budget
-    report.apriori_margin = apriori_bound_rhs(window, consts) - max(
+    report.apriori_margin = apriori_bound_rhs(window, problem.consts) - max(
         report.m_values, default=0.0
     )
     return u, report
 
 
 def contraction_check(
-    u: TriangleSolution,
-    v: TriangleSolution,
-    U: EvolutionSystem,
-    B: PerturbationMap,
-    window: ScaleWindow,
-    x: np.ndarray,
-    consts: OvcyannikovConstants,
+    u: TriangleSolution, v: TriangleSolution, problem: Problem
 ) -> ContractionReport:
     """Measure ||T(u)-T(v)||^(gamma) / ||u-v||^(gamma) against lambda0/lam."""
+    window = problem.window
     lam = window.require_lam()
-    bound = lambda0(window, consts) / lam
+    bound = lambda0(window, problem.consts) / lam
     denom = _weighted_diff_norm(u, v, window)
     if denom == 0.0:
         return ContractionReport(False, None, bound, RATIO_SLACK, False)
-    steps = U.grid_steps(u.t_grid)
-    tu = integral_map(u, U, B, window, x, steps)
-    tv = integral_map(v, U, B, window, x, steps)
+    steps = problem.evolution.grid_steps(u.t_grid)
+    tu = integral_map(u, problem, steps)
+    tv = integral_map(v, problem, steps)
     measured = _weighted_diff_norm(tu, tv, window) / denom
+    B = problem.perturbation
     quad = max(_quadrature_estimate(u, B), _quadrature_estimate(v, B))
     tol = RATIO_SLACK + quad
     return ContractionReport(True, measured, bound, tol, measured > bound + tol)
 
 
-def apriori_check(
-    u: TriangleSolution,
-    B: PerturbationMap,
-    window: ScaleWindow,
-    consts: OvcyannikovConstants,
-    n_tau: int = 5,
-) -> AprioriReport:
+def apriori_check(u: TriangleSolution, problem: Problem, n_tau: int = 5) -> AprioriReport:
     """Margin of the a-priori bound: its right-hand side minus M(u) over n_tau taus."""
-    rhs = apriori_bound_rhs(window, consts)
-    worst_lhs = monitor_m(u, B, window, n_tau)
+    rhs = apriori_bound_rhs(problem.window, problem.consts)
+    worst_lhs = monitor_m(u, problem.perturbation, problem.window, n_tau)
     return AprioriReport(rhs - worst_lhs, rhs, worst_lhs, n_tau * int(u.mask.sum()))
 
 
-def residual_check(
-    u: TriangleSolution,
-    U: EvolutionSystem,
-    B: PerturbationMap,
-    window: ScaleWindow,
-) -> float:
+def residual_check(u: TriangleSolution, problem: Problem) -> float:
     """Max interior defect of u' = A(t)u + B(u,t) at alpha_top, central differences."""
     t = u.t_grid
     if len(t) < 3:
         raise DomainError("residual check needs at least 3 time nodes")
-    dt = u.dt
-    alpha_top = window.alpha_top
-    b_vals = B.apply(u.values[1:-1], t[1:-1])
-    dudt = (u.values[2:] - u.values[:-2]) / (2.0 * dt)
-    a_vals = U.generator_apply(t[1:-1], u.values[1:-1])
-    return float(np.max(u.norm(dudt - a_vals - b_vals, alpha_top)))
+    b_vals = problem.perturbation.apply(u.values[1:-1], t[1:-1])
+    dudt = (u.values[2:] - u.values[:-2]) / (2.0 * u.dt)
+    a_vals = problem.evolution.generator_apply(t[1:-1], u.values[1:-1])
+    return float(np.max(u.norm(dudt - a_vals - b_vals, problem.window.alpha_top)))

@@ -1,7 +1,7 @@
 """Stability of the fixed-point construction under data perturbation.
 
-A convergent family of problem instances (x_n, U_n, B_n) with a uniform
-constants certificate is solved next to its limit instance, and the sup-norm
+A convergent family of problems (x_n, U_n, B_n) with a uniform constants
+certificate is solved next to its limit problem, and the sup-norm
 deviations s_n = max_{t <= t'} ||u_n(t) - u(t)||_alpha are reported together
 with the solver floor below which they are indistinguishable from the limit.
 """
@@ -15,62 +15,48 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleHorizonError
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
-from .solver import (
-    EvolutionSystem,
-    PerturbationMap,
-    ScaleNorm,
-    TriangleSolution,
-    picard_solve,
-)
-
-
-@dataclass
-class ProblemInstance:
-    """One (x, U, B) triple with its constants certificate and scale norm."""
-
-    x: np.ndarray
-    evolution: EvolutionSystem
-    perturbation: PerturbationMap
-    consts: OvcyannikovConstants
-    norm: ScaleNorm
-    label: str = ""
+from .solver import EvolutionSystem, PerturbationMap, Problem, TriangleSolution, picard_solve
 
 
 @dataclass
 class PerturbedFamily:
-    """Limit instance plus members, sharing one window and one beta."""
+    """Limit problem plus members, sharing one window and one beta.
 
-    limit: ProblemInstance
-    members: list[ProblemInstance]
-    window: ScaleWindow
+    ``labels[n]`` names member n and ``sizes[n]`` is the size of its
+    perturbation, as stated by the builder that made it.
+    """
+
+    limit: Problem
+    members: list[Problem]
+    labels: list[str]
+    sizes: list[float]
 
     def __post_init__(self):
+        if not len(self.members) == len(self.labels) == len(self.sizes):
+            raise DomainError("need one label and one perturbation size per family member")
         beta = self.limit.consts.beta
-        for inst in self.members:
-            if inst.consts.beta != beta:
+        for label, member in zip(self.labels, self.members):
+            if member.window != self.window:
                 raise DomainError(
-                    f"family member {inst.label!r} declares beta = {inst.consts.beta}, "
+                    f"family member {label!r} has window {member.window}, "
+                    f"limit has {self.window}"
+                )
+            if member.consts.beta != beta:
+                raise DomainError(
+                    f"family member {label!r} declares beta = {member.consts.beta}, "
                     f"limit has beta = {beta}"
                 )
 
-    def uniform_constants(self) -> OvcyannikovConstants:
-        """Componentwise maxima over the limit and every member."""
-        insts = [self.limit, *self.members]
-        return OvcyannikovConstants(
-            c1=max(i.consts.c1 for i in insts),
-            beta=self.limit.consts.beta,
-            c2=max(i.consts.c2 for i in insts),
-            c3=max(i.consts.c3 for i in insts),
-            cx=max(i.consts.cx for i in insts),
-            x_norm=max(i.consts.x_norm for i in insts),
-        )
+    @property
+    def window(self) -> ScaleWindow:
+        return self.limit.window
 
 
 def lambda1(family: PerturbedFamily) -> float:
     """max{lambda0(limit), sup_n lambda0(member_n)} over the shared window."""
     if not family.members:
         raise DomainError("family has no members")
-    return max(lambda0(family.window, inst.consts) for inst in (family.limit, *family.members))
+    return max(lambda0(family.window, p.consts) for p in (family.limit, *family.members))
 
 
 @dataclass
@@ -136,23 +122,17 @@ def stability_experiment(
             f"t_prime = {t_prime} outside (0, {(alpha - family.window.alpha0) / lam})"
         )
 
-    limit, members = family.limit, family.members
     # the limit first, then one member at a time: one solution held besides it
     solves = (
-        picard_solve(
-            inst.x, inst.evolution, inst.perturbation, family.window, inst.consts,
-            inst.norm, tol=tol, **solver_kwargs,
-        )
-        for inst in (limit, *members)
+        picard_solve(p, tol=tol, **solver_kwargs) for p in (family.limit, *family.members)
     )
     u_lim, rep_lim = next(solves)
     s_values, tails = [], [rep_lim.tail_bound]
     for u_n, rep_n in solves:
         s_values.append(_sup_deviation(u_n, u_lim, alpha, t_prime))
         tails.append(rep_n.tail_bound)
-    sizes = [float(limit.norm(inst.x - limit.x, family.window.alpha_star)) for inst in members]
     floor = 2.0 * max(*tails, tol)
-    return StabilityReport(s_values, sizes, floor, alpha, t_prime, [inst.label for inst in members])
+    return StabilityReport(s_values, family.sizes, floor, alpha, t_prime, family.labels)
 
 
 def propagator_convergence(
@@ -173,10 +153,10 @@ def propagator_convergence(
     limit = family.limit.evolution.apply(t, s, vecs)
     return [
         float(np.max(
-            family.limit.norm(inst.evolution.apply(t, s, vecs) - limit, win.alpha_top),
+            family.limit.norm(p.evolution.apply(t, s, vecs) - limit, win.alpha_top),
             initial=0.0,
         ))
-        for inst in family.members
+        for p in family.members
     ]
 
 
@@ -188,27 +168,28 @@ def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
     """Family with selection cost h_n = h * (1 + 2^(-n)), psi and a fixed.
 
     The limit is ``problem``, a built :class:`~banachscale.kimura.KimuraProblem`,
-    with its certificate; every member gets its own.  The family shares the
+    with its certificate; every member gets its own.  Member n's perturbation
+    size is max |h_n - h| over the sites.  Every problem of the family gets the
     problem's window with its slope resolved for the family: the model's slope
     when one is set, else AUTO_LAMBDA * :func:`lambda1`.
     """
     from .kimura import AUTO_LAMBDA, KimuraProblem
 
-    def as_instance(prob, label):
-        return ProblemInstance(
-            prob.k0.to_vector(), prob.evolution, prob.perturbation, prob.consts,
-            prob.norm, label,
-        )
-
-    model = problem.model
-    members = []
+    h = problem.model.rates.h_base
+    members, labels, sizes = [], [], []
     for n in n_values:
-        rates_n = replace(model.rates, h_base=model.rates.h_base * (1.0 + 2.0 ** (-n)))
-        model_n = replace(model, rates=rates_n)
-        members.append(as_instance(KimuraProblem.build(model_n, problem.k0), f"h*(1+2^-{n})"))
-    family = PerturbedFamily(as_instance(problem, "limit"), members, problem.window)
-    if model.window.lam is None:
-        family.window = family.window.with_lam(AUTO_LAMBDA * lambda1(family))
+        rates_n = replace(problem.model.rates, h_base=h * (1.0 + 2.0 ** (-n)))
+        members.append(KimuraProblem.build(replace(problem.model, rates=rates_n), problem.k0))
+        labels.append(f"h*(1+2^-{n})")
+        sizes.append(float(np.max(np.abs(rates_n.h_base - h))))
+
+    def at(window: ScaleWindow) -> PerturbedFamily:
+        shared = [replace(p, window=window) for p in (problem, *members)]
+        return PerturbedFamily(shared[0], shared[1:], labels, sizes)
+
+    family = at(problem.window)
+    if problem.model.window.lam is None:
+        family = at(problem.window.with_lam(AUTO_LAMBDA * lambda1(family)))
     return family
 
 
@@ -242,10 +223,8 @@ class ScalarPerturbation(PerturbationMap):
         return self.c * V
 
 
-def scalar_problem(
-    mu: float, c: float, x0: float, window: ScaleWindow
-) -> ProblemInstance:
-    """Instance for u' = -mu u + c u, exact solution x0 exp((c - mu) t).
+def scalar_problem(mu: float, c: float, x0: float, window: ScaleWindow) -> Problem:
+    """Problem u' = -mu u + c u, exact solution x0 exp((c - mu) t).
 
     The certificate is sized to the declared window.
     """
@@ -259,18 +238,23 @@ def scalar_problem(
         x_norm=abs(x0),
     )
     norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
-    return ProblemInstance(
-        np.array([x0]), ScalarEvolution(mu), ScalarPerturbation(c), consts, norm, f"x0={x0:g}"
-    )
+    return Problem(np.array([x0]), ScalarEvolution(mu), ScalarPerturbation(c), norm, window, consts)
 
 
 def scalar_family(
     mu: float, c: float, x0: float, epsilons: list[float], window: ScaleWindow
 ) -> PerturbedFamily:
-    """Initial-datum family x_n = x0 (1 + eps_n) for the scalar problem."""
-    limit = scalar_problem(mu, c, x0, window)
-    members = [scalar_problem(mu, c, x0 * (1.0 + eps), window) for eps in epsilons]
-    return PerturbedFamily(limit, members, window)
+    """Initial-datum family x_n = x0 (1 + eps_n) for the scalar problem.
+
+    Member n's perturbation size is |x_n - x0|.
+    """
+    data = [x0 * (1.0 + eps) for eps in epsilons]
+    return PerturbedFamily(
+        scalar_problem(mu, c, x0, window),
+        [scalar_problem(mu, c, x_n, window) for x_n in data],
+        [f"x0={x_n:g}" for x_n in data],
+        [abs(x_n - x0) for x_n in data],
+    )
 
 
 def scalar_exact(mu: float, c: float, x0: float, t: float) -> float:

@@ -5,6 +5,7 @@ configs/ are the fixtures under test.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from banachscale.oracles import (
     poisson_oracle,
     validate_poisson_closure,
 )
-from banachscale.scalecore import weighted_gamma_norm
+from banachscale.scalecore import lambda0, weighted_gamma_norm
 from banachscale.solver import apriori_check, picard_solve, residual_check
 from banachscale.stability import (
     kimura_h_family,
@@ -51,9 +52,8 @@ class SolvedConfig:
         self.opts = parse_solver_opts(cfg)
         self.problem = KimuraProblem.build(self.model, self.k0)
         self.consts = self.problem.consts
-        self.lam0 = self.problem.lam0
         self.window = self.problem.window
-        self.u, self.rep = picard_solve(*self.problem.solver_args(), **self.opts)
+        self.u, self.rep = picard_solve(self.problem, **self.opts)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_criterion_2_geometric_convergence(solved):
 def test_criterion_3_apriori_estimate(solved):
     margins = {}
     for sc in solved.values():
-        ap = apriori_check(sc.u, sc.problem.perturbation, sc.window, sc.consts)
+        ap = apriori_check(sc.u, sc.problem)
         margins[sc.name] = ap.worst_margin
     ok = all(m >= 0.0 for m in margins.values())
     report(3, ok, "a-priori margins nonnegative at every sampled (t, tau, alpha): "
@@ -161,14 +161,11 @@ def test_criterion_9_residual_order(solved):
     # long-horizon protocol: lambda = 1.1 lambda0 so the discretization term
     # dominates the round-off floor of the central difference
     sc = solved["desk-smooth"]
-    window = sc.window.with_lam(1.1 * sc.lam0)
+    problem = replace(sc.problem, window=sc.window.with_lam(1.1 * lambda0(sc.window, sc.consts)))
     residuals = {}
     for n in (8, 16):
-        u, _ = picard_solve(
-            sc.k0.to_vector(), sc.problem.evolution, sc.problem.perturbation,
-            window, sc.consts, sc.problem.norm, n_steps=n,
-        )
-        residuals[n] = residual_check(u, sc.problem.evolution, sc.problem.perturbation, window)
+        u, _ = picard_solve(problem, n_steps=n)
+        residuals[n] = residual_check(u, problem)
     ratio = residuals[8] / residuals[16]
     ok = 3.5 <= ratio <= 4.5
     report(9, ok, f"residual halving ratio {ratio:.3f} in [3.5, 4.5] "
@@ -208,11 +205,7 @@ def test_criterion_10_stability(solved):
 def test_criterion_11_uniqueness_surrogate(solved):
     sc = solved["desk-epistatic"]
     tol = sc.opts["tol"]
-    u_alt, rep_alt = picard_solve(
-        sc.k0.to_vector(), sc.problem.evolution, sc.problem.perturbation,
-        sc.window, sc.consts, sc.problem.norm,
-        u_init=sc.k0.to_vector(), **sc.opts,
-    )
+    u_alt, rep_alt = picard_solve(sc.problem, u_init=sc.k0.to_vector(), **sc.opts)
     d = weighted_gamma_norm(sc.u.with_values(sc.u.values - u_alt.values), sc.window)
     bound = 2.0 * tol / (1.0 - sc.rep.rho)
     ok = d <= bound

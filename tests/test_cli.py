@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from banachscale.cli import main, parse_initial, parse_model, parse_solver_opts, parse_window
-from banachscale.kimura import solve_kimura
+from banachscale.kimura import KimuraProblem
+from banachscale.solver import picard_solve
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -70,6 +71,7 @@ MALFORMED = [
     ("solve", "solver.tol", 0, "solver.tol"),
     ("stability", "family.alpha", 0.4, "family.alpha"),
     ("stability", "family.t_prime", -1, "family.t_prime"),
+    ("solve", "window.beta", 0.2, "window.beta"),
 ]
 
 
@@ -124,6 +126,16 @@ class TestSolve:
         cfg["window"]["gamma"] = 1.5
         assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert "window" in capsys.readouterr().err
+
+    def test_overridden_beta_must_admit_gamma(self, tmp_path, capsys):
+        # beta is declared once, by the certificate: gamma must lie in (beta, 1 - beta)
+        cfg = base_config(certificate_override={"beta": 0.2})
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "ok") == 0
+        cfg["window"]["gamma"] = 0.9
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: certificate_override: gamma must lie in (beta, 1-beta)"
+        )
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = base_config()
@@ -190,7 +202,8 @@ class TestSolve:
     def test_library_solve_matches_cli_bit_for_bit(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "desk-epistatic.json").read_text())
         model = parse_model(cfg, parse_window(cfg))
-        u, _ = solve_kimura(model, parse_initial(cfg, model), **parse_solver_opts(cfg))
+        problem = KimuraProblem.build(model, parse_initial(cfg, model))
+        u, _ = picard_solve(problem, **parse_solver_opts(cfg))
         out = tmp_path / "out"
         assert run("solve", CONFIG_DIR / "desk-epistatic.json", out) == 0
         with open(out / "trajectory.csv") as fh:

@@ -20,6 +20,7 @@ from banachscale.kimura import (
     KimuraEvolution,
     KimuraModel,
     KimuraPerturbation,
+    KimuraProblem,
     RateData,
     TimeProfile,
     apply_A0,
@@ -33,13 +34,16 @@ from banachscale.kimura import (
     level_configs,
     model_constants,
     selection_cost,
-    solve_kimura,
 )
 from banachscale.oracles import bound_verifier, evolution_law_check
 from banachscale.scalecore import ScaleWindow
 from banachscale.solver import make_grid, picard_solve, residual_check
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
+
+
+def solve(model, k0, **solver_kwargs):
+    return picard_solve(KimuraProblem.build(model, k0), **solver_kwargs)
 
 
 def single_site_model(h=1.0, a=0.0, w=1.0):
@@ -561,7 +565,7 @@ class TestWorkCount:
         monkeypatch.setattr(
             KimuraEvolution, "grid_steps", counted("grid_steps", KimuraEvolution.grid_steps)
         )
-        _, rep = solve_kimura(epistatic_model, epistatic_k0, n_steps=40)
+        _, rep = solve(epistatic_model, epistatic_k0, n_steps=40)
         assert rep.iterations >= 2
         assert calls == {"evolution_u": 0, "grid_steps": 1, "expm_increment": 2}
 
@@ -586,7 +590,7 @@ class TestWorkCount:
 
         for name in calls:
             monkeypatch.setattr(KimuraModel, name, counted(name))
-        solve_kimura(model, CorrelationHierarchy.poisson(3, 3, np.full(3, 0.5)), n_steps=4)
+        solve(model, CorrelationHierarchy.poisson(3, 3, np.full(3, 0.5)), n_steps=4)
         assert calls["a0_matrix"] == 0
         assert calls["a0_dot"] > 0
 
@@ -596,8 +600,6 @@ class TestWorkCount:
         cfg = shipped_configs["desk-epistatic"]
         window = cli.parse_window(cfg)
         model = cli.parse_model(cfg, window)
-        problem = kimura.KimuraProblem.build(model, cli.parse_initial(cfg, model))
-        x = problem.k0.to_vector()
         norm = KimuraModel.hierarchy_norm
         calls = []
 
@@ -605,14 +607,13 @@ class TestWorkCount:
             calls.append(alpha)
             return norm(self, vec, alpha)
 
+        # the problem binds the norm when it is built
         monkeypatch.setattr(KimuraModel, "hierarchy_norm", counted)
+        problem = KimuraProblem.build(model, cli.parse_initial(cfg, model))
         counts = []
         for n_steps in (20, 80):
             calls.clear()
-            _, rep = picard_solve(
-                x, problem.evolution, problem.perturbation, problem.window,
-                problem.consts, problem.norm, n_steps=n_steps, k_max=2,
-            )
+            _, rep = picard_solve(problem, n_steps=n_steps, k_max=2)
             assert rep.iterations == 2
             counts.append(len(calls))
         assert counts[0] == counts[1]
@@ -657,8 +658,8 @@ class TestWorkCount:
         cfg = shipped_configs["desk-smooth"]
         window = cli.parse_window(cfg)
         model = cli.parse_model(cfg, window)
-        problem = kimura.KimuraProblem.build(model, cli.parse_initial(cfg, model))
-        u, _ = picard_solve(*problem.solver_args(), n_steps=20, k_max=2)
+        problem = KimuraProblem.build(model, cli.parse_initial(cfg, model))
+        u, _ = picard_solve(problem, n_steps=20, k_max=2)
         calls = []
         generator_apply = KimuraEvolution.generator_apply
 
@@ -667,7 +668,7 @@ class TestWorkCount:
             return generator_apply(self, t, V)
 
         monkeypatch.setattr(KimuraEvolution, "generator_apply", counted)
-        residual_check(u, problem.evolution, problem.perturbation, problem.window)
+        residual_check(u, problem)
         assert calls == [(19, model.dim)]
 
 
@@ -697,7 +698,12 @@ class TestHierarchyNorm:
             vec = rng.uniform(-2.0, 2.0, model.dim)
             alpha = rng.uniform(0.0, 1.0)
             k = CorrelationHierarchy.from_vector(m, n_max, vec)
-            assert model.hierarchy_norm(vec, alpha) == k.norm(alpha)
+            # reference: the levelwise maxima, one level at a time
+            levelwise = max(
+                math.exp(-alpha * n) * float(np.max(np.abs(lv)))
+                for n, lv in enumerate(k.levels) if lv.size
+            )
+            assert model.hierarchy_norm(vec, alpha) == k.norm(alpha) == levelwise
             assert type(model.hierarchy_norm(vec, alpha)) is float
             # a batch gives the row-wise values, for any leading shape
             batch = rng.uniform(-2.0, 2.0, (2, 3, model.dim))
@@ -782,17 +788,17 @@ class TestSolveKimura:
         k0 = CorrelationHierarchy.poisson(4, 3, np.full(4, 0.5))
         k0.levels[0][0] = 0.9
         with pytest.raises(DomainError):
-            solve_kimura(epistatic_model, k0)
+            KimuraProblem.build(epistatic_model, k0)
 
     def test_frozen_dynamics_constant_trajectory(self, dead_model):
         k0 = CorrelationHierarchy.poisson(3, 3, np.full(3, 0.5))
-        u, rep = solve_kimura(dead_model, k0, n_steps=20)
+        u, rep = solve(dead_model, k0, n_steps=20)
         assert rep.increments[0] == 0.0
         for j in range(len(u.t_grid)):
             assert np.allclose(u.values[j], k0.to_vector(), atol=1e-14)
 
     def test_normalization_conserved(self, epistatic_model, epistatic_k0):
-        u, rep = solve_kimura(epistatic_model, epistatic_k0, n_steps=60)
+        u, rep = solve(epistatic_model, epistatic_k0, n_steps=60)
         assert np.max(np.abs(u.values[:, 0] - 1.0)) <= 1e-12
 
     def test_truncation_consistency(self):
@@ -804,8 +810,8 @@ class TestSolveKimura:
         rho = np.full(5, 0.5)
         m3 = KimuraModel(space, rates, 3, win)
         m4 = KimuraModel(space, rates, 4, win)
-        u3, _ = solve_kimura(m3, CorrelationHierarchy.poisson(5, 3, rho), n_steps=40)
-        u4, _ = solve_kimura(m4, CorrelationHierarchy.poisson(5, 4, rho), n_steps=40)
+        u3, _ = solve(m3, CorrelationHierarchy.poisson(5, 3, rho), n_steps=40)
+        u4, _ = solve(m4, CorrelationHierarchy.poisson(5, 4, rho), n_steps=40)
         dim3 = sum(math.comb(5, n) for n in range(3))
         horizon = float(u3.t_grid[-1])
         top_mag = float(np.max(np.abs(u4.values[:, dim3:])))

@@ -33,14 +33,10 @@ class TestScaleWindow:
         with pytest.raises(DomainError):
             ScaleWindow(0.0, 1.0, 0.5)
 
-    def test_beta_gamma_ranges(self):
-        with pytest.raises(DomainError):
-            unit_window(beta=0.5)
-        with pytest.raises(DomainError):
-            unit_window(beta=0.2, gamma=0.1)
-        with pytest.raises(DomainError):
-            unit_window(beta=0.2, gamma=0.85)
-        unit_window(beta=0.2, gamma=0.5)
+    def test_gamma_range(self):
+        for gamma in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                unit_window(gamma=gamma)
 
     def test_positive_parameters(self):
         with pytest.raises(DomainError):
@@ -91,9 +87,15 @@ class TestLambda0:
         long = lambda0(unit_window(r=math.inf, T=1e9), unit_consts())
         assert long == pytest.approx(short)
 
-    def test_beta_mismatch_rejected(self):
+    def test_beta_gamma_ranges(self):
+        # beta is the certificate's; the window's gamma must lie in (beta, 1 - beta)
         with pytest.raises(DomainError):
-            lambda0(unit_window(beta=0.1, gamma=0.5), unit_consts())
+            unit_consts(beta=0.5)
+        with pytest.raises(DomainError):
+            lambda0(unit_window(gamma=0.1), unit_consts(beta=0.2))
+        with pytest.raises(DomainError):
+            lambda0(unit_window(gamma=0.85), unit_consts(beta=0.2))
+        lambda0(unit_window(gamma=0.5), unit_consts(beta=0.2))
 
     @given(
         st.floats(0.1, 5.0),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from banachscale.scalecore import (
 from banachscale.solver import (
     EvolutionSystem,
     PerturbationMap,
+    Problem,
     apriori_check,
     contraction_check,
     integral_map,
@@ -100,20 +102,25 @@ def consts(**kw):
     return OvcyannikovConstants(**base)
 
 
+def problem(U, B, win, x=(1.0,), certificate=None):
+    """Problem with the flat norm; the certificate defaults to :func:`consts`."""
+    return Problem(np.asarray(x, dtype=float), U, B, FLAT_NORM, win, certificate or consts())
+
+
 class TestIntegralMap:
     def test_zero_perturbation(self):
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 2, 10)
         u.values[:] = 0.3
         B = LinearPerturbation(0.0)
-        out = integral_map(u, IdentityEvolution(), B, win, np.zeros(2))
+        out = integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(2)))
         assert np.all(out.values == 0.0)
 
     def test_starts_at_zero(self):
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 2, 10)
         B = ConstantPerturbation([1.0, -2.0])
-        out = integral_map(u, IdentityEvolution(), B, win, np.zeros(2))
+        out = integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(2)))
         assert np.all(out.values[0] == 0.0)
 
     def test_constant_integrand_exact(self):
@@ -121,7 +128,7 @@ class TestIntegralMap:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 2, 20)
         c = np.array([1.0, -2.0])
-        out = integral_map(u, IdentityEvolution(), ConstantPerturbation(c), win, np.zeros(2))
+        out = integral_map(u, problem(IdentityEvolution(), ConstantPerturbation(c), win, np.zeros(2)))
         for j, t in enumerate(u.t_grid):
             assert out.values[j] == pytest.approx(t * c, abs=1e-10)
 
@@ -130,7 +137,7 @@ class TestIntegralMap:
         u = make_grid(win, FLAT_NORM, 3, 17)
         u.values[:] = np.sin(np.outer(np.arange(18), [1.0, 2.0, 3.0]))
         U, B = ScalarEvolution(1.7), LinearPerturbation(-0.3)
-        out = integral_map(u, U, B, win, np.zeros(3))
+        out = integral_map(u, problem(U, B, win, np.zeros(3)))
         assert np.array_equal(out.values, stepwise_integral(u, U, B))
 
     def test_radius_violation_names_node(self):
@@ -139,7 +146,7 @@ class TestIntegralMap:
         u.values[:] = 5.0
         B = LinearPerturbation(0.0)
         with pytest.raises(AdmissibilityError, match="alpha"):
-            integral_map(u, IdentityEvolution(), B, win, np.zeros(1))
+            integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(1)))
 
 
 class TestPicardSolve:
@@ -147,8 +154,7 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([2.0])
         u, rep = picard_solve(
-            x, ScalarEvolution(1.0), LinearPerturbation(0.0), win, consts(), FLAT_NORM,
-            n_steps=20,
+            problem(ScalarEvolution(1.0), LinearPerturbation(0.0), win, x), n_steps=20
         )
         assert rep.increments[0] == 0.0
         assert rep.converged
@@ -158,8 +164,8 @@ class TestPicardSolve:
     def test_zero_data_zero_solution(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            np.zeros(1), ScalarEvolution(1.0), LinearPerturbation(0.5), win,
-            consts(x_norm=0.0), FLAT_NORM, n_steps=10,
+            problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win, np.zeros(1), consts(x_norm=0.0)),
+            n_steps=10,
         )
         assert np.all(u.values == 0.0)
 
@@ -167,20 +173,14 @@ class TestPicardSolve:
         win = window(lam=0.5)
         lam0 = lambda0(win, consts())
         with pytest.raises(InfeasibleHorizonError) as exc:
-            picard_solve(
-                np.ones(1), ScalarEvolution(1.0), LinearPerturbation(0.1), win,
-                consts(), FLAT_NORM,
-            )
+            picard_solve(problem(ScalarEvolution(1.0), LinearPerturbation(0.1), win))
         assert str(exc.value) == f"lambda = 0.5 <= lambda0 = {lam0}"
         assert isinstance(exc.value, ConfigurationError)
 
     def test_bad_tol_rejected(self):
         win = window(lam=40.0)
         with pytest.raises(DomainError):
-            picard_solve(
-                np.ones(1), ScalarEvolution(1.0), LinearPerturbation(0.1), win,
-                consts(), FLAT_NORM, tol=0.0,
-            )
+            picard_solve(problem(ScalarEvolution(1.0), LinearPerturbation(0.1), win), tol=0.0)
 
     def test_inconsistent_certificate_detected(self):
         # B has Lipschitz slope 30 but the certificate declares c2 = 1e-3;
@@ -191,18 +191,15 @@ class TestPicardSolve:
         assert lambda0(win, fake) < 2.1
         with pytest.raises(ContractionViolationError):
             picard_solve(
-                np.ones(1), IdentityEvolution(),
-                LinearPerturbation(30.0), win,
-                fake, FLAT_NORM, n_steps=40,
+                problem(IdentityEvolution(), LinearPerturbation(30.0), win, certificate=fake),
+                n_steps=40,
             )
 
     def test_exact_solution_linear_problem(self):
         # u' = -u + 0.5 u, closed form x e^{-t/2}
         win = window(lam=40.0)
-        x = np.array([1.0])
         u, rep = picard_solve(
-            x, ScalarEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM,
-            n_steps=50,
+            problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win), n_steps=50
         )
         for j, t in enumerate(u.t_grid):
             assert u.values[j, 0] == pytest.approx(math.exp(-0.5 * t), rel=1e-8)
@@ -212,17 +209,16 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([1.0])
         tol = 1e-12
-        args = (x, ScalarEvolution(1.0), LinearPerturbation(0.5), win, consts(), FLAT_NORM)
-        u1, r1 = picard_solve(*args, tol=tol, n_steps=30)
-        u2, r2 = picard_solve(*args, tol=tol, n_steps=30, u_init=x)
+        p = problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win, x)
+        u1, r1 = picard_solve(p, tol=tol, n_steps=30)
+        u2, r2 = picard_solve(p, tol=tol, n_steps=30, u_init=x)
         d = weighted_gamma_norm(u1.with_values(u1.values - u2.values), win)
         assert d <= 2.0 * tol / (1.0 - r1.rho)
 
     def test_geometric_decrease(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            np.array([1.0]), ScalarEvolution(1.0), LinearPerturbation(0.5), win,
-            consts(), FLAT_NORM, n_steps=30,
+            problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win), n_steps=30
         )
         for ratio in rep.ratios:
             if rep.increments[rep.ratios.index(ratio)] > 1e-10:
@@ -230,14 +226,11 @@ class TestPicardSolve:
 
 
 class TestGridStepsInPicard:
-    def test_kimura_fast_path_matches_apply_only_run(self, epistatic_problem, epistatic_k0):
+    def test_kimura_fast_path_matches_apply_only_run(self, epistatic_problem):
         p = epistatic_problem
-        win = p.window
-        x = epistatic_k0.to_vector()
-        args = (win, p.consts, p.norm)
-        u_fast, r_fast = picard_solve(x, p.evolution, p.perturbation, *args, n_steps=30)
+        u_fast, r_fast = picard_solve(p, n_steps=30)
         u_ref, r_ref = picard_solve(
-            x, ApplyOnlyEvolution(p.evolution), p.perturbation, *args, n_steps=30,
+            replace(p, evolution=ApplyOnlyEvolution(p.evolution)), n_steps=30
         )
         assert r_fast.iterations == r_ref.iterations
         for a, b in zip(r_fast.increments, r_ref.increments):
@@ -251,8 +244,8 @@ class TestContractionCheck:
         u = make_grid(win, FLAT_NORM, 1, 10)
         u.values[:] = 1.0
         rep = contraction_check(
-            u, u.with_values(u.values.copy()), IdentityEvolution(),
-            LinearPerturbation(0.5), win, np.ones(1), consts(),
+            u, u.with_values(u.values.copy()),
+            problem(IdentityEvolution(), LinearPerturbation(0.5), win),
         )
         assert not rep.defined
         assert rep.measured is None
@@ -264,10 +257,7 @@ class TestContractionCheck:
         v = make_grid(win, FLAT_NORM, 1, 20)
         u.values[:] = 1.0
         v.values[:, 0] = 1.0 + 0.01 * np.sin(np.arange(21))
-        rep = contraction_check(
-            u, v, IdentityEvolution(), LinearPerturbation(0.5), win,
-            np.ones(1), consts(),
-        )
+        rep = contraction_check(u, v, problem(IdentityEvolution(), LinearPerturbation(0.5), win))
         assert rep.defined
         assert not rep.violated
         assert rep.measured <= rep.bound + rep.slack
@@ -278,7 +268,7 @@ class TestResidualCheck:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 1, 10)
         u.values[:] = 2.0
-        res = residual_check(u, IdentityEvolution(), LinearPerturbation(0.0), win)
+        res = residual_check(u, problem(IdentityEvolution(), LinearPerturbation(0.0), win))
         assert res <= 1e-14
 
     def test_exact_exponential_residual_is_taylor_remainder(self):
@@ -286,14 +276,14 @@ class TestResidualCheck:
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 1, 40)
         u.values[:, 0] = np.exp(-u.t_grid)
-        res = residual_check(u, ScalarEvolution(1.0), LinearPerturbation(0.0), win)
+        res = residual_check(u, problem(ScalarEvolution(1.0), LinearPerturbation(0.0), win))
         assert res <= u.dt**2 / 6.0 + 1e-12
 
     def test_too_few_nodes_rejected(self):
         win = window(lam=1.0)
         u = make_grid(win, FLAT_NORM, 1, 1)
         with pytest.raises(DomainError):
-            residual_check(u, IdentityEvolution(), LinearPerturbation(0.0), win)
+            residual_check(u, problem(IdentityEvolution(), LinearPerturbation(0.0), win))
 
 
 def pernode_sup(u, rows, window):
@@ -341,7 +331,7 @@ class TestTriangleKernel:
             )
 
         assert monitor_m(u, B, win) == reference_m(3)
-        rep = apriori_check(u, B, win, p.consts, n_tau=5)
+        rep = apriori_check(u, replace(p, window=win), n_tau=5)
         assert rep.worst_lhs == reference_m(5)
         assert rep.worst_margin == rep.rhs - rep.worst_lhs
         assert rep.samples == 5 * int(u.mask.sum())

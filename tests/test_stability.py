@@ -1,3 +1,5 @@
+import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,7 @@ def resolved_scalar_family(epsilons, mu=1.0, c=0.5, x0=1.0):
 
 class TestLambda1:
     def test_empty_family_rejected(self):
-        fam = PerturbedFamily(scalar_problem(1.0, 0.5, 1.0, SCALAR_WIN), [], SCALAR_WIN)
+        fam = PerturbedFamily(scalar_problem(1.0, 0.5, 1.0, SCALAR_WIN), [], [], [])
         with pytest.raises(DomainError):
             lambda1(fam)
 
@@ -48,13 +50,13 @@ class TestLambda1:
         member = scalar_problem(1.0, 0.5, 1.1, SCALAR_WIN)
         member.consts = replace(member.consts, beta=0.1)
         with pytest.raises(DomainError, match="beta"):
-            PerturbedFamily(limit, [member], SCALAR_WIN)
+            PerturbedFamily(limit, [member], ["x0=1.1"], [0.1])
 
-    def test_uniform_constants_are_maxima(self):
-        fam, _ = resolved_scalar_family([0.5])
-        uc = fam.uniform_constants()
-        assert uc.x_norm == max(fam.limit.consts.x_norm, fam.members[0].consts.x_norm)
-        assert uc.c3 == max(fam.limit.consts.c3, fam.members[0].consts.c3)
+    def test_window_mismatch_rejected(self):
+        limit = scalar_problem(1.0, 0.5, 1.0, SCALAR_WIN)
+        member = scalar_problem(1.0, 0.5, 1.1, SCALAR_WIN.with_lam(3.0))
+        with pytest.raises(DomainError, match="window"):
+            PerturbedFamily(limit, [member], ["x0=1.1"], [0.1])
 
 
 class TestStabilityExperiment:
@@ -92,10 +94,7 @@ class TestStabilityExperiment:
         tp = 0.4 * 0.5 / win.lam
         from banachscale.solver import picard_solve
 
-        u, _ = picard_solve(
-            fam.limit.x, fam.limit.evolution, fam.limit.perturbation, win,
-            fam.limit.consts, fam.limit.norm, n_steps=30,
-        )
+        u, _ = picard_solve(fam.limit, n_steps=30)
         for j, t in enumerate(u.t_grid):
             assert u.values[j, 0] == pytest.approx(scalar_exact(1.0, 0.5, 1.0, t), rel=1e-8)
 
@@ -120,10 +119,31 @@ class TestKimuraFamily:
         assert epistatic_problem.model.window.lam is None
         fam = kimura_h_family(epistatic_problem, [1, 3])
         assert fam.window.lam == AUTO_LAMBDA * lambda1(fam)
-        assert fam.window.lam > AUTO_LAMBDA * epistatic_problem.lam0
+        lam0 = lambda0(epistatic_problem.window, epistatic_problem.consts)
+        assert fam.window.lam > AUTO_LAMBDA * lam0
+        assert all(p.window == fam.window for p in fam.members)
 
     def test_fixed_slope_is_kept(self, epistatic_model, epistatic_k0):
         window = epistatic_model.window.with_lam(12345.0)
         problem = KimuraProblem.build(replace(epistatic_model, window=window), epistatic_k0)
         fam = kimura_h_family(problem, [1, 3])
         assert fam.window == window
+
+    def test_perturbation_sizes_are_the_h_gaps(self, shipped_configs, tmp_path):
+        # desk-epistatic has h = 1 at every site: member n perturbs h by 2^-n
+        from banachscale.cli import main
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(shipped_configs["desk-epistatic"]))
+        assert main(["stability", "--config", str(config), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "stability.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["perturbation"]) for r in rows] == [2.0**-n for n in range(1, 6)]
+
+    def test_loglog_slope_is_defined(self, epistatic_problem):
+        fam = kimura_h_family(epistatic_problem, [1, 2, 3])
+        assert fam.sizes == [2.0**-n for n in (1, 2, 3)]
+        tp = 0.4 * (1.0 - 0.5) / fam.window.lam
+        slope = stability_experiment(fam, 1.0, tp, n_steps=20).loglog_slope()
+        # the deviations are linear in the perturbation of h
+        assert slope == pytest.approx(1.0, abs=0.1)
