@@ -12,7 +12,6 @@ violation, 4 infeasible horizon slope, 5 certified bound violated.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -41,7 +40,7 @@ from .kimura import (
     level_configs,
 )
 from .oracles import bound_verifier, evolution_law_check, oracle_reference, relative_deviation
-from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_terms
+from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_audit
 from .solver import picard_solve
 from .stability import kimura_h_family, lambda1, stability_experiment
 
@@ -250,12 +249,28 @@ def parse_override(cfg: dict) -> dict[str, float]:
 # deterministic output helpers
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Rows hold Python natives only: csv writes a float as its repr."""
+def csv_line(cells) -> str:
+    """One CSV line of Python natives: a float as its repr, an int as str, a
+    string as is.  No cell ever needs quoting: a string holding a delimiter,
+    quote or line break is refused."""
+    parts = []
+    for cell in cells:
+        if isinstance(cell, str):
+            assert not any(ch in cell for ch in ',"\r\n'), f"unquotable CSV cell {cell!r}"
+            parts.append(cell)
+        elif isinstance(cell, float):
+            parts.append(repr(cell))
+        else:
+            parts.append(str(cell))
+    return ",".join(parts) + "\n"
+
+
+def write_csv(path: Path, header: list[str], lines) -> None:
+    """Write the header, then ``lines``: formatted CSV lines, each ending in a
+    newline (``csv_line`` for a row of cells), consumed as they are written."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(csv_line(header))
+        fh.writelines(lines)
 
 
 def write_summary(path: Path, payload: dict) -> None:
@@ -279,17 +294,19 @@ def config_digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def trajectory_rows(u, model: KimuraModel) -> list[list]:
-    """One row per (t, level, configuration), lexicographic inside a level."""
-    labels = [
-        (n, "|".join(str(s) for s in eta))
-        for n in range(model.n_max + 1)
-        for eta in level_configs(model.m, n)
-    ]
-    rows = []
+def trajectory_lines(u, model: KimuraModel):
+    """``trajectory.csv`` one time slice at a time: a line per (t, level,
+    configuration), lexicographic inside a level, floats as their repr."""
+    prefixes = []
+    for n in range(model.n_max + 1):
+        for eta in level_configs(model.m, n):
+            label = "|".join(str(s) for s in eta)
+            # digits and "|" only, so csv quoting never applied to a label
+            assert set(label) <= set("0123456789|"), label
+            prefixes.append(f"{n},{label},")
     for t, values in zip(u.t_grid.tolist(), u.values.tolist()):
-        rows.extend([t, n, label, value] for (n, label), value in zip(labels, values))
-    return rows
+        tp = f"{t!r},"
+        yield "".join([f"{tp}{p}{v!r}\n" for p, v in zip(prefixes, values)])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +336,7 @@ def run_solve(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int
     write_csv(
         out / "trajectory.csv",
         ["t", "level", "config", "value"],
-        trajectory_rows(u, problem.model),
+        trajectory_lines(u, problem.model),
     )
     conv_rows = []
     for k, d in enumerate(report.increments):
@@ -333,7 +350,7 @@ def run_solve(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int
     write_csv(
         out / "convergence.csv",
         ["iteration", "increment", "ratio", "monitor", "apriori_margin"],
-        conv_rows,
+        map(csv_line, conv_rows),
     )
     return problem, {
         "lambda": problem.window.lam,
@@ -380,7 +397,7 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
     write_csv(
         out / "stability.csv",
         ["n", "label", "perturbation", "deviation", "floor"],
-        rows,
+        map(csv_line, rows),
     )
     return problem, {
         "lambda": window.lam,
@@ -429,8 +446,8 @@ def run_oracle_compare(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, 
     oracle_name, ref = oracle_reference(problem.model, problem.k0, u.t_grid)
     rel = relative_deviation(problem.model, u.values, ref, problem.window.alpha_top)
     worst = float(np.max(rel, initial=0.0))
-    rows = list(zip(u.t_grid.tolist(), rel.tolist()))
-    write_csv(out / "comparison.csv", ["t", "relative_deviation"], rows)
+    rows = zip(u.t_grid.tolist(), rel.tolist())
+    write_csv(out / "comparison.csv", ["t", "relative_deviation"], map(csv_line, rows))
     if worst > tol:
         print(
             f"oracle mismatch: worst relative deviation {worst:.3e} > {tol:.1e}",
@@ -505,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         "subcommand": args.subcommand,
         "config_sha256": config_digest(raw),
         "seed": args.seed,
-        "lambda0_audit": lambda0_terms(problem.window, problem.consts),
+        "lambda0_audit": lambda0_audit(problem.window, problem.consts),
         **summary,
     })
     return code

@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, OracleDomainError
 from .kimura import (
@@ -90,6 +89,8 @@ def poisson_oracle(
         raise DomainError("times must be increasing")
     rates = model.rates
     w = model.space.weights
+    # the only user of scipy.integrate, whose import is a large share of the CLI's
+    from scipy.integrate import solve_ivp
 
     def rhs(s, rho):
         h = rates.h(s)

@@ -149,6 +149,15 @@ def lambda0_terms(window: ScaleWindow, consts: OvcyannikovConstants) -> dict[str
     return terms
 
 
+def lambda0_audit(window: ScaleWindow, consts: OvcyannikovConstants) -> dict:
+    """The terms of :func:`lambda0_terms`, the ``binding`` one (the first, in
+    that order, that attains ``lambda0``) and the ``certified_horizon``
+    (alpha_top - alpha0) / lambda0 that it implies."""
+    terms = lambda0_terms(window, consts)
+    binding = max(("time_span", "contraction", "monitor", "radius"), key=terms.__getitem__)
+    return {**terms, "binding": binding, "certified_horizon": window.width / terms["lambda0"]}
+
+
 def norm_table(norm, rows: np.ndarray, alphas: list[float]) -> np.ndarray:
     """||rows[..., :]||_alpha for every alpha: shape rows.shape[:-1] + (len(alphas),).
 

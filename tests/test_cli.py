@@ -1,12 +1,30 @@
 import csv
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from banachscale.cli import main, parse_initial, parse_model, parse_solver_opts, parse_window
-from banachscale.kimura import KimuraProblem
+import banachscale
+from banachscale.cli import (
+    main,
+    parse_initial,
+    parse_model,
+    parse_solver_opts,
+    parse_window,
+    trajectory_lines,
+    write_csv,
+)
+from banachscale.kimura import KimuraProblem, level_configs
 from banachscale.solver import picard_solve
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -85,8 +103,21 @@ class TestSolve:
         assert summary["converged"]
         assert "lambda0_audit" in summary
         assert set(summary["lambda0_audit"]) == {
-            "time_span", "contraction", "monitor", "radius", "lambda0"
+            "time_span", "contraction", "monitor", "radius", "lambda0",
+            "binding", "certified_horizon",
         }
+
+    @pytest.mark.parametrize("name", ["desk-epistatic", "desk-free", "desk-smooth"])
+    def test_lambda0_audit_names_the_binding_term(self, tmp_path, shipped_configs, name):
+        out = tmp_path / "out"
+        assert run("solve", CONFIG_DIR / f"{name}.json", out) == 0
+        audit = json.loads((out / "summary.json").read_text())["lambda0_audit"]
+        assert audit["binding"] == "monitor"
+        assert audit["monitor"] == audit["lambda0"]
+        window = shipped_configs[name]["window"]
+        assert audit["certified_horizon"] == (
+            (window["alpha_top"] - window["alpha0"]) / audit["lambda0"]
+        )
 
     def test_byte_identical_rerun(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -209,6 +240,57 @@ class TestSolve:
         with open(out / "trajectory.csv") as fh:
             values = [float(r["value"]) for r in csv.DictReader(fh)]
         assert values == u.values.ravel().tolist()
+
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(0, 3)).filter(lambda mn: mn[1] <= mn[0]),
+        n_times=st.integers(1, 4),
+        data=st.data(),
+    )
+    # every example overwrites the one file, so a shared tmp_path is safe
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_trajectory_bytes_match_the_csv_module(self, tmp_path, shape, n_times, data):
+        m, n_max = shape
+        labels = [
+            (n, "|".join(str(s) for s in eta))
+            for n in range(n_max + 1)
+            for eta in level_configs(m, n)
+        ]
+        # repr's exponent, signed-zero, subnormal and special forms
+        special = [0.0, -0.0, 5e-324, 2.2e-308, 1e-05, 1e-4, 1e16, 1e15,
+                   -1e300, math.inf, -math.inf, math.nan]
+        floats = st.one_of(st.sampled_from(special), st.floats(allow_nan=True))
+        t_grid = np.array(data.draw(st.lists(floats, min_size=n_times, max_size=n_times)))
+        values = np.array(
+            data.draw(st.lists(floats, min_size=n_times * len(labels),
+                               max_size=n_times * len(labels)))
+        ).reshape(n_times, len(labels))
+        header = ["t", "level", "config", "value"]
+        path = tmp_path / "trajectory.csv"
+        u = SimpleNamespace(t_grid=t_grid, values=values)
+        write_csv(path, header, trajectory_lines(u, SimpleNamespace(m=m, n_max=n_max)))
+        # the csv module over the [t, level, config, value] rows is the reference
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(header)
+        for t, row in zip(t_grid.tolist(), values.tolist()):
+            writer.writerows([t, n, label, v] for (n, label), v in zip(labels, row))
+        assert path.read_bytes() == ref.getvalue().encode()
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # scipy.integrate is a large share of start-up and only poisson_oracle needs it
+        src = str(Path(banachscale.__file__).resolve().parent.parent)
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        code = (
+            "import banachscale.cli, sys; "
+            "sys.exit('scipy.integrate' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr or "import banachscale.cli loaded scipy.integrate"
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", tmp_path / "out") == 2

@@ -10,6 +10,7 @@ from banachscale.scalecore import (
     OvcyannikovConstants,
     ScaleWindow,
     lambda0,
+    lambda0_audit,
     lambda0_terms,
     weighted_gamma_norm,
 )
@@ -122,6 +123,14 @@ class TestLambda0:
         four = [terms[k] for k in ("time_span", "contraction", "monitor", "radius")]
         assert terms["lambda0"] == pytest.approx(max(four))
         assert terms["lambda0"] == pytest.approx(lambda0(win, consts))
+
+    def test_audit_names_the_binding_term_and_its_horizon(self):
+        # without a perturbation only the time span constrains the slope
+        win = unit_window(r=math.inf, T=1.0)
+        audit = lambda0_audit(win, unit_consts(c2=0.0))
+        assert audit["binding"] == "time_span"
+        assert audit["time_span"] == audit["lambda0"] == 1.0
+        assert audit["certified_horizon"] == win.width / audit["lambda0"]
 
     def test_infinite_radius_kills_fourth_term(self):
         terms = lambda0_terms(unit_window(r=math.inf), unit_consts())
