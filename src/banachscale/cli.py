@@ -5,8 +5,8 @@ one JSON configuration file, run the corresponding pipeline and write CSV
 tables plus a JSON summary to the output directory.  Output is byte-identical
 across reruns with the same config and seed.
 
-Exit codes: 0 success, 2 invalid configuration, 3 measured contraction
-violation, 4 infeasible horizon slope, 5 certified bound violated.
+Exit codes: 0 success, 2 invalid configuration or ``--out``, 3 measured
+contraction violation, 4 infeasible horizon slope, 5 certified bound violated.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    AdmissibilityError,
     BanachScaleError,
     ConfigurationError,
     ContractionViolationError,
@@ -373,8 +375,16 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
     n_values = fam_cfg.get("n_values")
     if not isinstance(n_values, list) or not n_values:
         raise _fail("family.n_values", "need a nonempty list of family indices")
+    h_max = float(np.max(problem.model.rates.h_base))
     for i, n in enumerate(n_values):
         _as_int(n, f"family.n_values[{i}]", positive=False)
+        # member n scales h by 1 + 2^-n (kimura_h_family)
+        try:
+            finite = math.isfinite(h_max * (1.0 + 2.0 ** -n))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise _fail(f"family.n_values[{i}]", f"h * (1 + 2^-n) overflows a double for n = {n}")
     family = kimura_h_family(problem, n_values)
     window = family.window
     alpha = _as_float(fam_cfg.get("alpha", window.alpha_top), "family.alpha")
@@ -441,8 +451,10 @@ def run_verify(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, in
 
 
 def run_oracle_compare(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int]:
-    problem, u, _ = _solve(cfg)
     tol = _as_float(_block(cfg, "run").get("compare_tol", 1e-6), "run.compare_tol")
+    if not tol > 0.0:
+        raise _fail("run.compare_tol", f"tolerance must be positive, got {tol}")
+    problem, u, _ = _solve(cfg)
     oracle_name, ref = oracle_reference(problem.model, problem.k0, u.t_grid)
     rel = relative_deviation(problem.model, u.values, ref, problem.window.alpha_top)
     worst = float(np.max(rel, initial=0.0))
@@ -500,21 +512,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # an unnamed probe file: the directory takes files, and none is left behind
+        tempfile.TemporaryFile(dir=out).close()
+    except OSError as exc:
+        print(f"cannot write output: --out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         problem, summary, code = _DISPATCH[args.subcommand](cfg, out, args.seed)
+    except AdmissibilityError as exc:
+        # the slope exceeds lambda0, so the certificate guarantees the ball
+        print(f"bound violation: {exc}", file=sys.stderr)
+        return EXIT_BOUND
     except InfeasibleHorizonError as exc:
         print(f"infeasible horizon slope: {exc}", file=sys.stderr)
         return EXIT_HORIZON
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError, ModelValidationError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ContractionViolationError as exc:
         print(f"contraction violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACTION
-    except (DomainError, ModelValidationError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except BanachScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

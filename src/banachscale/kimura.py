@@ -91,6 +91,16 @@ class TimeProfile:
     def is_constant(self) -> bool:
         return self.kind == "constant" or (self.kind == "sinusoidal" and self.amp == 0.0)
 
+    def at(self, t: float | np.ndarray) -> float | np.ndarray | None:
+        """The profile at t, or at each time of an array t; None when constant
+        (exactly 1, so its product is skipped).  Each value is one scalar ``math``
+        evaluation: numpy's vectorised sin and exp may differ in the last bit."""
+        if self.is_constant:
+            return None
+        if np.ndim(t) == 0:
+            return self.value(t)
+        return np.array([self.value(x) for x in np.ravel(t).tolist()]).reshape(np.shape(t))
+
     def integral(self, t: float, s: float = 0.0) -> float:
         """Exact int_s^t profile(tau) dtau, free of cancellation for t near s."""
         dt = t - s
@@ -128,9 +138,9 @@ class TimeProfile:
 class RateData:
     """Site rates h (selection cost), psi (pair interaction) and a (appearance).
 
-    Each rate is a nonnegative base array scaled by a built-in time profile;
-    psi must be symmetric with an ignored diagonal (the quadrature sums skip
-    coincident sites).
+    Each rate is a nonnegative base array scaled by a built-in time profile.
+    psi must be symmetric; its diagonal is validated, then set to 0, because
+    every quadrature sum skips coincident sites.
     """
 
     h_base: np.ndarray
@@ -155,6 +165,7 @@ class RateData:
                 raise ModelValidationError(f"rate {name} must be finite and nonnegative")
         if not np.array_equal(psi, psi.T):
             raise ModelValidationError("psi must be symmetric in its site arguments")
+        object.__setattr__(self, "psi_base", psi * ~np.eye(m, dtype=bool))
 
     @classmethod
     def constant(cls, m: int, h: float, psi: float, a: float) -> "RateData":
@@ -294,22 +305,8 @@ class KimuraModel:
         return graded_norm(vec, self.m, self.n_max, alpha)
 
     def a0_factors(self, t: float | np.ndarray) -> tuple:
-        """Profile values (p_h, p_psi) at t, or at each time of an array t.
-
-        Each value is one scalar ``math`` evaluation: numpy's vectorised sin
-        and exp may differ from it in the last bit.  A constant profile is
-        exactly 1 and reads None, so its product is skipped.
-        """
-
-        def values(profile: TimeProfile):
-            if profile.is_constant:
-                return None
-            if np.ndim(t) == 0:
-                return profile.value(t)
-            flat = [profile.value(x) for x in np.ravel(t).tolist()]
-            return np.array(flat).reshape(np.shape(t))
-
-        return values(self.rates.h_profile), values(self.rates.psi_profile)
+        """Profile values (p_h, p_psi) at t by :meth:`TimeProfile.at`."""
+        return self.rates.h_profile.at(t), self.rates.psi_profile.at(t)
 
     def a0_dot(
         self, t: float | np.ndarray, V: np.ndarray, factors: tuple | None = None
@@ -323,17 +320,17 @@ class KimuraModel:
         p_h, p_psi = self.a0_factors(t) if factors is None else factors
         d = V.shape[-1]
         Y = self._a0 @ V.T
-        y_h, y_psi = Y[:d], Y[d:]
-        if p_h is not None:
-            y_h = p_h * y_h
-        if p_psi is not None:
-            y_psi = p_psi * y_psi
-        return (y_h + y_psi).T
+        return (_scaled(p_h, Y[:d]) + _scaled(p_psi, Y[d:])).T
 
     def a0_matrix(self, t: float) -> sparse.csr_matrix:
         d = self._a0.shape[1]
-        p_h, p_psi = self.rates.h_profile.value(t), self.rates.psi_profile.value(t)
-        return p_h * self._a0[:d] + p_psi * self._a0[d:]
+        p_h, p_psi = self.a0_factors(t)
+        return _scaled(p_h, self._a0[:d]) + _scaled(p_psi, self._a0[d:])
+
+
+def _scaled(p, x):
+    """p x for a profile value p, x itself for a constant profile (p is None)."""
+    return x if p is None else p * x
 
 
 def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
@@ -458,8 +455,6 @@ def apply_A1(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Correlati
 
 def bdelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> float:
     """Scalar multiplier: weighted level-1 h-sum plus weighted level-2 psi-sum."""
-    if model.n_max < 2:
-        raise ModelValidationError("bdelta needs n_max >= 2")
     return _raising_sum(model, t, k, ())
 
 
@@ -500,7 +495,7 @@ def evolution_u(
     """
     v0 = np.asarray(V, dtype=float)
     V0 = np.atleast_2d(v0)
-    T, S = _per_row(t, len(V0)), _per_row(s, len(V0))
+    T, S = (np.broadcast_to(np.asarray(x, dtype=float), len(V0)) for x in (t, s))
     span = T - S
     bad = np.flatnonzero(~(span >= 0.0))
     if bad.size:
@@ -512,10 +507,6 @@ def evolution_u(
     if moving.size:
         out[moving] = _rk4_doubling(model, S[moving], span[moving], V0[moving])
     return out[0] if v0.ndim == 1 else out
-
-
-def _per_row(x: float | np.ndarray, rows: int) -> np.ndarray:
-    return np.full(rows, x, dtype=float) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
 def _rk4_doubling(
@@ -668,8 +659,7 @@ class RateAggregates:
 def _site_sums(model: KimuraModel) -> tuple[float, float, np.ndarray]:
     """int h_base, int int psi_base over distinct pairs, and the psi row integrals."""
     w = model.space.weights
-    psi_offdiag = model.rates.psi_base * ~np.eye(model.m, dtype=bool)
-    row_ints = psi_offdiag @ w
+    row_ints = model.rates.psi_base @ w
     return float(w @ model.rates.h_base), float(w @ row_ints), row_ints
 
 
@@ -680,7 +670,7 @@ def rate_aggregates(model: KimuraModel) -> RateAggregates:
     int_h, int_psi, row_ints = _site_sums(model)
     values = (
         float(np.max(rates.h_base)) * sup_h,
-        float(np.max(rates.psi_base * ~np.eye(model.m, dtype=bool))) * sup_psi,
+        float(np.max(rates.psi_base)) * sup_psi,
         float(np.max(rates.a_base)) * sup_a,
         int_h * sup_h,
         int_psi * sup_psi,
@@ -822,14 +812,11 @@ class KimuraPerturbation(PerturbationMap):
         """
         rows = np.atleast_2d(V)
         rates = self.model.rates
-        p_h, p_psi, p_a = (
-            np.array([p.value(t) for t in _per_row(ts, len(rows))])
-            for p in (rates.h_profile, rates.psi_profile, rates.a_profile)
-        )
+        p_h, p_psi, p_a = (p.at(ts) for p in (rates.h_profile, rates.psi_profile, rates.a_profile))
         d = rows.shape[1]
         Y = self.model._b @ rows.T
-        a1_v = p_psi * Y[:d] + p_a * Y[d : 2 * d]
-        bdelta_v = p_h * Y[2 * d] + p_psi * Y[2 * d + 1]
+        a1_v = _scaled(p_psi, Y[:d]) + _scaled(p_a, Y[d : 2 * d])
+        bdelta_v = _scaled(p_h, Y[2 * d]) + _scaled(p_psi, Y[2 * d + 1])
         out = (a1_v + bdelta_v * rows.T).T
         return out[0] if np.ndim(V) == 1 else out
 

@@ -35,14 +35,8 @@ HALVING_TOL = 1e-10
 COCYCLE_TOL = 1e-8
 
 
-def _psi_vanishes(model: KimuraModel) -> bool:
-    """Whether psi is zero between distinct sites, the closed-form product's domain."""
-    off = ~np.eye(model.m, dtype=bool)
-    return not np.any(model.rates.psi_base[off] != 0.0)
-
-
 def _require_psi_zero(model: KimuraModel) -> None:
-    if not _psi_vanishes(model):
+    if np.any(model.rates.psi_base):
         raise OracleDomainError("closed-form product oracle requires psi identically zero")
 
 
@@ -200,12 +194,12 @@ def oracle_reference(
 ) -> tuple[str, np.ndarray]:
     """Independent reference trajectory on ``t_grid``, one row per time, and its name.
 
-    With psi zero between distinct sites it is the product solution
-    (``"poisson"``), validated against the reference integrator first;
-    otherwise the reference integrator itself (``"bruteforce"``).
+    With psi zero and a vacuous truncation (n_max >= m) it is the product
+    solution (``"poisson"``), validated against the reference integrator
+    first; otherwise the reference integrator itself (``"bruteforce"``).
     """
     t_end = float(t_grid[-1])
-    if _psi_vanishes(model):
+    if not np.any(model.rates.psi_base) and model.n_max >= model.m:
         rho0 = np.array([k0.value((i,)) for i in range(model.m)])
         validate_poisson_closure(model, rho0, t_end)
         return "poisson", _stack(poisson_oracle(model, rho0, t_grid))
@@ -322,8 +316,7 @@ def bound_verifier(
         a0_bound = (
             agg.h_sup / (math.e * b)
             + 4.0 * agg.psi_sup / (math.e * b) ** 2
-            + math.exp(lo) * agg.int_h_sup
-            + 0.5 * math.exp(2.0 * lo) * agg.int_psi_sup
+            + bdelta_constant(lo, agg)
         ) * k_norm_lo
         report.record("A0", idx, apply_A0(model, t, k).norm(hi), a0_bound)
 

@@ -90,6 +90,11 @@ MALFORMED = [
     ("stability", "family.alpha", 0.4, "family.alpha"),
     ("stability", "family.t_prime", -1, "family.t_prime"),
     ("solve", "window.beta", 0.2, "window.beta"),
+    ("oracle-compare", "run.compare_tol", -1, "run.compare_tol"),
+    ("oracle-compare", "run.compare_tol", 0, "run.compare_tol"),
+    # member n scales h by 1 + 2^-n, which must stay a finite double
+    ("stability", "family.n_values", [1, -1100], "family.n_values[1]"),
+    ("stability", "family.n_values", [1, 10**400], "family.n_values[1]"),
 ]
 
 
@@ -292,6 +297,22 @@ class TestSolve:
         )
         assert proc.returncode == 0, proc.stderr or "import banachscale.cli loaded scipy.integrate"
 
+    def test_unusable_out_exit_2_names_the_flag(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            assert run("solve", CONFIG_DIR / "desk-free.json", out) == 2
+            assert capsys.readouterr().err.startswith("cannot write output: --out: ")
+        assert taken.read_text() == ""
+
+    def test_iterate_leaving_the_ball_exit_5(self, tmp_path, capsys):
+        # with lambda > lambda0 the certificate guarantees the ball: a certified bound failed
+        cfg = json.loads((CONFIG_DIR / "desk-epistatic.json").read_text())
+        cfg["certificate_override"] = {"c2": 1e-9, "c3": 1e-9, "cx": 1e-9}
+        cfg["window"]["r"] = 0.01
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 5
+        assert capsys.readouterr().err.startswith("bound violation: ||u - x||_alpha = ")
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", tmp_path / "out") == 2
 
@@ -395,6 +416,16 @@ class TestOracleCompare:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["oracle"] == "poisson"
         assert summary["worst_relative_deviation"] <= 1e-6
+
+    def test_truncated_free_config_uses_bruteforce(self, tmp_path):
+        # psi = 0 but n_max < m: the product closure is not exact there
+        cfg = json.loads((CONFIG_DIR / "desk-free.json").read_text())
+        cfg["model"]["m"] = 4
+        out = tmp_path / "out"
+        assert run("oracle-compare", write_config(tmp_path, cfg), out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["oracle"] == "bruteforce"
+        assert summary["worst_relative_deviation"] <= 1e-12
 
     def test_epistatic_config_uses_bruteforce(self, tmp_path):
         out = tmp_path / "out"

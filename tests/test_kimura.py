@@ -102,6 +102,15 @@ class TestStructures:
         with pytest.raises(ModelValidationError):
             RateData(np.array([-0.1]), np.zeros((1, 1)), np.zeros(1))
 
+    def test_psi_diagonal_validated_then_zeroed(self):
+        psi = np.array([[0.7, 0.3], [0.3, 0.2]])
+        rates = RateData(np.zeros(2), psi, np.zeros(2))
+        assert np.array_equal(rates.psi_base, [[0.0, 0.3], [0.3, 0.0]])
+        assert psi[0, 0] == 0.7
+        for bad in (-0.1, math.inf, math.nan):
+            with pytest.raises(ModelValidationError, match="rate psi"):
+                RateData(np.zeros(2), np.array([[bad, 0.3], [0.3, 0.0]]), np.zeros(2))
+
     def test_n_max_floor(self):
         with pytest.raises(ModelValidationError):
             KimuraModel(DiscreteSpace.uniform(2), RateData.constant(2, 0, 0, 0), 1, WIN)
@@ -161,6 +170,21 @@ class TestTimeProfile:
             TimeProfile("sinusoidal", amp=1.0, freq=40.0).integral(1e308)
         # [0, T] holds a full period, wherever the phase ends
         assert TimeProfile("sinusoidal", amp=0.5, freq=-40.0).sup(1e308) == 1.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles, st.integers(1, 3), st.integers(0, 4), st.data())
+    def test_at_is_value_per_element_bit_for_bit(self, profile, rows, cols, data):
+        t = np.array(
+            data.draw(st.lists(st.floats(-10.0, 10.0), min_size=rows * cols, max_size=rows * cols))
+        ).reshape(rows, cols)
+        got, scalar = profile.at(t), profile.at(float(rows))
+        if profile.is_constant:
+            assert got is None and scalar is None
+            return
+        want = np.array([[profile.value(x) for x in row] for row in t.tolist()]).reshape(t.shape)
+        assert got.shape == t.shape and got.tobytes() == want.tobytes()
+        assert profile.at(t[0]).tobytes() == want[0].tobytes()
+        assert scalar == profile.value(float(rows))
 
 
 class TestSelectionCost:
@@ -568,6 +592,21 @@ class TestWorkCount:
         _, rep = solve(epistatic_model, epistatic_k0, n_steps=40)
         assert rep.iterations >= 2
         assert calls == {"evolution_u": 0, "grid_steps": 1, "expm_increment": 2}
+
+    def test_constant_profiles_make_no_profile_calls_in_b(self, epistatic_model, monkeypatch):
+        calls = []
+        value = TimeProfile.value
+
+        def counted(profile, t):
+            calls.append(t)
+            return value(profile, t)
+
+        monkeypatch.setattr(TimeProfile, "value", counted)
+        pert = KimuraPerturbation(epistatic_model)
+        V = np.random.default_rng(5).uniform(-1.0, 1.0, (4, epistatic_model.dim))
+        pert.apply(V, np.linspace(0.0, 1.0, 4))
+        pert.apply(V[0], 0.3)
+        assert calls == []
 
     def test_time_varying_solve_never_forms_a0_matrix(self, monkeypatch):
         # certificate, RK4 steps and batched B all work on the stacked components
