@@ -213,11 +213,16 @@ def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
         rho = _as_array(block["rho"], "initial.rho")
         if rho.shape != (model.m,):
             raise _fail("initial.rho", f"expected {model.m} densities, got shape {rho.shape}")
-        if np.any(rho < 0):
-            raise _fail("initial.rho", "densities must be nonnegative")
+        if not np.all(np.isfinite(rho) & (rho >= 0)):
+            raise _fail("initial.rho", "densities must be finite and nonnegative")
     else:
         raise _fail("initial", "need 'poisson_z' or 'rho'")
-    return CorrelationHierarchy.poisson(model.m, model.n_max, rho)
+    with np.errstate(over="ignore"):
+        k0 = CorrelationHierarchy.poisson(model.m, model.n_max, rho)
+    if not np.all(np.isfinite(k0.to_vector())):
+        path = "initial.poisson_z" if "poisson_z" in block else "initial.rho"
+        raise _fail(path, "a product of densities overflows a double")
+    return k0
 
 
 def parse_solver_opts(cfg: dict) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 
 import numpy as np
 from scipy import sparse
@@ -487,11 +487,14 @@ def evolution_u(
 
     ``V`` is a matrix with one vector per row and ``t``, ``s`` hold one
     interval per row (a scalar applies to every row); one vector is the
-    one-row case.  Each row doubles its own substep count until its
-    step-halving comparison is below EVOLUTION_TOL per unit time and returns
-    the finer result, so every row is bit for bit what it would be if
-    propagated alone.  A row with t = s is an exact copy; a row with t < s
-    raises :class:`DomainError`.
+    one-row case.  All rows of one RK4 run take the same number of substeps,
+    each over its own interval; each row returns the finer result of the
+    first pair of runs whose step-halving comparison is below its own
+    tolerance, EVOLUTION_TOL per unit time.  A row depends on the other rows
+    only through the longest span, which sets the first substep count:
+    permuting rows permutes the result, and a batched row agrees with its
+    one-row call to the tolerance, not bit for bit.  A row with t = s is an
+    exact copy; a row with t < s raises :class:`DomainError`.
     """
     v0 = np.asarray(V, dtype=float)
     V0 = np.atleast_2d(v0)
@@ -512,90 +515,56 @@ def evolution_u(
 def _rk4_doubling(
     model: KimuraModel, s: np.ndarray, span: np.ndarray, V0: np.ndarray
 ) -> np.ndarray:
-    """Rows of V0 propagated over [s, s + span], span > 0, each with its own doubling loop.
+    """Rows of V0 propagated over [s, s + span], span > 0, by step doubling.
 
-    The first coarse and fine runs of every row share one call; later calls
-    carry only the rows whose halving comparison is still above tolerance.
+    Every run steps all its rows n times, row i with substep span[i] / n; the
+    first run takes n from the longest span, and each later run doubles n and
+    carries only the rows whose halving comparison is still above tolerance.
     """
-    if span.max() > MAX_SPAN:
+    longest = span.max()
+    if longest > MAX_SPAN:
         raise DomainError(
-            f"an interval of length {span.max()} is longer than the propagator's limit {MAX_SPAN}"
+            f"an interval of length {longest} is longer than the propagator's limit {MAX_SPAN}"
         )
-    n = np.maximum(1.0, np.ceil(span / _FIRST_SUBSTEP)).astype(np.int64)
+    n = max(1, math.ceil(longest / _FIRST_SUBSTEP))
     # round-off floor: halving comparisons cannot resolve below a few ulps
     scale = np.maximum(1.0, np.max(np.abs(V0), axis=1))
     tol = EVOLUTION_TOL * span * scale + 64.0 * np.finfo(float).eps * scale
-    twice = (np.concatenate([a, a]) for a in (s, span, V0))
-    both = _rk4_rows(model, *twice, np.concatenate([2 * n, n]))
-    fine, coarse = both[: len(n)], both[len(n) :]
+    coarse = _rk4(model, s, span / n, V0, n)
     out = np.empty_like(V0)
-    active = np.arange(len(n))
+    active = np.arange(len(span))
     while True:
+        fine = _rk4(model, s[active], span[active] / (2 * n), V0[active], 2 * n)
         done = np.max(np.abs(fine - coarse), axis=1) <= tol[active]
         out[active[done]] = fine[done]
         keep = ~done
-        active, coarse, n = active[keep], fine[keep], 2 * n[keep]
+        active, coarse, n = active[keep], fine[keep], 2 * n
         if not active.size:
             return out
-        if n.max() > _MAX_SUBSTEPS:
+        if n > _MAX_SUBSTEPS:
             raise DomainError("evolution integrator failed to reach tolerance")
-        fine = _rk4_rows(model, s[active], span[active], V0[active], 2 * n)
 
 
-#: RK4 steps whose stage times and profile values are tabulated at once
-_TIME_BLOCK = 64
+def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: int) -> np.ndarray:
+    """Classical RK4: row i of V0 takes n steps of h[i] from s[i].
 
-
-def _rk4_rows(
-    model: KimuraModel, s: np.ndarray, span: np.ndarray, V0: np.ndarray, n: np.ndarray
-) -> np.ndarray:
-    """Classical RK4: row i takes n[i] steps of span[i] / n[i] from s[i].
-
-    Rows are sorted by step count, most first, so the rows still stepping
-    are a prefix; the loop runs in segments between distinct counts and
-    drops finished rows from the tail.  Step times accumulate sequentially
-    (tau += h, as one step after another would), and the profile values of
-    a block of steps are taken at once.  The state holds one column per row,
-    so a stage is one sparse product on a contiguous block.  Stages hold
-    A0 v rather than -A0 v: negation is exact, so v - c (A0 v) rounds as
-    v + c (-A0 v).
+    Stage times are s + k h.  The state holds one column per row, so a stage
+    is one sparse product on a contiguous block.  Stages hold A0 v rather
+    than -A0 v: negation is exact, so v - c (A0 v) rounds as v + c (-A0 v).
     """
-    order = np.argsort(-n, kind="stable")
-    n = n[order]
-    h = span[order] / n
     half, sixth = 0.5 * h, h / 6.0
-    x = V0[order].T.copy()
-    out = np.empty_like(V0)
-    tau = s[order]
-    steps, rows = 0, len(n)
-    while rows:
-        last = int(n[rows - 1])
-        while steps < last:
-            # at most _TIME_BLOCK steps of times at once: memory stays per row
-            block = min(last - steps, _TIME_BLOCK)
-            times = np.empty((block + 1, rows))
-            times[0], times[1:] = tau, h
-            ends = np.add.accumulate(times, axis=0)
-            mids = ends[:-1] + half
-            f_ends, f_mids = (_per_step(model.a0_factors(ts), len(ts)) for ts in (ends, mids))
-            for i in range(block):
-                f, f_mid, f_end = f_ends[i], f_mids[i], f_ends[i + 1]
-                k1 = model.a0_dot(ends[i], x.T, f).T
-                k2 = model.a0_dot(mids[i], (x - half * k1).T, f_mid).T
-                k3 = model.a0_dot(mids[i], (x - half * k2).T, f_mid).T
-                k4 = model.a0_dot(ends[i + 1], (x - h * k3).T, f_end).T
-                x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            steps, tau = steps + block, ends[-1]
-        done = int(np.count_nonzero(n[:rows] == last))
-        out[order[rows - done : rows]] = x[:, rows - done :].T
-        rows -= done
-        x, tau, h, half, sixth = x[:, :rows], tau[:rows], h[:rows], half[:rows], sixth[:rows]
-    return out
-
-
-def _per_step(factors: tuple, steps: int) -> list[tuple]:
-    """Profile values with one row per step as one (p_h, p_psi) tuple per step."""
-    return list(zip(*(repeat(None, steps) if p is None else p for p in factors)))
+    x = V0.T.copy()
+    tau, f = s, model.a0_factors(s)
+    for k in range(n):
+        mid, end = s + (k + 0.5) * h, s + (k + 1) * h
+        f_mid, f_end = model.a0_factors(mid), model.a0_factors(end)
+        k1 = model.a0_dot(tau, x.T, f).T
+        k2 = model.a0_dot(mid, (x - half * k1).T, f_mid).T
+        k3 = model.a0_dot(mid, (x - half * k2).T, f_mid).T
+        k4 = model.a0_dot(end, (x - h * k3).T, f_end).T
+        x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau, f = end, f_end
+    return x.T
 
 
 def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
@@ -744,15 +713,23 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
         + math.exp(-win.alpha_star) * agg.a_sup
     ) / math.e
     c2 = a1_sup + cb_top * (win.alpha_top - win.alpha_star) * ball + cb_top * ball
-    c3 = (
-        a1_part_constant(win.alpha_star, agg) * x_norm
-        + cb_top * (win.alpha_top - win.alpha_star) * x_norm**2
-    )
+    try:
+        c3 = (
+            a1_part_constant(win.alpha_star, agg) * x_norm
+            + cb_top * (win.alpha_top - win.alpha_star) * x_norm**2
+        )
+    except OverflowError:
+        c3 = math.inf
     # |A0(t) k0| <= sup p_h |A0_h k0| + sup p_psi |A0_psi k0| entrywise on [0, T]
     a0_h_k0, a0_psi_k0 = np.abs(model._a0 @ k0.to_vector()).reshape(2, -1)
     rates = model.rates
     a0k0_sup = rates.h_profile.sup(win.T) * a0_h_k0 + rates.psi_profile.sup(win.T) * a0_psi_k0
     cx = c1 * model.hierarchy_norm(a0k0_sup, win.alpha0)
+    if not all(map(math.isfinite, (c2, c3, cx))):
+        raise ModelValidationError(
+            f"initial: the initial hierarchy, of norm {x_norm} at alpha_star, makes "
+            f"c2 = {c2}, c3 = {c3}, cx = {cx}, not all finite: lower the initial densities"
+        )
     return OvcyannikovConstants(
         c1=c1, beta=0.0, c2=float(c2), c3=float(c3), cx=cx, x_norm=float(x_norm)
     )
@@ -765,8 +742,8 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
 class KimuraEvolution(EvolutionSystem):
     """Evolution system generated by -A0 on the flattened hierarchy.
 
-    Propagations integrate with step-doubling RK4, a batch of independent
-    intervals in one call (:func:`evolution_u`).
+    Propagations integrate with step-doubling RK4, a batch of intervals in
+    one call whose runs share one substep count (:func:`evolution_u`).
     A0 involves h and psi only; with constant profiles for both,
     U(t,s) = exp(-(t-s) A0) is a semigroup, so the grid steps of the Picard
     engine are two precomputed sparse increments.

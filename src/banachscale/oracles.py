@@ -217,7 +217,8 @@ class BoundReport:
 
     A bound that is attained exactly (Bdelta on one site) can read a ratio one
     ulp above 1, so only ratios above the round-off allowance ROUNDOFF count
-    as violations; ``worst`` keeps the unrounded ratios.
+    as violations; ``worst`` keeps the unrounded ratios.  A NaN observation or
+    bound gives a NaN ratio, which is a violation and, once seen, the worst.
     """
 
     seed: int
@@ -226,10 +227,10 @@ class BoundReport:
     violations: list[tuple[str, int, float]] = field(default_factory=list)
 
     def record(self, name: str, index: int, observed: float, bound: float) -> None:
-        ratio = observed / bound if bound > 0 else (0.0 if observed == 0.0 else math.inf)
-        if ratio > self.worst.get(name, 0.0):
+        ratio = observed / bound if not bound <= 0 else (0.0 if observed == 0.0 else math.inf)
+        if math.isnan(ratio) or ratio > self.worst.get(name, 0.0):
             self.worst[name] = ratio
-        if ratio > ROUNDOFF:
+        if not ratio <= ROUNDOFF:
             self.violations.append((name, index, ratio))
 
     @property

@@ -88,10 +88,11 @@ class OvcyannikovConstants:
     def __post_init__(self):
         if not self.c1 > 0:
             raise DomainError("c1 must be strictly positive")
-        if self.c2 < 0 or self.c3 < 0:
+        # "not >= 0" also rejects NaN
+        if not (self.c2 >= 0 and self.c3 >= 0):
             # zero is allowed: a vanishing perturbation is a legitimate model
             raise DomainError("c2 and c3 must be nonnegative")
-        if self.cx < 0 or self.x_norm < 0:
+        if not (self.cx >= 0 and self.x_norm >= 0):
             raise DomainError("cx and x_norm must be nonnegative")
         if not (0.0 <= self.beta < 0.5):
             raise DomainError(f"beta must lie in [0, 1/2), got {self.beta}")

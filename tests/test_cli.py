@@ -95,6 +95,15 @@ MALFORMED = [
     # member n scales h by 1 + 2^-n, which must stay a finite double
     ("stability", "family.n_values", [1, -1100], "family.n_values[1]"),
     ("stability", "family.n_values", [1, 10**400], "family.n_values[1]"),
+    # initial data that is not finite, or whose hierarchy or certificate overflows
+    ("solve", "initial", {"rho": [float("nan"), 0.5, 0.5]}, "initial.rho"),
+    ("verify", "initial", {"rho": [float("nan"), 0.5, 0.5]}, "initial.rho"),
+    ("solve", "initial", {"rho": [float("inf"), 0.5, 0.5]}, "initial.rho"),
+    ("verify", "initial", {"rho": [float("inf"), 0.5, 0.5]}, "initial.rho"),
+    ("solve", "initial.poisson_z", 1e300, "initial.poisson_z"),
+    ("verify", "initial.poisson_z", 1e300, "initial.poisson_z"),
+    ("solve", "initial", {"rho": [1e200, 0.5, 0.5]}, "initial"),
+    ("verify", "initial", {"rho": [1e200, 0.5, 0.5]}, "initial"),
 ]
 
 

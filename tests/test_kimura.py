@@ -354,21 +354,38 @@ class TestEvolution:
 SPANS = st.sampled_from([0.0, 1e-9, 1e-5, 1e-3, 0.04, 0.3, 1.0])
 
 
+@st.composite
+def batches(draw, model):
+    """1-6 rows of random vectors, each with its own start in [0, 1] and span."""
+    rows = draw(st.integers(1, 6))
+    s = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
+    t = s + np.array(draw(st.lists(SPANS, min_size=rows, max_size=rows)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return t, s, np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, model.dim))
+
+
 class TestBatchedEvolution:
-    """evolution_u with one interval per row is the stacked one-row calls."""
+    """evolution_u with one interval per row: rows meet only in the substep count."""
 
     @settings(max_examples=30, deadline=None)
     @given(rate_models(), st.data())
-    def test_rows_equal_single_calls_bit_for_bit(self, model, data):
-        rows = data.draw(st.integers(1, 6))
-        s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
-        t = s + np.array(data.draw(st.lists(SPANS, min_size=rows, max_size=rows)))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        V = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, model.dim))
-        single = np.array([evolution_u(model, a, b, v) for a, b, v in zip(t, s, V)])
-        assert np.array_equal(evolution_u(model, t, s, V), single)
+    def test_permuting_rows_permutes_the_result(self, model, data):
+        t, s, V = data.draw(batches(model))
+        perm = np.array(data.draw(st.permutations(range(len(V)))))
+        out = evolution_u(model, t, s, V)
+        assert np.array_equal(evolution_u(model, t[perm], s[perm], V[perm]), out[perm])
         # the solver-facing apply agrees too
-        assert np.array_equal(KimuraEvolution(model).apply(t, s, V), single)
+        assert np.array_equal(KimuraEvolution(model).apply(t, s, V), out)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rate_models(), st.data())
+    def test_dropping_rows_keeps_the_rest_while_the_longest_span_stays(self, model, data):
+        t, s, V = data.draw(batches(model))
+        longest = int(np.argmax(t - s))
+        kept = data.draw(st.sets(st.integers(0, len(V) - 1)))
+        keep = sorted(kept | {longest})
+        out = evolution_u(model, t, s, V)
+        assert np.array_equal(evolution_u(model, t[keep], s[keep], V[keep]), out[keep])
 
     def test_equal_times_rows_are_exact_copies(self, epistatic_model):
         V = np.random.default_rng(9).uniform(-1.0, 1.0, (3, epistatic_model.dim))
@@ -389,7 +406,11 @@ class TestBatchedEvolution:
         rng = np.random.default_rng(12)
         s, t = np.sort(rng.uniform(0.0, 1.0, (2, 8)), axis=0)
         t[0] = s[0] + 1e-6
-        V = rng.uniform(-1.0, 1.0, (8, model.dim))
+        # one batch of spans from none to a whole window: short rows share the
+        # substep count of the longest
+        s = np.concatenate([s, rng.uniform(0.0, 1.0, 6)])
+        t = np.concatenate([t, s[8:] + [0.0, 1e-9, 1e-3, 0.04, 0.3, 1.0]])
+        V = rng.uniform(-1.0, 1.0, (len(s), model.dim))
         out = evolution_u(model, t, s, V)
         for row, a, b, v in zip(out, t, s, V):
             exact = expm_multiply(-(a - b) * a0, v)

@@ -12,6 +12,7 @@ from banachscale.kimura import (
     apply_ldelta,
 )
 from banachscale.oracles import (
+    BoundReport,
     bound_verifier,
     bruteforce_oracle,
     evolution_law_check,
@@ -159,6 +160,18 @@ class TestBoundVerifier:
         rep = bound_verifier(epistatic_model, epistatic_k0, 100, 42, consts=bad)
         names = {name for name, _, _ in rep.violations}
         assert "B2" in names
+
+
+class TestBoundReport:
+    @pytest.mark.parametrize("observed, bound", [(math.nan, 1.0), (0.5, math.nan)])
+    def test_nan_ratio_is_a_violation_and_the_worst(self, observed, bound):
+        rep = BoundReport(seed=0, samples=3)
+        rep.record("A1", 0, 0.5, 1.0)
+        rep.record("A1", 1, observed, bound)
+        rep.record("A1", 2, 0.9, 1.0)
+        assert math.isnan(rep.worst["A1"])
+        assert rep.failed == ["A1"] and rep.violations[0][1] == 1
+        assert not rep.clean
 
 
 class TestEvolutionLaws:

@@ -72,6 +72,11 @@ class TestOvcyannikovConstants:
         with pytest.raises(DomainError):
             unit_consts(cx=-0.1)
 
+    @pytest.mark.parametrize("name", ["c2", "c3", "cx", "x_norm"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(DomainError):
+            unit_consts(**{name: math.nan})
+
 
 class TestLambda0:
     def test_reference_value(self):
