@@ -438,16 +438,16 @@ def run_verify(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, in
             f"longer than the propagator accepts ({MAX_SPAN})",
         )
     report = bound_verifier(problem.model, problem.k0, samples, seed, consts=problem.consts)
-    law = evolution_law_check(problem.model, min(samples, 100), seed)
+    law = evolution_law_check(problem.model, problem.consts, samples, seed)
     failed = report.failed + law.failed
     if failed:
         print("bound violation: " + ", ".join(failed), file=sys.stderr)
     return problem, {
         "samples": samples,
-        "worst_ratios": dict(sorted(report.worst.items())),
+        "worst_ratios": dict(sorted({**report.worst, **law.bounds.worst}.items())),
         "violations": [
             {"inequality": name, "sample": idx, "ratio": ratio}
-            for name, idx, ratio in report.violations
+            for name, idx, ratio in report.violations + law.bounds.violations
         ],
         "evolution_identity_exact": law.identity_exact,
         "evolution_cocycle_worst": law.cocycle_worst,

@@ -455,7 +455,7 @@ def apply_A1(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Correlati
 
 def bdelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> float:
     """Scalar multiplier: weighted level-1 h-sum plus weighted level-2 psi-sum."""
-    return _raising_sum(model, t, k, ())
+    return float(_raising_sum(model, t, k, ()))
 
 
 def apply_ldelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> CorrelationHierarchy:
@@ -472,12 +472,12 @@ def apply_ldelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Corre
 #: step-halving tolerance of the propagator, per unit time
 EVOLUTION_TOL = 1e-10
 
-#: most RK4 substeps one propagation may take, and the length of its first substep
-_MAX_SUBSTEPS = 2**20
+#: most RK4 steps one propagation may take over all its runs, and the length of its first substep
+_MAX_STEPS = 2**16
 _FIRST_SUBSTEP = 0.05
 
-#: longest interval the propagator accepts
-MAX_SPAN = _MAX_SUBSTEPS * _FIRST_SUBSTEP
+#: longest interval the propagator accepts: its first coarse and fine runs fit in _MAX_STEPS
+MAX_SPAN = _MAX_STEPS // 3 * _FIRST_SUBSTEP
 
 
 def evolution_u(
@@ -520,6 +520,7 @@ def _rk4_doubling(
     Every run steps all its rows n times, row i with substep span[i] / n; the
     first run takes n from the longest span, and each later run doubles n and
     carries only the rows whose halving comparison is still above tolerance.
+    A run that would take the RK4 steps of all runs past _MAX_STEPS raises.
     """
     longest = span.max()
     if longest > MAX_SPAN:
@@ -531,9 +532,15 @@ def _rk4_doubling(
     scale = np.maximum(1.0, np.max(np.abs(V0), axis=1))
     tol = EVOLUTION_TOL * span * scale + 64.0 * np.finfo(float).eps * scale
     coarse = _rk4(model, s, span / n, V0, n)
+    steps = n
     out = np.empty_like(V0)
     active = np.arange(len(span))
     while True:
+        steps += 2 * n
+        if steps > _MAX_STEPS:
+            raise DomainError(
+                f"an interval of length {longest} needs more than {_MAX_STEPS} RK4 steps"
+            )
         fine = _rk4(model, s[active], span[active] / (2 * n), V0[active], 2 * n)
         done = np.max(np.abs(fine - coarse), axis=1) <= tol[active]
         out[active[done]] = fine[done]
@@ -541,8 +548,6 @@ def _rk4_doubling(
         active, coarse, n = active[keep], fine[keep], 2 * n
         if not active.size:
             return out
-        if n > _MAX_SUBSTEPS:
-            raise DomainError("evolution integrator failed to reach tolerance")
 
 
 def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .kimura import (
     model_constants,
     rate_aggregates,
 )
-from .scalecore import ROUNDOFF, OvcyannikovConstants
+from .scalecore import ROUNDOFF, OvcyannikovConstants, ScaleWindow
 
 #: step-halving deviation above which the reference integrator warns of stiffness
 HALVING_TOL = 1e-10
@@ -226,6 +226,10 @@ class BoundReport:
     worst: dict[str, float] = field(default_factory=dict)
     violations: list[tuple[str, int, float]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise DomainError("samples must be >= 1")
+
     def record(self, name: str, index: int, observed: float, bound: float) -> None:
         ratio = observed / bound if not bound <= 0 else (0.0 if observed == 0.0 else math.inf)
         if math.isnan(ratio) or ratio > self.worst.get(name, 0.0):
@@ -254,6 +258,13 @@ def _random_hierarchy(
     return CorrelationHierarchy(m, n_max, levels)
 
 
+def _scale_pair(rng: np.random.Generator, win: ScaleWindow) -> tuple[float, float]:
+    """Scales alpha' < alpha drawn from the window, as Python floats; a pair closer
+    than 1e-9 is widened to 1e-3, capped at alpha_top."""
+    lo, hi = sorted(rng.uniform(win.alpha_star, win.alpha_top, 2).tolist())
+    return lo, (hi if hi - lo >= 1e-9 else min(win.alpha_top, lo + 1e-3))
+
+
 def bound_verifier(
     model: KimuraModel,
     k0: CorrelationHierarchy,
@@ -261,43 +272,34 @@ def bound_verifier(
     seed: int,
     consts: OvcyannikovConstants | None = None,
 ) -> BoundReport:
-    """Check every operator inequality on seeded random data.
+    """Check every operator and perturbation inequality on seeded random data.
 
-    Covers the three hierarchy-operator bounds (with the corrected
+    Covers the hierarchy-operator bounds A0, A1 and Bdelta (with the corrected
     x^2 e^(-bx) <= 4/(e b)^2 envelope for the quadratic part of the selection
-    cost), the perturbation Lipschitz bound with c2, the initial-datum bound
-    with c3, and the propagator bounds with c1 and the growth integral.
+    cost), the perturbation Lipschitz bound B2 with c2 and the initial-datum
+    bound B3 with c3; :func:`evolution_law_check` checks the propagator's.
     ``consts`` may be injected to audit an externally supplied certificate.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    report = BoundReport(seed=seed, samples=samples)
     win = model.window
     if consts is None:
         consts = model_constants(model, k0)
     agg = rate_aggregates(model)
     rng = np.random.default_rng(seed)
-    report = BoundReport(seed=seed, samples=samples)
     x_vec = k0.to_vector()
     r_ball = win.r if math.isfinite(win.r) else 1.0
 
-    # draw every sample in the seeded order, propagate them and evaluate B on
-    # them all at once, then record sample by sample so violations keep their
-    # order
+    # draw every sample in seeded order, evaluate B on all at once, record in sample order
     draws = []
     for _ in range(samples):
-        lo, hi = np.sort(rng.uniform(win.alpha_star, win.alpha_top, 2))
-        if hi - lo < 1e-9:
-            hi = min(win.alpha_top, lo + 1e-3)
+        lo, hi = _scale_pair(rng, win)
         t = float(rng.uniform(0.0, win.T))
         k = _random_hierarchy(rng, model.m, model.n_max, lo)
         d1 = _random_hierarchy(rng, model.m, model.n_max, lo, rng.uniform(0, r_ball))
         d2 = _random_hierarchy(rng, model.m, model.n_max, lo, rng.uniform(0, r_ball))
         alpha_b3 = float(rng.uniform(win.alpha_star + 1e-3, win.alpha_top))
-        s_ev, t_ev = np.sort(rng.uniform(0.0, win.T, 2))
-        draws.append((lo, hi, t, k, d1, d2, alpha_b3, s_ev, t_ev))
-    _, _, ts, ks, d1s, d2s, _, s_evs, t_evs = zip(*draws)
-    V = np.array([k.to_vector() for k in ks])
-    propagated = evolution_u(model, np.array(t_evs), np.array(s_evs), V)
+        draws.append((lo, hi, t, k, d1, d2, alpha_b3))
+    _, _, ts, _, d1s, d2s, _ = zip(*draws)
     # per sample the B2 pair x + d1, x + d2, then the B3 datum x, at its time t
     b_args = np.array([
         [x_vec + d1.to_vector(), x_vec + d2.to_vector(), x_vec] for d1, d2 in zip(d1s, d2s)
@@ -306,10 +308,8 @@ def bound_verifier(
         b_args.reshape(3 * samples, -1), np.repeat(ts, 3)
     ).reshape(b_args.shape)
 
-    for idx, (draw, v, (k1, k2, _), (b1, b2, b3)) in enumerate(
-        zip(draws, propagated, b_args, b_vals)
-    ):
-        lo, hi, t, k, _, _, alpha_b3, s_ev, t_ev = draw
+    for idx, (draw, (k1, k2, _), (b1, b2, b3)) in enumerate(zip(draws, b_args, b_vals)):
+        lo, hi, t, k, _, _, alpha_b3 = draw
         b = hi - lo
         k_norm_lo = k.norm(lo)
 
@@ -338,62 +338,62 @@ def bound_verifier(
         report.record(
             "B3", idx, model.hierarchy_norm(b3, alpha_b3), consts.c3 / (alpha_b3 - win.alpha_star)
         )
-
-        # propagator: uniform bound and growth integral
-        report.record("A2", idx, model.hierarchy_norm(v, hi), consts.c1 * k_norm_lo)
-        growth = math.exp(kappa_integral(model, s_ev, t_ev, hi))
-        report.record("growth", idx, model.hierarchy_norm(v, hi), growth * k.norm(hi))
     return report
 
 
 @dataclass
 class EvolutionLawReport:
+    """U on one sample set: exact identity, worst cocycle deviation, A2 and growth bounds."""
+
     identity_exact: bool
     cocycle_worst: float
-    growth_violations: int
-    samples: int
+    bounds: BoundReport
+
+    @property
+    def growth_violations(self) -> int:
+        return sum(name == "growth" for name, _, _ in self.bounds.violations)
 
     @property
     def failed(self) -> list[str]:
-        """Names of the laws that fail, in the order identity, cocycle, growth.
+        """Names of the laws that fail: identity, cocycle, then the violated bounds, sorted.
 
         A cocycle deviation fails unless it is at most COCYCLE_TOL, so NaN fails.
         """
-        checks = (
-            ("evolution-identity", self.identity_exact),
-            ("evolution-cocycle", self.cocycle_worst <= COCYCLE_TOL),
-            ("evolution-growth", self.growth_violations == 0),
-        )
-        return [name for name, holds in checks if not holds]
+        failed = [] if self.identity_exact else ["evolution-identity"]
+        if not self.cocycle_worst <= COCYCLE_TOL:
+            failed.append("evolution-cocycle")
+        return failed + self.bounds.failed
 
 
-def evolution_law_check(model: KimuraModel, samples: int, seed: int) -> EvolutionLawReport:
-    """Identity, cocycle and growth-bound checks on seeded samples."""
+def evolution_law_check(
+    model: KimuraModel, consts: OvcyannikovConstants, samples: int, seed: int
+) -> EvolutionLawReport:
+    """Identity, cocycle, A2 and growth laws of U on one seeded sample set.
+
+    Each sample draws scales alpha' < alpha, k at alpha' and times s < r < t:
+    ||U(t,s) k||_alpha is bounded by c1 ||k||_alpha' (A2) and by
+    exp(int_s^t kappa(alpha)) ||k||_alpha (growth), and U(t,s) k is compared
+    with U(t,r) U(r,s) k (cocycle).
+    """
+    bounds = BoundReport(seed=seed, samples=samples)
     rng = np.random.default_rng(seed)
-    win = model.window
-    alphas, ks, times = [], [], []
+    draws = []
     for _ in range(samples):
-        alphas.append(float(rng.uniform(win.alpha_star, win.alpha_top)))
-        ks.append(_random_hierarchy(rng, model.m, model.n_max, alphas[-1]))
-        times.append(np.sort(rng.uniform(0.0, win.T, 3)))
-    V = np.array([k.to_vector() for k in ks]).reshape(samples, model.dim)
-    s, r_mid, t = np.array(times).reshape(samples, 3).T
+        lo, hi = _scale_pair(rng, model.window)
+        k = _random_hierarchy(rng, model.m, model.n_max, lo)
+        draws.append((lo, hi, k, np.sort(rng.uniform(0.0, model.window.T, 3))))
+    V = np.array([k.to_vector() for _, _, k, _ in draws])
+    s, r_mid, t = np.array([times for *_, times in draws]).T
     # one batched propagation per phase: identity, direct, then r <- s and t <- r
     identity_exact = bool(np.array_equal(evolution_u(model, t, t, V), V))
     direct = evolution_u(model, t, s, V)
     chained = evolution_u(model, t, r_mid, evolution_u(model, r_mid, s, V))
-    cocycle_worst = float(
-        np.max(model.hierarchy_norm(direct - chained, win.alpha_top), initial=0.0)
-    )
-    growth_violations = 0
-    for alpha, k, v, s_i, t_i in zip(alphas, ks, direct, s, t):
-        bound = math.exp(kappa_integral(model, s_i, t_i, alpha)) * k.norm(alpha)
-        if model.hierarchy_norm(v, alpha) > bound * ROUNDOFF:
-            growth_violations += 1
+    cocycle_worst = float(np.max(model.hierarchy_norm(direct - chained, model.window.alpha_top)))
+    for idx, ((lo, hi, k, (s_i, _, t_i)), v) in enumerate(zip(draws, direct)):
+        uk = model.hierarchy_norm(v, hi)
+        bounds.record("A2", idx, uk, consts.c1 * k.norm(lo))
+        bounds.record("growth", idx, uk, math.exp(kappa_integral(model, s_i, t_i, hi)) * k.norm(hi))
     if cocycle_worst > COCYCLE_TOL:
-        warnings.warn(
-            f"cocycle deviation {cocycle_worst:.3e} exceeds {COCYCLE_TOL:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return EvolutionLawReport(identity_exact, cocycle_worst, growth_violations, samples)
+        msg = f"cocycle deviation {cocycle_worst:.3e} exceeds {COCYCLE_TOL:.1e}"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    return EvolutionLawReport(identity_exact, cocycle_worst, bounds)

@@ -140,10 +140,10 @@ def test_criterion_6_normalization(solved):
 
 def test_criterion_7_evolution_system_laws(solved):
     sc = solved["desk-epistatic"]
-    law = evolution_law_check(sc.model, 100, 42)
-    ok = law.identity_exact and law.cocycle_worst <= 1e-8 and law.growth_violations == 0
+    law = evolution_law_check(sc.model, sc.consts, 100, 42)
+    ok = law.identity_exact and law.cocycle_worst <= 1e-8 and law.bounds.clean
     report(7, ok, f"identity exact, cocycle deviation {law.cocycle_worst:.2e} <= 1e-8, "
-                  f"growth bound violations {law.growth_violations}/100")
+                  f"A2 and growth bound violations {len(law.bounds.violations)}/100")
 
 
 def test_criterion_8_bound_verifier(solved):

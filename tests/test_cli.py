@@ -395,7 +395,7 @@ class TestVerify:
         summary = json.loads((out / "summary.json").read_text())
         assert any(v["inequality"] == "B2" for v in summary["violations"])
 
-    @pytest.mark.parametrize("T", [1e5, 1e300, 1e308])
+    @pytest.mark.parametrize("T", [5e4, 1e5, 1e300, 1e308])
     def test_horizon_beyond_propagator_limit_exit_2(self, tmp_path, capsys, T):
         # solve certifies and solves this window; verify would sample intervals
         # longer than the propagator accepts

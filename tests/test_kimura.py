@@ -327,6 +327,25 @@ class TestEvolution:
         with pytest.raises(DomainError):
             evolution_u(epistatic_model, 0.1, 0.5, epistatic_k0.to_vector())
 
+    def test_step_budget_refuses_an_unresolvable_profile(self, shipped_configs, monkeypatch):
+        # p_h falls from 1 to 0 inside the first substep, so step doubling never
+        # reaches tolerance: the propagation stops before its RK4 steps pass the cap
+        cfg = json.loads(json.dumps(shipped_configs["desk-epistatic"]))
+        cfg["model"]["rates"]["h_profile"] = {"kind": "exp_decay", "rate": 1e308}
+        model = cli.parse_model(cfg, cli.parse_window(cfg))
+        steps = []
+        rk4 = kimura._rk4
+
+        def counted(model, s, h, V0, n):
+            steps.append(n)
+            return rk4(model, s, h, V0, n)
+
+        monkeypatch.setattr(kimura, "_MAX_STEPS", 2**10)
+        monkeypatch.setattr(kimura, "_rk4", counted)
+        with pytest.raises(DomainError, match="length 1.0 needs more than 1024 RK4 steps"):
+            evolution_u(model, 1.0, 0.0, cli.parse_initial(cfg, model).to_vector())
+        assert steps and sum(steps) <= 2**10
+
     def test_single_site_triangular_closed_form(self):
         # h=1, w=1, psi=0: level 1 decays as e^{-(t-s)}; level 0 integrates
         # -w * level1, so v0(t) = v0(s) - k1 (1 - e^{-(t-s)})
@@ -679,7 +698,8 @@ class TestWorkCount:
         assert counts[0] == counts[1]
 
     def test_verify_propagates_once_per_phase(self, shipped_configs, tmp_path, monkeypatch):
-        # bound_verifier needs one batched propagation, evolution_law_check four
+        # evolution_law_check propagates every sample once per phase (identity,
+        # direct, r <- s, t <- r); bound_verifier propagates nothing
         from banachscale import oracles
 
         calls = []
@@ -690,12 +710,13 @@ class TestWorkCount:
             return propagate(model, t, s, k)
 
         monkeypatch.setattr(oracles, "evolution_u", counted)
-        cfg = dict(shipped_configs["desk-smooth"], run={"samples": 20})
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(cfg))
-        assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
-        assert len(calls) <= 5
-        assert all(shape[0] == 20 for shape in calls)
+        for samples in (20, 120):
+            calls.clear()
+            cfg = dict(shipped_configs["desk-smooth"], run={"samples": samples})
+            config.write_text(json.dumps(cfg))
+            assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+            assert [shape[0] for shape in calls] == [samples] * 4
 
     def test_verify_evaluates_b_once(self, shipped_configs, tmp_path, monkeypatch):
         # bound_verifier evaluates B on the B2 pair and the B3 datum of every
@@ -738,10 +759,11 @@ class TestMemory:
         cfg = shipped_configs["desk-smooth"]
         window = cli.parse_window(cfg)
         model = cli.parse_model(cfg, window)
+        consts = KimuraProblem.build(model, cli.parse_initial(cfg, model)).consts
         gc.collect()
         tracemalloc.start()
         try:
-            evolution_law_check(model, 5, 0)
+            evolution_law_check(model, consts, 5, 0)
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:

@@ -135,11 +135,21 @@ class TestBoundVerifier:
         with pytest.raises(DomainError):
             bound_verifier(epistatic_model, epistatic_k0, 0, 42)
 
-    def test_clean_on_desk_model(self, epistatic_model, epistatic_k0):
+    def test_clean_on_desk_model(self, epistatic_model, epistatic_k0, epistatic_problem):
+        # bound_verifier checks the operators and B; evolution_law_check checks U
         rep = bound_verifier(epistatic_model, epistatic_k0, 100, 42)
-        assert rep.clean
-        assert set(rep.worst) == {"A0", "A1", "Bdelta", "B2", "B3", "A2", "growth"}
-        assert all(0.0 <= v <= 1.0 for v in rep.worst.values())
+        law = evolution_law_check(epistatic_model, epistatic_problem.consts, 100, 42)
+        assert rep.clean and law.bounds.clean
+        assert set(rep.worst) == {"A0", "A1", "Bdelta", "B2", "B3"}
+        assert set(law.bounds.worst) == {"A2", "growth"}
+        assert all(0.0 <= v <= 1.0 for v in {**rep.worst, **law.bounds.worst}.values())
+
+    def test_worst_ratios_are_python_floats(self, epistatic_model, epistatic_k0, epistatic_problem):
+        rep = bound_verifier(epistatic_model, epistatic_k0, 20, 42)
+        law = evolution_law_check(epistatic_model, epistatic_problem.consts, 20, 42)
+        worst = {**rep.worst, **law.bounds.worst}
+        assert len(worst) == 7
+        assert all(type(v) is float for v in worst.values()), worst
 
     def test_deterministic_under_seed(self, epistatic_model, epistatic_k0):
         r1 = bound_verifier(epistatic_model, epistatic_k0, 40, 7)
@@ -161,6 +171,14 @@ class TestBoundVerifier:
         names = {name for name, _, _ in rep.violations}
         assert "B2" in names
 
+    def test_corrupted_certificate_trips_a2(self, epistatic_model, epistatic_problem):
+        from dataclasses import replace
+
+        bad = replace(epistatic_problem.consts, c1=epistatic_problem.consts.c1 / 1000.0)
+        law = evolution_law_check(epistatic_model, bad, 100, 42)
+        assert "A2" in {name for name, _, _ in law.bounds.violations}
+        assert "A2" in law.failed and law.growth_violations == 0
+
 
 class TestBoundReport:
     @pytest.mark.parametrize("observed, bound", [(math.nan, 1.0), (0.5, math.nan)])
@@ -175,8 +193,8 @@ class TestBoundReport:
 
 
 class TestEvolutionLaws:
-    def test_laws_hold(self, epistatic_model):
-        rep = evolution_law_check(epistatic_model, 50, 42)
+    def test_laws_hold(self, epistatic_model, epistatic_problem):
+        rep = evolution_law_check(epistatic_model, epistatic_problem.consts, 50, 42)
         assert rep.identity_exact
         assert rep.cocycle_worst <= 1e-8
         assert rep.growth_violations == 0
