@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 from scipy import sparse
@@ -99,7 +99,21 @@ class TimeProfile:
             return None
         if np.ndim(t) == 0:
             return self.value(t)
-        return np.array([self.value(x) for x in np.ravel(t).tolist()]).reshape(np.shape(t))
+        t = np.asarray(t, dtype=float)
+        # an overflowing product is -inf or inf, as in value(): exp gives 0, sin raises
+        with np.errstate(over="ignore"):
+            x = -self.rate * t if self.kind == "exp_decay" else self.freq * t
+        fn = math.exp if self.kind == "exp_decay" else math.sin
+        y = np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        return y if self.kind == "exp_decay" else 1.0 + self.amp * y
+
+    def describe(self) -> str:
+        """The profile's kind and its parameters, as a config names them."""
+        if self.kind == "exp_decay":
+            return f"exp_decay, rate {self.rate}"
+        if self.kind == "sinusoidal":
+            return f"sinusoidal, amp {self.amp}, freq {self.freq}"
+        return "constant"
 
     def integral(self, t: float, s: float = 0.0) -> float:
         """Exact int_s^t profile(tau) dtau, free of cancellation for t near s."""
@@ -539,7 +553,8 @@ def _rk4_doubling(
         steps += 2 * n
         if steps > _MAX_STEPS:
             raise DomainError(
-                f"an interval of length {longest} needs more than {_MAX_STEPS} RK4 steps"
+                f"an interval of length {longest} needs more than {_MAX_STEPS} RK4 steps; "
+                f"{_a0_rates(model)}"
             )
         fine = _rk4(model, s[active], span[active] / (2 * n), V0[active], 2 * n)
         done = np.max(np.abs(fine - coarse), axis=1) <= tol[active]
@@ -550,25 +565,49 @@ def _rk4_doubling(
             return out
 
 
+def _a0_rates(model: KimuraModel) -> str:
+    """The config fields that make A0 hard to resolve: its time profiles, else its rates."""
+    rates = model.rates
+    varying = [
+        f"model.rates.{name} ({profile.describe()})"
+        for name, profile in (("h_profile", rates.h_profile), ("psi_profile", rates.psi_profile))
+        if not profile.is_constant
+    ]
+    if varying:
+        return "A0 varies in time through " + " and ".join(varying)
+    return "A0 is constant in time, so its rates model.rates.h and model.rates.psi are too stiff"
+
+
+#: most RK4 steps whose stage times one profile table holds
+_BLOCK = 64
+
+
 def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: int) -> np.ndarray:
     """Classical RK4: row i of V0 takes n steps of h[i] from s[i].
 
-    Stage times are s + k h.  The state holds one column per row, so a stage
-    is one sparse product on a contiguous block.  Stages hold A0 v rather
-    than -A0 v: negation is exact, so v - c (A0 v) rounds as v + c (-A0 v).
+    Stage times are s + (j / 2) h, j = 0..2n: step k starts at j = 2k, has its
+    midpoint at 2k + 1 and ends at 2k + 2 (j / 2 is exact, so these are the
+    doubles s + (k + 0.5) h and s + (k + 1) h).  The profile values of a
+    block of at most _BLOCK steps come from one :meth:`KimuraModel.a0_factors`
+    call on its (2 block + 1, rows) table of stage times, so memory grows
+    with the rows, not the steps.  The state holds one column per row, so a
+    stage is one sparse product on a contiguous block.  Stages hold A0 v
+    rather than -A0 v: negation is exact, so v - c (A0 v) rounds as v + c (-A0 v).
     """
     half, sixth = 0.5 * h, h / 6.0
     x = V0.T.copy()
-    tau, f = s, model.a0_factors(s)
-    for k in range(n):
-        mid, end = s + (k + 0.5) * h, s + (k + 1) * h
-        f_mid, f_end = model.a0_factors(mid), model.a0_factors(end)
-        k1 = model.a0_dot(tau, x.T, f).T
-        k2 = model.a0_dot(mid, (x - half * k1).T, f_mid).T
-        k3 = model.a0_dot(mid, (x - half * k2).T, f_mid).T
-        k4 = model.a0_dot(end, (x - h * k3).T, f_end).T
-        x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau, f = end, f_end
+    for k0 in range(0, n, _BLOCK):
+        steps = min(_BLOCK, n - k0)
+        times = s + (0.5 * np.arange(2 * k0, 2 * (k0 + steps) + 1))[:, None] * h
+        # the (p_h, p_psi) row of each stage time; a constant profile stays None
+        table = model.a0_factors(times)
+        f = list(zip(*(repeat(None, len(times)) if p is None else p for p in table)))
+        for i in range(0, 2 * steps, 2):
+            k1 = model.a0_dot(times[i], x.T, f[i]).T
+            k2 = model.a0_dot(times[i + 1], (x - half * k1).T, f[i + 1]).T
+            k3 = model.a0_dot(times[i + 1], (x - half * k2).T, f[i + 1]).T
+            k4 = model.a0_dot(times[i + 2], (x - h * k3).T, f[i + 2]).T
+            x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x.T
 
 

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import banachscale
+from banachscale import kimura
 from banachscale.cli import (
     main,
     parse_initial,
@@ -322,6 +323,17 @@ class TestSolve:
         assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 5
         assert capsys.readouterr().err.startswith("bound violation: ||u - x||_alpha = ")
 
+    def test_step_budget_names_the_profile(self, tmp_path, capsys, monkeypatch):
+        # p_h falls from 1 to 0 inside the first substep of a grid step, so the
+        # propagation runs out of RK4 steps; the message names the profile
+        cfg = json.loads((CONFIG_DIR / "desk-epistatic.json").read_text())
+        cfg["model"]["rates"]["h_profile"] = {"kind": "exp_decay", "rate": 1e308}
+        monkeypatch.setattr(kimura, "_MAX_STEPS", 2**10)
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "needs more than 1024 RK4 steps" in err
+        assert "model.rates.h_profile (exp_decay, rate 1e+308)" in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", tmp_path / "out") == 2
 
@@ -410,6 +422,16 @@ class TestVerify:
             assert run("verify", config, tmp_path / "verify") == 2
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.startswith("invalid configuration: window.T: ")
+
+    def test_collapsing_profile_is_no_overflow(self, tmp_path):
+        # rate * (t - s) overflows in the growth bound's profile integral: with
+        # Python float times it is a silent inf, not a numpy warning (an error
+        # under this suite's warning filter, so verify would not exit 0)
+        cfg = json.loads((CONFIG_DIR / "desk-free.json").read_text())
+        cfg["model"]["rates"]["h_profile"] = {"kind": "exp_decay", "rate": 1e308}
+        cfg["window"]["T"] = 5
+        cfg["run"] = {"samples": 3}
+        assert run("verify", write_config(tmp_path, cfg), tmp_path / "out") == 0
 
     def test_deterministic_report(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

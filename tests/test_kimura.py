@@ -170,6 +170,10 @@ class TestTimeProfile:
             TimeProfile("sinusoidal", amp=1.0, freq=40.0).integral(1e308)
         # [0, T] holds a full period, wherever the phase ends
         assert TimeProfile("sinusoidal", amp=0.5, freq=-40.0).sup(1e308) == 1.5
+        # rate * t overflows: at a time array as at one time, exp(-inf) = 0, silently
+        collapsing = TimeProfile("exp_decay", rate=1e308)
+        assert collapsing.at(np.array([0.0, 0.5, 5.0])).tolist() == [1.0, 0.0, 0.0]
+        assert collapsing.at(5.0) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(profiles, st.integers(1, 3), st.integers(0, 4), st.data())
@@ -447,6 +451,85 @@ class TestBatchedEvolution:
             assert np.allclose(row, model.a0_matrix(a) @ v, rtol=1e-14, atol=1e-15)
 
 
+def rk4_per_step(model, s, h, V0, n):
+    """Reference RK4: profile values by scalar ``value`` at each step's midpoint and end."""
+
+    def factors(t):
+        return tuple(
+            None if p.is_constant else np.array([p.value(x) for x in t.tolist()])
+            for p in (model.rates.h_profile, model.rates.psi_profile)
+        )
+
+    half, sixth = 0.5 * h, h / 6.0
+    x = V0.T.copy()
+    tau, f = s, factors(s)
+    for k in range(n):
+        mid, end = s + (k + 0.5) * h, s + (k + 1) * h
+        f_mid, f_end = factors(mid), factors(end)
+        k1 = model.a0_dot(tau, x.T, f).T
+        k2 = model.a0_dot(mid, (x - half * k1).T, f_mid).T
+        k3 = model.a0_dot(mid, (x - half * k2).T, f_mid).T
+        k4 = model.a0_dot(end, (x - h * k3).T, f_end).T
+        x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau, f = end, f_end
+    return x.T
+
+
+def gentle_model():
+    """Both A0 profiles vary, slowly enough that step doubling stops at its first comparison."""
+    rates = RateData(
+        np.full(2, 0.5), np.full((2, 2), 0.2), np.full(2, 0.1),
+        h_profile=TimeProfile("exp_decay", rate=0.01),
+        psi_profile=TimeProfile("sinusoidal", amp=0.5, freq=0.1),
+    )
+    return KimuraModel(DiscreteSpace.uniform(2), rates, 2, WIN)
+
+
+class TestRK4Blocks:
+    """_rk4 reads its profile values from one table of stage times per block of steps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rate_models(), st.sampled_from([1, 63, 64, 65, 130]), st.data())
+    def test_equals_the_per_step_loop_bit_for_bit(self, model, n, data):
+        rows = data.draw(st.integers(1, 4))
+        s = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=rows, max_size=rows)))
+        h = np.array(data.draw(st.lists(st.floats(1e-4, 0.05), min_size=rows, max_size=rows)))
+        V0 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(
+            -2.0, 2.0, (rows, model.dim)
+        )
+        assert np.array_equal(kimura._rk4(model, s, h, V0, n), rk4_per_step(model, s, h, V0, n))
+
+    def test_profiles_are_read_once_per_block(self, monkeypatch):
+        model = gentle_model()
+        shapes = []
+        a0_factors = KimuraModel.a0_factors
+
+        def counted(self, t):
+            shapes.append(np.shape(t))
+            return a0_factors(self, t)
+
+        monkeypatch.setattr(KimuraModel, "a0_factors", counted)
+        V0 = np.random.default_rng(3).uniform(-1.0, 1.0, (3, model.dim))
+        kimura._rk4(model, np.array([0.0, 0.2, 0.5]), np.full(3, 0.01), V0, 130)
+        # blocks of 64, 64 and 2 steps: 2 * steps + 1 stage times per row
+        assert shapes == [(129, 3), (129, 3), (5, 3)]
+
+    def test_peak_memory_does_not_grow_with_the_steps(self):
+        # first runs of 200 and 2000 substeps; both stop at the first comparison
+        model = gentle_model()
+        v = np.random.default_rng(4).uniform(-1.0, 1.0, model.dim)
+        peaks = []
+        for span in (10.0, 100.0):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                evolution_u(model, span, 0.0, v)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+
 class TestGridSteps:
     """Exact step propagators of the time-constant evolution system."""
 
@@ -698,8 +781,9 @@ class TestWorkCount:
         assert counts[0] == counts[1]
 
     def test_verify_propagates_once_per_phase(self, shipped_configs, tmp_path, monkeypatch):
-        # evolution_law_check propagates every sample once per phase (identity,
-        # direct, r <- s, t <- r); bound_verifier propagates nothing
+        # evolution_law_check propagates every row that starts from the sampled
+        # k in one call (identity, direct, r <- s), then t <- r in a second;
+        # bound_verifier propagates nothing
         from banachscale import oracles
 
         calls = []
@@ -716,7 +800,7 @@ class TestWorkCount:
             cfg = dict(shipped_configs["desk-smooth"], run={"samples": samples})
             config.write_text(json.dumps(cfg))
             assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
-            assert [shape[0] for shape in calls] == [samples] * 4
+            assert [shape[0] for shape in calls] == [3 * samples, samples]
 
     def test_verify_evaluates_b_once(self, shipped_configs, tmp_path, monkeypatch):
         # bound_verifier evaluates B on the B2 pair and the B3 datum of every

@@ -73,13 +73,13 @@ def test_traced_verify_sees_one_propagation_per_phase(tmp_path):
         tr.uninstall()
     for (owner, attr), original in before.items():
         assert owner.__dict__[attr] is original
-    # the batched propagations go through the oracles' evolution_u name, four
+    # the batched propagations go through the oracles' evolution_u name, two
     # for evolution_law_check; bound_verifier propagates nothing
-    assert tr.calls["kimura.propagator"] == 4
+    assert tr.calls["kimura.propagator"] == 2
     prop = tr.names.index("kimura.propagator")
     callers = [
         tr.names[tr.span_name[parent]]
         for name, parent in zip(tr.span_name, tr.span_parent)
         if name == prop
     ]
-    assert callers == ["oracles.evolution_law"] * 4
+    assert callers == ["oracles.evolution_law"] * 2
