@@ -100,7 +100,9 @@ class TimeProfile:
         if np.ndim(t) == 0:
             return self.value(t)
         t = np.asarray(t, dtype=float)
-        # an overflowing product is -inf or inf, as in value(): exp gives 0, sin raises
+        # value()'s formulas, inlined: a map over value() makes verify-smooth about
+        # 12 % slower; test_at_is_value_per_element_bit_for_bit keeps the two equal.
+        # An overflowing product is -inf or inf, as in value(): exp gives 0, sin raises
         with np.errstate(over="ignore"):
             x = -self.rate * t if self.kind == "exp_decay" else self.freq * t
         fn = math.exp if self.kind == "exp_decay" else math.sin

@@ -3,13 +3,14 @@
     python3 tools/ab_bench.py REF WORKLOAD --pairs 10 --seed 1
 
 Checks REF out in a detached ``git worktree`` in a temporary directory, then
-runs ``bench/run.py --workload WORKLOAD --seed S --seconds X --trace 0`` once
-per side for each pair, alternating which side goes first.  Each side runs
-its own ``bench/run.py`` as a subprocess.  It prints every run, then each
-side's median and quartiles per end-to-end metric, the number of pairs the
-working tree wins (ties count for neither) and whether the gain rule holds:
-a win in at least nine tenths of the pairs and medians further apart than
-the ref's interquartile range.  The worktree is removed at exit.
+runs ``bench/run.py --workload WORKLOAD --seed S --trace 0`` for the
+``run_seconds`` that ``BENCHMARK.json`` sets, once per side for each pair,
+alternating which side goes first.  Each side runs its own ``bench/run.py``
+as a subprocess.  It prints every run, then each side's median and
+quartiles per end-to-end metric, the number of pairs the working tree wins
+(ties count for neither) and whether the gain rule holds: a win in at least
+nine tenths of the pairs and medians further apart than the ref's
+interquartile range.  The worktree is removed at exit.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"git {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -87,8 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload", choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                        help="--seconds of each bench run (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -97,22 +97,22 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     tree = tmp / "ref"
-    git("worktree", "add", "--detach", str(tree), args.ref)
     try:
+        git("worktree", "add", "--detach", str(tree), args.ref)
         sides = {"ref": tree, "change": ROOT}
         runs: dict[str, list[dict]] = {"ref": [], "change": []}
         for i in range(args.pairs):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
-                r = bench(sides[side], args.workload, args.seed, args.seconds)
+                r = bench(sides[side], args.workload, args.seed, spec["run_seconds"])
                 runs[side].append(r)
                 values = "  ".join(f"{k} {v['value']:.6g}" for k, v in r["metrics"].items())
                 print(f"pair {i + 1} {side:6s} {values}  failed {r['failed']}", flush=True)
         ok = summarize(spec["end_to_end"], runs)
     finally:
-        git("worktree", "remove", "--force", str(tree))
-        git("worktree", "prune")
+        # pruning drops the worktree's record once its directory is gone
         shutil.rmtree(tmp, ignore_errors=True)
+        git("worktree", "prune")
     return 0 if ok else 1
 
 
