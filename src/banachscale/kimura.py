@@ -197,18 +197,26 @@ class RateData:
         return self.a_base * self.a_profile.value(t)
 
 
-def graded_norm(vec: np.ndarray, m: int, n_max: int, alpha: float) -> np.ndarray | float:
+def graded_norm(
+    vec: np.ndarray, m: int, n_max: int, alpha: float | list[float]
+) -> np.ndarray | float:
     """max_n e^(-alpha n) max_eta |k^(n)(eta)| of each flattened hierarchy along the last axis.
 
-    Returns an array of shape ``vec.shape[:-1]``, a float for one vector.
+    Returns an array of shape ``vec.shape[:-1]``, a float for one vector; for
+    a 1-D sequence of alphas, the table of shape ``vec.shape[:-1] + (k,)``
+    whose column i is the norm at ``alpha[i]``, from one pass over ``vec``.
     Levels n > m are empty and contribute 0; they sit at the tail, so the
     starts of the nonempty levels are the first min(m, n_max) + 1 starts.
     The level weights are scalar ``math.exp`` values; numpy's vectorised exp
     may differ from it in the last bit.
     """
     level_max = np.maximum.reduceat(np.abs(vec), level_starts(m, n_max)[: m + 1], axis=-1)
-    weights = np.array([math.exp(-alpha * n) for n in range(level_max.shape[-1])])
-    best = np.max(level_max * weights, axis=-1)
+    alphas = alpha if np.ndim(alpha) else [alpha]
+    weights = np.array([[math.exp(-a * n) for n in range(level_max.shape[-1])] for a in alphas])
+    table = np.max(level_max[..., None, :] * weights, axis=-1)
+    if np.ndim(alpha):
+        return table
+    best = table[..., 0]
     return float(best) if best.ndim == 0 else best
 
 
@@ -316,8 +324,9 @@ class KimuraModel:
     def dim(self) -> int:
         return sum(math.comb(self.m, n) for n in range(self.n_max + 1))
 
-    def hierarchy_norm(self, vec: np.ndarray, alpha: float) -> np.ndarray | float:
-        """Scale norm of each flattened hierarchy vector, by :func:`graded_norm`."""
+    def hierarchy_norm(self, vec: np.ndarray, alpha: float | list[float]) -> np.ndarray | float:
+        """Scale norm of each flattened hierarchy vector, by :func:`graded_norm`
+        (a table for a sequence of alphas)."""
         return graded_norm(vec, self.m, self.n_max, alpha)
 
     def a0_factors(self, t: float | np.ndarray) -> tuple:
@@ -352,40 +361,65 @@ def _scaled(p, x):
 def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
     """A0_h, A0_psi, A1_psi and A1_a: the operators at unit profiles.
 
-    Same index maps as the structural actions.  psi is symmetric, so the pair
-    raising of A0 and the pair part of the selection cost, both half sums over
-    ordered pairs, are sums over unordered pairs.
+    Same index maps as the structural actions, built level by level from the
+    level's configurations as an (C(m, n), n) array of sorted rows.  Every
+    entry links a configuration to a parent that lacks one or two of its
+    sites: dropping columns of a sorted row leaves the parent sorted, and its
+    column is its lexicographic rank.  Each entry is the value the structural
+    loop forms, and every sum over the sites of a configuration is
+    accumulated position by position in ascending order, as the loop adds
+    them (``np.sum`` may reorder 8 or more terms).  psi is symmetric, so the
+    pair raising of A0 and the pair part of the selection cost, both half
+    sums over ordered pairs, are sums over unordered pairs.
     """
     m, n_max, d = model.m, model.n_max, model.dim
     off = level_starts(m, n_max)
     w = model.space.weights
     h, psi, a = model.rates.h_base, model.rates.psi_base, model.rates.a_base
-    # (row, col, value) triples per component
+    w_h = w * h
+    w_w_psi = w[:, None] * w[None, :] * psi
+    # equals -w, since w > 0; np.negative would page in a numpy kernel that a
+    # verify or stability run otherwise never runs (about 0.13 MiB of peak RSS)
+    minus_w = 0.0 - w
+    # C(c, k) for c < m and k <= n_max: no larger binomial than the dimension
+    binom = np.array([[math.comb(c, k) for k in range(n_max + 1)] for c in range(m)])
+
+    def rank(configs: np.ndarray) -> np.ndarray:
+        """Position of each sorted row in level_configs(m, len(row))."""
+        n = configs.shape[1]
+        return math.comb(m, n) - 1 - binom[m - 1 - configs, n - np.arange(n)].sum(axis=1)
+
+    # (rows, cols, values) arrays per component
     a0_h, a0_psi, a1_psi, a1_a = ([] for _ in range(4))
-    for n in range(n_max + 1):
-        up1 = config_index(m, n + 1) if n + 1 <= n_max else None
-        up2 = config_index(m, n + 2) if n + 2 <= n_max else None
-        down = config_index(m, n - 1) if n >= 1 else None
-        for idx, eta in enumerate(level_configs(m, n)):
-            row = off[n] + idx
-            outside = [i for i in range(m) if i not in eta]
-            a0_h.append((row, row, sum(h[i] for i in eta)))
-            a0_psi.append((row, row, sum(psi[i, j] for i, j in combinations(eta, 2))))
-            if up1 is not None:
-                for j in outside:
-                    col = off[n + 1] + up1[tuple(sorted(eta + (j,)))]
-                    a0_h.append((row, col, w[j] * h[j]))
-                    a1_psi.append((row, col, -w[j] * sum(psi[i, j] for i in eta)))
-            if up2 is not None:
-                for i, j in combinations(outside, 2):
-                    col = off[n + 2] + up2[tuple(sorted(eta + (i, j)))]
-                    a0_psi.append((row, col, w[i] * w[j] * psi[i, j]))
-            if down is not None:
-                for i in eta:
-                    a1_a.append((row, off[n - 1] + down[tuple(x for x in eta if x != i)], a[i]))
+    for n in range(min(m, n_max) + 1):
+        size = math.comb(m, n)
+        C = np.array(level_configs(m, n), dtype=np.intp).reshape(size, n)
+        idx = off[n] + np.arange(size)
+        h_sum, psi_sum = np.zeros(size), np.zeros(size)
+        for p in range(n):
+            h_sum = h_sum + h[C[:, p]]
+        for p, q in combinations(range(n), 2):
+            psi_sum = psi_sum + psi[C[:, p], C[:, q]]
+        a0_h.append((idx, idx, h_sum))
+        a0_psi.append((idx, idx, psi_sum))
+        # the parent without site j: A0_h and A1_psi raise it into C, A1_a lowers C into it
+        for p in range(n):
+            keep = [q for q in range(n) if q != p]
+            parent, j = off[n - 1] + rank(C[:, keep]), C[:, p]
+            psi_in = np.zeros(size)
+            for q in keep:
+                psi_in = psi_in + psi[C[:, q], j]
+            a0_h.append((parent, idx, w_h[j]))
+            a1_psi.append((parent, idx, minus_w[j] * psi_in))
+            a1_a.append((idx, parent, a[j]))
+        # the parent without sites i < j: A0_psi raises it into C
+        for p, q in combinations(range(n), 2):
+            keep = [r for r in range(n) if r not in (p, q)]
+            parent = off[n - 2] + rank(C[:, keep])
+            a0_psi.append((parent, idx, w_w_psi[C[:, p], C[:, q]]))
     mats = []
-    for triples in (a0_h, a0_psi, a1_psi, a1_a):
-        rows, cols, vals = zip(*triples)
+    for parts in (a0_h, a0_psi, a1_psi, a1_a):
+        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
         mat = sparse.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=float)
         mat.eliminate_zeros()
         mats.append(mat)
@@ -613,6 +647,13 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
     return x.T
 
 
+def _norm1(mat: sparse.csr_matrix) -> float:
+    """Largest column sum of |mat|.  np.bincount adds each column's entries in
+    storage order, as scipy's ``abs(mat).sum(axis=0)`` does, so the value is
+    the same bit for bit, without a new matrix and a product per call."""
+    return float(np.bincount(mat.indices, np.abs(mat.data), mat.shape[1]).max())
+
+
 def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
     """D = exp(-h A0) - I by a Taylor series with scaling and squaring.
 
@@ -623,11 +664,7 @@ def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
     small terms of D would otherwise round.  (Moler and Van Loan, SIAM Rev.
     45(1), 2003.)
     """
-
-    def norm1(mat) -> float:
-        return float(abs(mat).sum(axis=0).max())
-
-    norm = h * norm1(a0)
+    norm = h * _norm1(a0)
     s = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
     x = a0 * (-h / 2.0**s)
     d = x.copy()
@@ -635,7 +672,7 @@ def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
     for k in range(2, 64):
         term = (term @ x) / k
         d = d + term
-        if norm1(term) <= np.finfo(float).eps * norm1(d):
+        if _norm1(term) <= np.finfo(float).eps * _norm1(d):
             break
     for _ in range(s):
         d = 2.0 * d + d @ d

@@ -159,40 +159,48 @@ def lambda0_audit(window: ScaleWindow, consts: OvcyannikovConstants) -> dict:
     return {**terms, "binding": binding, "certified_horizon": window.width / terms["lambda0"]}
 
 
-def norm_table(norm, rows: np.ndarray, alphas: list[float]) -> np.ndarray:
-    """||rows[..., :]||_alpha for every alpha: shape rows.shape[:-1] + (len(alphas),).
+def triangle_weights(u, window: ScaleWindow) -> np.ndarray:
+    """(alpha_i - alpha0 - lam*t_j)^gamma at every node (t_j, alpha_i) of u's grid.
 
-    ``norm`` is a row-batched scale norm (one call per alpha).
+    The weights are scalar Python powers (numpy's vectorised power may differ
+    in the last bit); a node that sits on the horizon by round-off gets
+    weight 0.  The table depends on the grid and on the window only through
+    ``(alpha0, lam, gamma)``, so it is built once per key and kept in the
+    dict ``u.weight_cache``, which a grid shares with every
+    :meth:`~banachscale.solver.TriangleSolution.with_values` copy.
     """
-    return np.stack([norm(rows, alpha) for alpha in alphas], axis=-1)
+    key = (window.alpha0, window.require_lam(), window.gamma)
+    if key not in u.weight_cache:
+        alpha0, lam, gamma = key
+        alphas = u.alpha_grid.tolist()
+        u.weight_cache[key] = np.array([
+            [max(alpha - alpha0 - lam * t, 0.0) ** gamma for alpha in alphas]
+            for t in u.t_grid.tolist()
+        ])
+    return u.weight_cache[key]
 
 
 def triangle_sup(u, rows: np.ndarray, window: ScaleWindow) -> float:
     """max of (alpha - alpha0 - lam*t_j)^gamma * ||rows[..., j, :]||_alpha over the triangle.
 
-    ``u`` supplies ``t_grid``, ``alpha_grid``, ``mask`` (node admissibility)
-    and the row-batched ``norm``; ``rows`` has shape (..., len(t_grid), dim),
-    and leading axes share the grid.  The weights are scalar Python powers
-    (numpy's vectorised power may differ in the last bit); a node that sits on
-    the horizon by round-off gets weight 0.
+    ``u`` supplies ``t_grid``, ``alpha_grid``, ``mask`` (node admissibility),
+    ``weight_cache`` and the row-batched ``norm``; ``rows`` has shape
+    (..., len(t_grid), dim), and leading axes share the grid.  The (time node
+    x alpha) table of norms comes from one norm call on the whole alpha grid,
+    the weights from :func:`triangle_weights`.
     """
-    lam = window.require_lam()
-    if len(u.t_grid) == 0 or len(u.alpha_grid) == 0:
+    weights = triangle_weights(u, window)
+    if weights.size == 0:
         raise DomainError("empty (t, alpha) grid")
-    alphas = u.alpha_grid.tolist()
-    weights = np.array([
-        [max(alpha - window.alpha0 - lam * t, 0.0) ** window.gamma for alpha in alphas]
-        for t in u.t_grid.tolist()
-    ])
-    table = norm_table(u.norm, rows, alphas)
+    table = u.norm(rows, u.alpha_grid.tolist())
     return float(np.max(weights * table, where=u.mask, initial=0.0))
 
 
 def weighted_gamma_norm(u, window: ScaleWindow) -> float:
     """Discrete surrogate of the weighted sup-norm over the (t, alpha) triangle.
 
-    ``u`` must expose ``t_grid``, ``alpha_grid``, ``mask``, ``values`` (one row
-    per time node) and the row-batched ``norm``.  Returns the maximum of
-    (alpha - alpha0 - lam*t)^gamma * ||u(t)||_alpha over admissible nodes.
+    ``u`` must expose what :func:`triangle_sup` reads and ``values`` (one row
+    per time node).  Returns the maximum of (alpha - alpha0 - lam*t)^gamma *
+    ||u(t)||_alpha over admissible nodes.
     """
     return triangle_sup(u, u.values, window)

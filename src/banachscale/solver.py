@@ -25,14 +25,15 @@ from .scalecore import (
     OvcyannikovConstants,
     ScaleWindow,
     lambda0,
-    norm_table,
     triangle_sup,
     weighted_gamma_norm,
 )
 
 #: row-batched scale norm: ``norm(V, alpha)`` is one norm per row, an array of
-#: shape ``V.shape[:-1]``, and a float for a single vector
-ScaleNorm = Callable[[np.ndarray, float], np.ndarray | float]
+#: shape ``V.shape[:-1]``, and a float for a single vector; ``norm(V, alphas)``
+#: with a 1-D sequence of scales is the table of shape ``V.shape[:-1] + (k,)``
+#: whose column i equals ``norm(V, alphas[i])``, from one pass over V
+ScaleNorm = Callable[[np.ndarray, float | list[float]], np.ndarray | float]
 
 #: step action on a time grid: ``step(V, j)`` is ``U.apply`` over grid step j
 #: for one vector or every row of V; ``step(V)`` takes row j over step j
@@ -116,7 +117,10 @@ class TriangleSolution:
 
     ``values[j]`` is the scale-vector at ``t_grid[j]``; ``mask[j, i]`` marks
     whether t_j lies strictly below the alpha_grid[i]-horizon.  ``norm`` is the
-    row-batched scale norm shared by all diagnostics.
+    row-batched scale norm shared by all diagnostics.  ``weight_cache`` holds
+    the grid's weight tables, one per window
+    (:func:`~banachscale.scalecore.triangle_weights`); :meth:`with_values`
+    shares it, because the grid stays the same.
     """
 
     t_grid: np.ndarray
@@ -124,13 +128,16 @@ class TriangleSolution:
     alpha_grid: np.ndarray
     mask: np.ndarray
     norm: ScaleNorm
+    weight_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0]) if len(self.t_grid) > 1 else 0.0
 
     def with_values(self, values: np.ndarray) -> "TriangleSolution":
-        return TriangleSolution(self.t_grid, values, self.alpha_grid, self.mask, self.norm)
+        return TriangleSolution(
+            self.t_grid, values, self.alpha_grid, self.mask, self.norm, self.weight_cache
+        )
 
 
 @dataclass
@@ -189,7 +196,7 @@ def make_grid(
 def _radius_check(u: TriangleSolution, x: np.ndarray, r: float) -> None:
     if np.isinf(r):
         return
-    dev = norm_table(u.norm, u.values - x, u.alpha_grid.tolist())
+    dev = u.norm(u.values - x, u.alpha_grid.tolist())
     outside = u.mask & (dev > r * ROUNDOFF)
     if outside.any():
         j, i = np.unravel_index(np.argmax(np.where(outside, dev, -np.inf)), dev.shape)

@@ -223,6 +223,13 @@ class ScalarPerturbation(PerturbationMap):
         return self.c * V
 
 
+def flat_norm(V: np.ndarray, alpha: float | list[float]) -> np.ndarray | float:
+    """max_i |v_i| of each row, the same at every scale (the scalar problem's
+    norm); for a sequence of alphas, that value repeated in each column."""
+    best = np.max(np.abs(V), axis=-1)
+    return best if np.ndim(alpha) == 0 else np.repeat(best[..., None], len(alpha), axis=-1)
+
+
 def scalar_problem(mu: float, c: float, x0: float, window: ScaleWindow) -> Problem:
     """Problem u' = -mu u + c u, exact solution x0 exp((c - mu) t).
 
@@ -237,8 +244,9 @@ def scalar_problem(mu: float, c: float, x0: float, window: ScaleWindow) -> Probl
         cx=abs(mu) * abs(x0),
         x_norm=abs(x0),
     )
-    norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
-    return Problem(np.array([x0]), ScalarEvolution(mu), ScalarPerturbation(c), norm, window, consts)
+    return Problem(
+        np.array([x0]), ScalarEvolution(mu), ScalarPerturbation(c), flat_norm, window, consts
+    )
 
 
 def scalar_family(

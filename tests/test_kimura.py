@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from banachscale.kimura import (
 from banachscale.oracles import bound_verifier, evolution_law_check
 from banachscale.scalecore import ScaleWindow
 from banachscale.solver import make_grid, picard_solve, residual_check
+from banachscale.stability import flat_norm
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
 
@@ -316,6 +318,94 @@ class TestOperators:
         assert np.allclose(epistatic_model.a0_matrix(0.2) @ vec, direct, atol=1e-13)
 
 
+def assemble_by_loop(model):
+    """The four CSR components by per-configuration loops: the reference the
+    level-by-level kimura._assemble_components must equal bit for bit."""
+    m, n_max, d = model.m, model.n_max, model.dim
+    off = kimura.level_starts(m, n_max)
+    w = model.space.weights
+    h, psi, a = model.rates.h_base, model.rates.psi_base, model.rates.a_base
+    a0_h, a0_psi, a1_psi, a1_a = ([] for _ in range(4))
+    for n in range(n_max + 1):
+        up1 = kimura.config_index(m, n + 1) if n + 1 <= n_max else None
+        up2 = kimura.config_index(m, n + 2) if n + 2 <= n_max else None
+        down = kimura.config_index(m, n - 1) if n >= 1 else None
+        for idx, eta in enumerate(level_configs(m, n)):
+            row = off[n] + idx
+            outside = [i for i in range(m) if i not in eta]
+            a0_h.append((row, row, sum(h[i] for i in eta)))
+            a0_psi.append((row, row, sum(psi[i, j] for i, j in combinations(eta, 2))))
+            if up1 is not None:
+                for j in outside:
+                    col = off[n + 1] + up1[tuple(sorted(eta + (j,)))]
+                    a0_h.append((row, col, w[j] * h[j]))
+                    a1_psi.append((row, col, -w[j] * sum(psi[i, j] for i in eta)))
+            if up2 is not None:
+                for i, j in combinations(outside, 2):
+                    col = off[n + 2] + up2[tuple(sorted(eta + (i, j)))]
+                    a0_psi.append((row, col, w[i] * w[j] * psi[i, j]))
+            if down is not None:
+                for i in eta:
+                    a1_a.append((row, off[n - 1] + down[tuple(x for x in eta if x != i)], a[i]))
+    mats = []
+    for triples in (a0_h, a0_psi, a1_psi, a1_a):
+        rows, cols, vals = zip(*triples)
+        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=float)
+        mat.eliminate_zeros()
+        mats.append(mat)
+    return mats
+
+
+@st.composite
+def assembly_models(draw):
+    """Weights and base rates, some of them zero, on 1-7 sites with n_max 2-5."""
+    m = draw(st.integers(1, 7))
+    n_max = draw(st.integers(2, 5))
+
+    def array(lo, n):
+        values = st.one_of(st.just(0.0), st.floats(lo, 2.0, allow_subnormal=False))
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    weights = array(0.05, m)
+    weights[weights == 0.0] = 0.5
+    psi = np.zeros((m, m))
+    psi[np.triu_indices(m, 1)] = array(0.0, m * (m - 1) // 2)
+    rates = RateData(array(0.0, m), psi + psi.T, array(0.0, m))
+    space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), weights)
+    return KimuraModel(space, rates, n_max, WIN)
+
+
+def assert_same_csr(got, want):
+    for g, w in zip(got, want, strict=True):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestComponentAssembly:
+    @pytest.mark.parametrize("name", ["desk-epistatic", "desk-free", "desk-smooth"])
+    def test_desk_components_equal_the_loop(self, shipped_configs, name):
+        cfg = shipped_configs[name]
+        model = cli.parse_model(cfg, cli.parse_window(cfg))
+        assert_same_csr(kimura._assemble_components(model), assemble_by_loop(model))
+
+    @pytest.mark.parametrize("m, n_max, seed", [(7, 5, 0), (7, 5, 1), (6, 4, 2)])
+    def test_unrounded_rates_equal_the_loop(self, m, n_max, seed):
+        # rates with full mantissas: a sum over 8 or more pairs in another order
+        # (n = 5 has 10) would differ in the last bit here
+        rng = np.random.default_rng(seed)
+        psi = np.triu(rng.uniform(0.0, 2.0, (m, m)), 1)
+        rates = RateData(rng.uniform(0.0, 2.0, m), psi + psi.T, rng.uniform(0.0, 2.0, m))
+        space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), rng.uniform(0.05, 1.0, m))
+        model = KimuraModel(space, rates, n_max, WIN)
+        assert_same_csr(kimura._assemble_components(model), assemble_by_loop(model))
+
+    @settings(max_examples=60, deadline=None)
+    @given(assembly_models())
+    def test_random_components_equal_the_loop(self, model):
+        assert_same_csr(kimura._assemble_components(model), assemble_by_loop(model))
+
+
 class TestEvolution:
     def test_identity_at_equal_times(self, epistatic_model, epistatic_k0):
         vec = epistatic_k0.to_vector()
@@ -565,6 +655,24 @@ class TestGridSteps:
         for v in V:
             assert np.max(np.abs(v + d @ v - exact @ v)) <= 1e-14
 
+    @pytest.mark.parametrize("name", ["desk-epistatic", "desk-free", "desk-smooth"])
+    def test_column_sum_norm_is_scipys_bit_for_bit(self, shipped_configs, name, monkeypatch):
+        # on the components and on every Taylor term and partial sum of expm_increment
+        cfg = shipped_configs[name]
+        model = cli.parse_model(cfg, cli.parse_window(cfg))
+        norm1, seen = kimura._norm1, []
+
+        def recorded(mat):
+            seen.append(mat)
+            return norm1(mat)
+
+        monkeypatch.setattr(kimura, "_norm1", recorded)
+        for h in (1e-3, 0.3, 5.0):
+            expm_increment(model.a0_matrix(0.0), h)
+        assert len(seen) > 20
+        for mat in [*kimura._assemble_components(model), *seen]:
+            assert norm1(mat) == float(abs(mat).sum(axis=0).max())
+
     def test_dead_model_increment_is_zero(self, dead_model):
         d = expm_increment(sparse.csr_matrix(dead_model.a0_matrix(0.0)), 0.7)
         assert np.array_equal(d.toarray(), np.zeros((dead_model.dim, dead_model.dim)))
@@ -758,7 +866,7 @@ class TestWorkCount:
 
 
     def test_norm_calls_do_not_grow_with_the_grid(self, shipped_configs, monkeypatch):
-        # every sup over the triangle makes one norm call per alpha, not per node
+        # every sup over the triangle makes one norm call for its whole table
         cfg = shipped_configs["desk-epistatic"]
         window = cli.parse_window(cfg)
         model = cli.parse_model(cfg, window)
@@ -779,6 +887,33 @@ class TestWorkCount:
             assert rep.iterations == 2
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_triangle_weights_built_once_per_solve(self, epistatic_problem, monkeypatch):
+        # every iterate, increment and monitor of a run shares the grid's one table
+        from banachscale import solver
+
+        class CountedCache(dict):
+            builds = 0
+
+            def __setitem__(self, key, value):
+                CountedCache.builds += 1
+                super().__setitem__(key, value)
+
+        make_grid = solver.make_grid
+
+        def counted_grid(*args, **kwargs):
+            grid = make_grid(*args, **kwargs)
+            grid.weight_cache = CountedCache()
+            return grid
+
+        monkeypatch.setattr(solver, "make_grid", counted_grid)
+        u, rep = picard_solve(epistatic_problem, n_steps=20, k_max=4)
+        assert rep.iterations >= 3
+        assert CountedCache.builds == 1
+        assert list(u.weight_cache) == [
+            (epistatic_problem.window.alpha0, epistatic_problem.window.lam,
+             epistatic_problem.window.gamma)
+        ]
 
     def test_verify_propagates_once_per_phase(self, shipped_configs, tmp_path, monkeypatch):
         # evolution_law_check propagates every row that starts from the sampled
@@ -856,6 +991,21 @@ class TestMemory:
 
 
 class TestHierarchyNorm:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5), st.integers(2, 4), st.data())
+    def test_alpha_table_equals_stacked_norms_bit_for_bit(self, m, n_max, data):
+        model = KimuraModel(DiscreteSpace.uniform(m), RateData.constant(m, 1.0, 0.2, 0.5), n_max, WIN)
+        shape = data.draw(st.sampled_from([(), (3,), (2, 4)])) + (model.dim,)
+        size = math.prod(shape)
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+        V = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+        alphas = data.draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=9))
+        # the hierarchy norm and the scalar problem's norm
+        for norm in (model.hierarchy_norm, flat_norm):
+            table = norm(V, alphas)
+            assert table.shape == shape[:-1] + (len(alphas),)
+            assert np.array_equal(table, np.stack([norm(V, a) for a in alphas], axis=-1))
+
     @pytest.mark.parametrize("m, n_max", [(4, 3), (2, 3), (1, 2)])
     def test_matches_levelwise_norm_bit_for_bit(self, m, n_max):
         model = KimuraModel(DiscreteSpace.uniform(m), RateData.constant(m, 1.0, 0.2, 0.5), n_max, WIN)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from banachscale.scalecore import (
     lambda0,
     lambda0_audit,
     lambda0_terms,
+    triangle_sup,
     weighted_gamma_norm,
 )
 from banachscale.solver import make_grid
+from banachscale.stability import flat_norm
 
 
 def unit_window(**kw):
@@ -144,8 +147,7 @@ class TestLambda0:
 
 def grid_with(values_scale, lam=1.0, n_steps=4, n_alpha=4):
     win = unit_window(lam=lam)
-    norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
-    g = make_grid(win, norm, 2, n_steps, n_alpha)
+    g = make_grid(win, flat_norm, 2, n_steps, n_alpha)
     g.values[:] = values_scale
     return g, win
 
@@ -169,9 +171,10 @@ class TestWeightedGammaNorm:
             alpha_grid = np.array([1.0])
             mask = np.array([[True]])
             values = np.zeros((1, 1))
+            weight_cache = {}
 
-            def norm(self, rows, alpha):
-                return np.full(rows.shape[:-1], 2.0)
+            def norm(self, rows, alphas):
+                return np.full(rows.shape[:-1] + np.shape(alphas), 2.0)
 
         assert weighted_gamma_norm(OneNode(), win) == pytest.approx(2.0 * 0.5**0.5)
 
@@ -183,9 +186,10 @@ class TestWeightedGammaNorm:
             alpha_grid = np.array([])
             mask = np.zeros((0, 0), dtype=bool)
             values = np.zeros((0, 1))
+            weight_cache = {}
 
-            def norm(self, rows, alpha):
-                return np.zeros(rows.shape[:-1])
+            def norm(self, rows, alphas):
+                return np.zeros(rows.shape[:-1] + np.shape(alphas))
 
         with pytest.raises(DomainError):
             weighted_gamma_norm(Empty(), win)
@@ -195,15 +199,33 @@ class TestWeightedGammaNorm:
     @settings(max_examples=40, deadline=None)
     def test_triangle_inequality(self, a_vals, b_vals):
         win = unit_window(lam=1.0)
-        norm = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
-        ga = make_grid(win, norm, 1, 4, 4)
-        gb = make_grid(win, norm, 1, 4, 4)
+        ga = make_grid(win, flat_norm, 1, 4, 4)
+        gb = make_grid(win, flat_norm, 1, 4, 4)
         ga.values[:, 0] = a_vals
         gb.values[:, 0] = b_vals
         gs = ga.with_values(ga.values + gb.values)
         assert weighted_gamma_norm(gs, win) <= (
             weighted_gamma_norm(ga, win) + weighted_gamma_norm(gb, win) + 1e-12
         )
+
+    @given(st.tuples(st.floats(0.1, 0.9), st.floats(0.2, 5.0), st.floats(0.05, 0.95)),
+           st.tuples(st.floats(0.1, 0.9), st.floats(0.2, 5.0), st.floats(0.05, 0.95)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_weights_cached_for_another_window_are_not_reused(self, first, second, seed):
+        windows = [ScaleWindow(0.0, a0, 1.0, gamma=g, lam=lam) for a0, lam, g in (first, second)]
+        rng = np.random.default_rng(seed)
+        g = make_grid(windows[0], flat_norm, 2, 6, 5)
+        g.values[:] = rng.uniform(-2.0, 2.0, g.values.shape)
+        rows = rng.uniform(-2.0, 2.0, (3,) + g.values.shape)
+        for win in windows:
+            # g caches each window's table; fresh has no table yet
+            fresh = replace(g, weight_cache={})
+            assert weighted_gamma_norm(g, win) == weighted_gamma_norm(fresh, win)
+            assert triangle_sup(g, rows, win) == triangle_sup(fresh, rows, win)
+        keys = {(w.alpha0, w.lam, w.gamma) for w in windows}
+        assert set(g.weight_cache) == keys
+        assert g.with_values(rows[0]).weight_cache is g.weight_cache
 
     def test_larger_gamma_shrinks_norm(self):
         # window width <= 1, so weights decrease as gamma grows

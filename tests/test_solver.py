@@ -31,9 +31,7 @@ from banachscale.solver import (
     picard_solve,
     residual_check,
 )
-from banachscale.stability import ScalarEvolution
-
-FLAT_NORM = lambda v, alpha: np.max(np.abs(v), axis=-1)  # noqa: E731
+from banachscale.stability import ScalarEvolution, flat_norm
 
 
 class IdentityEvolution(EvolutionSystem):
@@ -104,13 +102,13 @@ def consts(**kw):
 
 def problem(U, B, win, x=(1.0,), certificate=None):
     """Problem with the flat norm; the certificate defaults to :func:`consts`."""
-    return Problem(np.asarray(x, dtype=float), U, B, FLAT_NORM, win, certificate or consts())
+    return Problem(np.asarray(x, dtype=float), U, B, flat_norm, win, certificate or consts())
 
 
 class TestIntegralMap:
     def test_zero_perturbation(self):
         win = window(lam=1.0)
-        u = make_grid(win, FLAT_NORM, 2, 10)
+        u = make_grid(win, flat_norm, 2, 10)
         u.values[:] = 0.3
         B = LinearPerturbation(0.0)
         out = integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(2)))
@@ -118,7 +116,7 @@ class TestIntegralMap:
 
     def test_starts_at_zero(self):
         win = window(lam=1.0)
-        u = make_grid(win, FLAT_NORM, 2, 10)
+        u = make_grid(win, flat_norm, 2, 10)
         B = ConstantPerturbation([1.0, -2.0])
         out = integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(2)))
         assert np.all(out.values[0] == 0.0)
@@ -126,7 +124,7 @@ class TestIntegralMap:
     def test_constant_integrand_exact(self):
         # identity propagator, constant B: T(u)(t) = t*c
         win = window(lam=1.0)
-        u = make_grid(win, FLAT_NORM, 2, 20)
+        u = make_grid(win, flat_norm, 2, 20)
         c = np.array([1.0, -2.0])
         out = integral_map(u, problem(IdentityEvolution(), ConstantPerturbation(c), win, np.zeros(2)))
         for j, t in enumerate(u.t_grid):
@@ -134,7 +132,7 @@ class TestIntegralMap:
 
     def test_batched_increments_bit_identical_to_stepwise(self):
         win = window(lam=1.0)
-        u = make_grid(win, FLAT_NORM, 3, 17)
+        u = make_grid(win, flat_norm, 3, 17)
         u.values[:] = np.sin(np.outer(np.arange(18), [1.0, 2.0, 3.0]))
         U, B = ScalarEvolution(1.7), LinearPerturbation(-0.3)
         out = integral_map(u, problem(U, B, win, np.zeros(3)))
@@ -142,7 +140,7 @@ class TestIntegralMap:
 
     def test_radius_violation_names_node(self):
         win = window(lam=1.0, r=0.1)
-        u = make_grid(win, FLAT_NORM, 1, 5)
+        u = make_grid(win, flat_norm, 1, 5)
         u.values[:] = 5.0
         B = LinearPerturbation(0.0)
         with pytest.raises(AdmissibilityError, match="alpha"):
@@ -241,7 +239,7 @@ class TestGridStepsInPicard:
 class TestContractionCheck:
     def test_equal_iterates_undefined(self):
         win = window(lam=40.0)
-        u = make_grid(win, FLAT_NORM, 1, 10)
+        u = make_grid(win, flat_norm, 1, 10)
         u.values[:] = 1.0
         rep = contraction_check(
             u, u.with_values(u.values.copy()),
@@ -253,8 +251,8 @@ class TestContractionCheck:
 
     def test_linear_map_within_bound(self):
         win = window(lam=40.0)
-        u = make_grid(win, FLAT_NORM, 1, 20)
-        v = make_grid(win, FLAT_NORM, 1, 20)
+        u = make_grid(win, flat_norm, 1, 20)
+        v = make_grid(win, flat_norm, 1, 20)
         u.values[:] = 1.0
         v.values[:, 0] = 1.0 + 0.01 * np.sin(np.arange(21))
         rep = contraction_check(u, v, problem(IdentityEvolution(), LinearPerturbation(0.5), win))
@@ -266,7 +264,7 @@ class TestContractionCheck:
 class TestResidualCheck:
     def test_constant_solution_zero_residual(self):
         win = window(lam=1.0)
-        u = make_grid(win, FLAT_NORM, 1, 10)
+        u = make_grid(win, flat_norm, 1, 10)
         u.values[:] = 2.0
         res = residual_check(u, problem(IdentityEvolution(), LinearPerturbation(0.0), win))
         assert res <= 1e-14
@@ -274,14 +272,14 @@ class TestResidualCheck:
     def test_exact_exponential_residual_is_taylor_remainder(self):
         # u = e^{-t}, A = -1, B = 0: residual <= dt^2 ||u|| / 6 + eps
         win = window(lam=1.0)
-        u = make_grid(win, FLAT_NORM, 1, 40)
+        u = make_grid(win, flat_norm, 1, 40)
         u.values[:, 0] = np.exp(-u.t_grid)
         res = residual_check(u, problem(ScalarEvolution(1.0), LinearPerturbation(0.0), win))
         assert res <= u.dt**2 / 6.0 + 1e-12
 
     def test_too_few_nodes_rejected(self):
         win = window(lam=1.0)
-        u = make_grid(win, FLAT_NORM, 1, 1)
+        u = make_grid(win, flat_norm, 1, 1)
         with pytest.raises(DomainError):
             residual_check(u, problem(IdentityEvolution(), LinearPerturbation(0.0), win))
 

@@ -1,16 +1,19 @@
-"""Paired timing of one benchmark workload: a git ref against the working tree.
+"""Paired timing of benchmark workloads: a git ref against the working tree.
 
-    python3 tools/ab_bench.py REF WORKLOAD --pairs 10 --seed 1
+    python3 tools/ab_bench.py REF WORKLOAD [WORKLOAD ...] --pairs 10 --seed 1
 
-Checks REF out in a detached ``git worktree`` in a temporary directory, then
-runs ``bench/run.py --workload WORKLOAD --seed S --trace 0`` for the
-``run_seconds`` that ``BENCHMARK.json`` sets, once per side for each pair,
-alternating which side goes first.  Each side runs its own ``bench/run.py``
-as a subprocess.  It prints every run, then each side's median and
-quartiles per end-to-end metric, the number of pairs the working tree wins
-(ties count for neither) and whether the gain rule holds: a win in at least
-nine tenths of the pairs and medians further apart than the ref's
-interquartile range.  The worktree is removed at exit.
+Checks REF out in a detached ``git worktree`` in a temporary directory, then,
+for each workload in turn, runs ``bench/run.py --workload WORKLOAD --seed S
+--trace 0`` for the ``run_seconds`` that ``BENCHMARK.json`` sets, once per
+side for each of ``--pairs`` pairs, alternating which side goes first.  Each
+side runs its own ``bench/run.py`` as a subprocess.  Per workload it prints
+every run, then each side's median and quartiles per end-to-end metric, the
+number of pairs the working tree wins (ties count for neither) and whether
+the gain rule holds: a win in at least nine tenths of the pairs and medians
+further apart than the ref's interquartile range.  It exits 1 when, on any
+workload, a metric's median is worse than the ref's by more than the
+metric's bound, or the working tree fails a larger share of calls or a
+correctness check.  The worktree is removed at exit.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
-    """Print medians, quartiles and wins per metric; True when every metric holds its bound."""
+    """Print medians, quartiles and wins per metric; True when every metric holds
+    its bound and the change fails no larger share of calls and no correctness check."""
     ref, new = runs["ref"], runs["change"]
     ok = True
     print(f"{'metric':12s} {'side':7s} {'median':>10s} {'q1':>10s} {'q3':>10s}")
@@ -75,40 +79,51 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
               f"{med_b:.6g} ({med_b / med_a - 1:+.1%}), ref IQR {q3 - q1:.3g}; "
               f"gain rule {'holds' if gain else 'not met'}; "
               f"{'within' if within else 'BEYOND'} the {m['bound']:.0%} bound")
+    shares = {}
     for side, rs in (("ref", ref), ("change", new)):
         failed, attempted = sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)
         correct = all(r["correct"] for r in rs)
+        shares[side] = failed / attempted if attempted else 0.0
         print(f"{side}: {failed} of {attempted} calls failed; every run correct: {correct}")
-    return ok
+    return ok and shares["change"] <= shares["ref"] and all(r["correct"] for r in new)
 
 
-def main(argv: list[str] | None = None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def parse_args(argv: list[str] | None, spec: dict) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git ref to compare the working tree against")
-    parser.add_argument("workload", choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("workloads", nargs="+", metavar="WORKLOAD",
+                        choices=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, spec)
 
     # a termination signal unwinds through the finally below
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     tree = tmp / "ref"
+    ok = True
     try:
         git("worktree", "add", "--detach", str(tree), args.ref)
         sides = {"ref": tree, "change": ROOT}
-        runs: dict[str, list[dict]] = {"ref": [], "change": []}
-        for i in range(args.pairs):
-            order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
-            for side in order:
-                r = bench(sides[side], args.workload, args.seed, spec["run_seconds"])
-                runs[side].append(r)
-                values = "  ".join(f"{k} {v['value']:.6g}" for k, v in r["metrics"].items())
-                print(f"pair {i + 1} {side:6s} {values}  failed {r['failed']}", flush=True)
-        ok = summarize(spec["end_to_end"], runs)
+        for workload in args.workloads:
+            print(f"== {workload}", flush=True)
+            runs: dict[str, list[dict]] = {"ref": [], "change": []}
+            for i in range(args.pairs):
+                order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
+                for side in order:
+                    r = bench(sides[side], workload, args.seed, spec["run_seconds"])
+                    runs[side].append(r)
+                    values = "  ".join(f"{k} {v['value']:.6g}" for k, v in r["metrics"].items())
+                    print(f"pair {i + 1} {side:6s} {values}  failed {r['failed']}", flush=True)
+            ok = summarize(spec["end_to_end"], runs) and ok
     finally:
         # pruning drops the worktree's record once its directory is gone
         shutil.rmtree(tmp, ignore_errors=True)
