@@ -16,6 +16,7 @@ from itertools import accumulate, combinations, repeat
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, DomainError, ModelValidationError
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
@@ -340,11 +341,13 @@ class KimuraModel:
 
         ``t`` holds one time per row; a scalar t with one vector is the
         one-row case.  ``factors`` are the :meth:`a0_factors` of t when the
-        caller has them already (RK4 stages share their times).
+        caller has them already (RK4 stages share their times).  The product
+        is :func:`_csr_product`, scipy's CSR kernel without the ``@``
+        dispatch, so each row is ``_a0 @ V[i]`` bit for bit.
         """
         p_h, p_psi = self.a0_factors(t) if factors is None else factors
         d = V.shape[-1]
-        Y = self._a0 @ V.T
+        Y = _csr_product(self._a0, V.T)
         return (_scaled(p_h, Y[:d]) + _scaled(p_psi, Y[d:])).T
 
     def a0_matrix(self, t: float) -> sparse.csr_matrix:
@@ -356,6 +359,30 @@ class KimuraModel:
 def _scaled(p, x):
     """p x for a profile value p, x itself for a constant profile (p is None)."""
     return x if p is None else p * x
+
+
+def _csr_product(mat: sparse.csr_matrix, X: np.ndarray) -> np.ndarray:
+    """mat @ X for a float CSR matrix and a dense vector or block, by scipy's own kernel.
+
+    ``csr_matvec`` for a vector or a one-column block, ``csr_matvecs`` for a
+    wider block, on a C-contiguous X and a zeroed float output, as scipy's
+    ``_matmul_vector`` and ``_matmul_multivector`` call them: the result is
+    ``mat @ X`` bit for bit, without the operator's dispatch, which costs
+    more than the product at the hierarchy's desk sizes.
+    """
+    M, N = mat.shape
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[0] != N:
+        raise ValueError(f"cannot multiply a {M}x{N} matrix by an array of shape {X.shape}")
+    if X.ndim == 1 or X.shape[1] == 1:
+        out = np.zeros(M)
+        _sparsetools.csr_matvec(M, N, mat.indptr, mat.indices, mat.data, X.ravel(), out)
+        return out if X.ndim == 1 else out[:, None]
+    out = np.zeros((M, X.shape[1]))
+    _sparsetools.csr_matvecs(
+        M, N, X.shape[1], mat.indptr, mat.indices, mat.data, X.ravel(), out.ravel()
+    )
+    return out
 
 
 def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
@@ -680,10 +707,15 @@ def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
 
 
 def _increment_step(d: sparse.csr_matrix) -> StepAction:
-    """Step action V -> V + D V of a time-invariant step, on one vector or on rows."""
+    """Step action V -> V + D V of a time-invariant step, on one vector or on rows.
+
+    D V is one :func:`_csr_product`, equal to ``D @ V.T`` bit for bit; the
+    cocycle loops of the Picard grid call it once per step, where scipy's
+    dispatch would cost more than the product.
+    """
 
     def action(V: np.ndarray, j: int | slice = slice(None)) -> np.ndarray:
-        return V + (d @ V.T).T
+        return V + _csr_product(d, V.T).T
 
     return action
 
@@ -804,7 +836,7 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
     except OverflowError:
         c3 = math.inf
     # |A0(t) k0| <= sup p_h |A0_h k0| + sup p_psi |A0_psi k0| entrywise on [0, T]
-    a0_h_k0, a0_psi_k0 = np.abs(model._a0 @ k0.to_vector()).reshape(2, -1)
+    a0_h_k0, a0_psi_k0 = np.abs(_csr_product(model._a0, k0.to_vector())).reshape(2, -1)
     rates = model.rates
     a0k0_sup = rates.h_profile.sup(win.T) * a0_h_k0 + rates.psi_profile.sup(win.T) * a0_psi_k0
     cx = c1 * model.hierarchy_norm(a0k0_sup, win.alpha0)
@@ -874,7 +906,7 @@ class KimuraPerturbation(PerturbationMap):
         rates = self.model.rates
         p_h, p_psi, p_a = (p.at(ts) for p in (rates.h_profile, rates.psi_profile, rates.a_profile))
         d = rows.shape[1]
-        Y = self.model._b @ rows.T
+        Y = _csr_product(self.model._b, rows.T)
         a1_v = _scaled(p_psi, Y[:d]) + _scaled(p_a, Y[d : 2 * d])
         bdelta_v = _scaled(p_h, Y[2 * d]) + _scaled(p_psi, Y[2 * d + 1])
         out = (a1_v + bdelta_v * rows.T).T

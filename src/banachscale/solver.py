@@ -210,6 +210,7 @@ def integral_map(
     u: TriangleSolution,
     problem: Problem,
     steps: tuple[StepAction, StepAction] | None = None,
+    g_nodes: np.ndarray | None = None,
 ) -> TriangleSolution:
     """T(u)(t) = int_0^t U(t,s) B(u(s),s) ds by composite Simpson.
 
@@ -218,7 +219,8 @@ def integral_map(
     acc_{j+1} = U(t_{j+1}, t_j) acc_j + c_j, which reproduces the direct
     node-by-node Simpson evaluation up to integrator tolerance.  The Simpson
     increments c_j are formed for all steps at once.  ``steps`` are the grid
-    actions of :meth:`EvolutionSystem.grid_steps`, built here when omitted.
+    actions of :meth:`EvolutionSystem.grid_steps`, built here when omitted;
+    ``g_nodes`` is B(u(t_j), t_j) at every node, evaluated here when omitted.
     u must stay in the ball of radius ``window.r`` around x.
     """
     _radius_check(u, problem.x, problem.window.r)
@@ -232,7 +234,8 @@ def integral_map(
     full, half = problem.evolution.grid_steps(t) if steps is None else steps
     dt = t[1:] - t[:-1]
     B = problem.perturbation
-    g_nodes = B.apply(u.values, t)
+    if g_nodes is None:
+        g_nodes = B.apply(u.values, t)
     g_mid = B.apply(0.5 * (u.values[:-1] + u.values[1:]), t[:-1] + 0.5 * dt)
     incr = (dt / 6.0)[:, None] * (full(g_nodes[:-1]) + 4.0 * half(g_mid) + g_nodes[1:])
     acc = np.zeros_like(u.values[0])
@@ -270,8 +273,9 @@ def apriori_bound_rhs(window: ScaleWindow, consts: OvcyannikovConstants) -> floa
     )
 
 
-def _quadrature_estimate(u: TriangleSolution, B: PerturbationMap) -> float:
-    """Budget for the Simpson + linear-midpoint-interpolation error.
+def _quadrature_estimate(u: TriangleSolution, g: np.ndarray) -> float:
+    """Budget for the Simpson + linear-midpoint-interpolation error; ``g`` is
+    the integrand B(u(t_j), t_j) at every node.
 
     Dominated by the interpolation of u at midpoints: dt^2/8 * max ||g''||
     accumulated over the horizon, with g'' estimated by second differences of
@@ -281,7 +285,6 @@ def _quadrature_estimate(u: TriangleSolution, B: PerturbationMap) -> float:
     t = u.t_grid
     if len(t) < 3:
         return 0.0
-    g = B.apply(u.values, t)
     d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
     return float(t[-1] / 8.0 * np.max(u.norm(d2, float(u.alpha_grid[-1]))))
 
@@ -332,13 +335,19 @@ def picard_solve(
     report = ConvergenceReport(rho=rho)
     prev_d = None
     quad_budget = 0.0
+    # B at the current iterate's nodes: the quadrature budget of one iterate
+    # and the integral map of the next share it
+    g_nodes = None
     for k in range(k_max):
-        tu = integral_map(u, problem, steps)
+        tu = integral_map(u, problem, steps, g_nodes)
+        # released here, so the monitors' peak memory holds no extra node table
+        g_nodes = None
         u_next = grid.with_values(u_free.values + tu.values)
         d = _weighted_diff_norm(u_next, u, window)
         report.increments.append(d)
         report.m_values.append(monitor_m(u_next, B, window))
-        quad_budget = _quadrature_estimate(u_next, B)
+        g_nodes = B.apply(u_next.values, t)
+        quad_budget = _quadrature_estimate(u_next, g_nodes)
         if prev_d is not None and prev_d > 0:
             ratio = d / prev_d
             report.ratios.append(ratio)
@@ -378,7 +387,7 @@ def contraction_check(
     tv = integral_map(v, problem, steps)
     measured = _weighted_diff_norm(tu, tv, window) / denom
     B = problem.perturbation
-    quad = max(_quadrature_estimate(u, B), _quadrature_estimate(v, B))
+    quad = max(_quadrature_estimate(w, B.apply(w.values, w.t_grid)) for w in (u, v))
     tol = RATIO_SLACK + quad
     return ContractionReport(True, measured, bound, tol, measured > bound + tol)
 

@@ -64,3 +64,22 @@ class TestExitDecision:
 
     def test_more_failed_calls_fail(self):
         assert not self.summarize([run(), run()], [run(), run(failed=1)])
+
+    def test_a_ref_spread_wider_than_the_bound_is_unresolved(self, capsys):
+        # quartiles 0.625 and 1.875 around a median of 1.25, for every metric
+        wide = [run(0.5), run(1.0), run(1.5), run(2.0)]
+        assert self.summarize(wide, [run(1.0)] * 4)
+        verdicts = [line.rsplit("; ", 1)[-1] for line in capsys.readouterr().out.splitlines()
+                    if "pairs;" in line]
+        assert len(verdicts) == len(SPEC["end_to_end"])
+        assert all(v.startswith("unresolved") for v in verdicts)
+
+    def test_a_wide_spread_beyond_the_bound_still_fails(self, capsys):
+        assert not self.summarize([run(0.5), run(1.0), run(1.5), run(2.0)], [run(3.0)] * 4)
+        out = capsys.readouterr().out
+        assert "unresolved" in out and "BEYOND" in out
+
+    def test_a_change_beating_every_ref_run_is_resolved(self, capsys):
+        assert self.summarize([run(0.5), run(1.0), run(1.5), run(2.0)], [run(0.4)] * 4)
+        out = capsys.readouterr().out
+        assert "unresolved" not in out and "within" in out

@@ -723,6 +723,59 @@ class TestGridSteps:
         assert np.max(np.abs(full(v, 1) - expected)) <= 1e-14
 
 
+@st.composite
+def csr_operands(draw):
+    """A float CSR matrix with empty rows and unsorted columns allowed, and a
+    dense block of full-mantissa values for it."""
+    n_rows, n_cols = draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    row_cols = [
+        draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=n_cols))
+        for _ in range(n_rows)
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indptr = np.cumsum([0] + [len(c) for c in row_cols])
+    indices = np.array([j for cols in row_cols for j in cols], dtype=np.intp)
+    data = rng.standard_normal(len(indices)) * 10.0 ** rng.integers(-3, 4, len(indices))
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+    if draw(st.booleans()):
+        mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+    block = rng.standard_normal((n_cols, draw(st.integers(2, 70))))
+    return mat, block
+
+
+def empty_rows_int64():
+    mat = sparse.csr_matrix(np.array([[0.0, 0.0], [1.5, -2.0], [0.0, 0.0]]))
+    mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+    return mat, np.array([[1.0, 2.0, 3.0], [0.5, 0.25, -1.0]])
+
+
+class TestCsrProduct:
+    """kimura._csr_product is scipy's ``mat @ X`` bit for bit."""
+
+    @given(csr_operands())
+    @example(empty_rows_int64())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_scipy_on_every_operand_shape(self, operands):
+        mat, block = operands
+        operands = {
+            "vector": np.ascontiguousarray(block[:, 0]),
+            "block": block,
+            "transposed view": np.ascontiguousarray(block.T).T,
+            "one column": block[:, :1],
+            "strided vector": block[:, 1],
+        }
+        for name, X in operands.items():
+            got, want = kimura._csr_product(mat, X), mat @ X
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 2), ()])
+    def test_a_mismatched_operand_raises(self, shape):
+        # the kernel itself would read past the operand's end
+        with pytest.raises(ValueError, match="cannot multiply"):
+            kimura._csr_product(sparse.csr_matrix(np.eye(2)), np.ones(shape))
+
+
 class TestApplyBatch:
     @pytest.mark.parametrize("profile", [TimeProfile(), TimeProfile("sinusoidal", amp=0.8, freq=5.0)])
     def test_batch_equals_rowwise_apply(self, profile):
@@ -970,6 +1023,42 @@ class TestWorkCount:
         monkeypatch.setattr(KimuraEvolution, "generator_apply", counted)
         residual_check(u, problem)
         assert calls == [(19, model.dim)]
+
+
+    def test_hot_products_skip_scipys_dispatch(self, shipped_configs, tmp_path, monkeypatch):
+        # every sparse-times-dense product calls the CSR kernel directly; only
+        # sparse-times-sparse products (expm_increment) go through the operator
+        dense_operands = []
+        matmul = sparse.csr_matrix.__matmul__
+
+        def counted(self, other):
+            if isinstance(other, np.ndarray):
+                dense_operands.append(other.shape)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted)
+        for config, subcommand in (("desk-smooth", "verify"), ("desk-epistatic", "solve")):
+            path = tmp_path / f"{config}.json"
+            path.write_text(json.dumps(shipped_configs[config]))
+            out = tmp_path / subcommand
+            assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+        assert dense_operands == []
+
+    def test_picard_evaluates_b_five_times_per_iteration(self, epistatic_problem, monkeypatch):
+        # per iteration: the integral map's midpoints, three monitor times and
+        # the new iterate's nodes, which its quadrature budget and the next
+        # integral map share; the first iterate's nodes add one call
+        calls = []
+        apply = KimuraPerturbation.apply
+
+        def counted(self, V, ts):
+            calls.append(np.shape(V))
+            return apply(self, V, ts)
+
+        monkeypatch.setattr(KimuraPerturbation, "apply", counted)
+        _, rep = picard_solve(epistatic_problem, n_steps=20, k_max=4)
+        assert rep.iterations >= 3
+        assert len(calls) == 5 * rep.iterations + 1
 
 
 class TestMemory:

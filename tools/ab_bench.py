@@ -10,7 +10,11 @@ side runs its own ``bench/run.py`` as a subprocess.  Per workload it prints
 every run, then each side's median and quartiles per end-to-end metric, the
 number of pairs the working tree wins (ties count for neither) and whether
 the gain rule holds: a win in at least nine tenths of the pairs and medians
-further apart than the ref's interquartile range.  It exits 1 when, on any
+further apart than the ref's interquartile range.  A metric whose ref
+interquartile range is wider than its bound times the ref's median is
+reported unresolved, unless every change run beats every ref run: such a
+spread cannot tell a change within the bound from one beyond it.  The exit
+status does not depend on it.  It exits 1 when, on any
 workload, a metric's median is worse than the ref's by more than the
 metric's bound, or the working tree fails a larger share of calls or a
 correctness check.  The worktree is removed at exit.
@@ -75,10 +79,16 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
         gain = wins >= 0.9 * len(a) and sign * (med_a - med_b) > q3 - q1
         within = sign * (med_b - med_a) <= m["bound"] * abs(med_a)
         ok = ok and within
+        beats_all = max(sign * y for y in b) < min(sign * x for x in a)
+        bound = f"the {m['bound']:.0%} bound"
+        if q3 - q1 <= m["bound"] * abs(med_a) or beats_all:
+            verdict = f"{'within' if within else 'BEYOND'} {bound}"
+        else:
+            verdict = f"unresolved: the ref IQR is wider than {bound}" + (
+                "" if within else ", and the median is BEYOND it")
         print(f"{name}: change better in {wins} of {len(a)} pairs; medians {med_a:.6g} -> "
               f"{med_b:.6g} ({med_b / med_a - 1:+.1%}), ref IQR {q3 - q1:.3g}; "
-              f"gain rule {'holds' if gain else 'not met'}; "
-              f"{'within' if within else 'BEYOND'} the {m['bound']:.0%} bound")
+              f"gain rule {'holds' if gain else 'not met'}; {verdict}")
     shares = {}
     for side, rs in (("ref", ref), ("change", new)):
         failed, attempted = sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)
