@@ -204,6 +204,8 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
 
 def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
     block = _block(cfg, "initial", {"poisson_z": 1.0})
+    if "poisson_z" in block and "rho" in block:
+        raise _fail("initial", "give one of 'poisson_z' and 'rho', not both")
     if "poisson_z" in block:
         z = _as_float(block["poisson_z"], "initial.poisson_z")
         if z < 0:

@@ -159,48 +159,26 @@ def lambda0_audit(window: ScaleWindow, consts: OvcyannikovConstants) -> dict:
     return {**terms, "binding": binding, "certified_horizon": window.width / terms["lambda0"]}
 
 
-def triangle_weights(u, window: ScaleWindow) -> np.ndarray:
-    """(alpha_i - alpha0 - lam*t_j)^gamma at every node (t_j, alpha_i) of u's grid.
-
-    The weights are scalar Python powers (numpy's vectorised power may differ
-    in the last bit); a node that sits on the horizon by round-off gets
-    weight 0.  The table depends on the grid and on the window only through
-    ``(alpha0, lam, gamma)``, so it is built once per key and kept in the
-    dict ``u.weight_cache``, which a grid shares with every
-    :meth:`~banachscale.solver.TriangleSolution.with_values` copy.
-    """
-    key = (window.alpha0, window.require_lam(), window.gamma)
-    if key not in u.weight_cache:
-        alpha0, lam, gamma = key
-        alphas = u.alpha_grid.tolist()
-        u.weight_cache[key] = np.array([
-            [max(alpha - alpha0 - lam * t, 0.0) ** gamma for alpha in alphas]
-            for t in u.t_grid.tolist()
-        ])
-    return u.weight_cache[key]
-
-
-def triangle_sup(u, rows: np.ndarray, window: ScaleWindow) -> float:
+def triangle_sup(u, rows: np.ndarray) -> float:
     """max of (alpha - alpha0 - lam*t_j)^gamma * ||rows[..., j, :]||_alpha over the triangle.
 
     ``u`` supplies ``t_grid``, ``alpha_grid``, ``mask`` (node admissibility),
-    ``weight_cache`` and the row-batched ``norm``; ``rows`` has shape
-    (..., len(t_grid), dim), and leading axes share the grid.  The (time node
-    x alpha) table of norms comes from one norm call on the whole alpha grid,
-    the weights from :func:`triangle_weights`.
+    ``weights`` (the grid's table of node weights) and the row-batched
+    ``norm``; ``rows`` has shape (..., len(t_grid), dim), and leading axes
+    share the grid.  The (time node x alpha) table of norms comes from one
+    norm call on the whole alpha grid.
     """
-    weights = triangle_weights(u, window)
-    if weights.size == 0:
+    if u.weights.size == 0:
         raise DomainError("empty (t, alpha) grid")
     table = u.norm(rows, u.alpha_grid.tolist())
-    return float(np.max(weights * table, where=u.mask, initial=0.0))
+    return float(np.max(u.weights * table, where=u.mask, initial=0.0))
 
 
-def weighted_gamma_norm(u, window: ScaleWindow) -> float:
+def weighted_gamma_norm(u) -> float:
     """Discrete surrogate of the weighted sup-norm over the (t, alpha) triangle.
 
     ``u`` must expose what :func:`triangle_sup` reads and ``values`` (one row
     per time node).  Returns the maximum of (alpha - alpha0 - lam*t)^gamma *
-    ||u(t)||_alpha over admissible nodes.
+    ||u(t)||_alpha over admissible nodes of u's window.
     """
-    return triangle_sup(u, u.values, window)
+    return triangle_sup(u, u.values)

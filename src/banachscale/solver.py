@@ -113,14 +113,13 @@ class Problem:
 
 @dataclass
 class TriangleSolution:
-    """Values of u on the (t, alpha) triangle grid.
+    """Values of u on the (t, alpha) triangle grid of ``window``.
 
     ``values[j]`` is the scale-vector at ``t_grid[j]``; ``mask[j, i]`` marks
-    whether t_j lies strictly below the alpha_grid[i]-horizon.  ``norm`` is the
-    row-batched scale norm shared by all diagnostics.  ``weight_cache`` holds
-    the grid's weight tables, one per window
-    (:func:`~banachscale.scalecore.triangle_weights`); :meth:`with_values`
-    shares it, because the grid stays the same.
+    whether t_j lies strictly below the alpha_grid[i]-horizon, and
+    ``weights[j, i]`` is the node's weight (alpha_i - alpha0 - lam*t_j)^gamma.
+    ``norm`` is the row-batched scale norm shared by all diagnostics.
+    :meth:`with_values` shares everything but the values.
     """
 
     t_grid: np.ndarray
@@ -128,7 +127,8 @@ class TriangleSolution:
     alpha_grid: np.ndarray
     mask: np.ndarray
     norm: ScaleNorm
-    weight_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    window: ScaleWindow
+    weights: np.ndarray
 
     @property
     def dt(self) -> float:
@@ -136,7 +136,7 @@ class TriangleSolution:
 
     def with_values(self, values: np.ndarray) -> "TriangleSolution":
         return TriangleSolution(
-            self.t_grid, values, self.alpha_grid, self.mask, self.norm, self.weight_cache
+            self.t_grid, values, self.alpha_grid, self.mask, self.norm, self.window, self.weights
         )
 
 
@@ -180,20 +180,28 @@ def make_grid(
     n_alpha: int = 8,
     theta: float = 0.9,
 ) -> TriangleSolution:
-    """Empty triangle grid on [0, theta*(alpha_top-alpha0)/lam].
+    """Empty triangle grid on [0, theta*(alpha_top-alpha0)/lam], with its weights.
 
-    theta < 1 keeps the degenerate weight at the horizon out of the grid.
+    theta < 1 keeps the degenerate weight at the horizon out of the grid.  The
+    weights are scalar Python powers (numpy's vectorised power may differ in
+    the last bit); a node on or past the horizon by round-off weighs 0.
     """
-    lam = window.require_lam()
-    t_end = theta * (window.alpha_top - window.alpha0) / lam
+    lam, alpha0, gamma = window.require_lam(), window.alpha0, window.gamma
+    t_end = theta * (window.alpha_top - alpha0) / lam
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
-    alpha_grid = np.linspace(window.alpha0, window.alpha_top, n_alpha + 1)
-    mask = t_grid[:, None] < (alpha_grid[None, :] - window.alpha0) / lam
+    alpha_grid = np.linspace(alpha0, window.alpha_top, n_alpha + 1)
+    mask = t_grid[:, None] < (alpha_grid[None, :] - alpha0) / lam
+    alphas = alpha_grid.tolist()
+    weights = np.array([
+        [max(alpha - alpha0 - lam * t, 0.0) ** gamma for alpha in alphas]
+        for t in t_grid.tolist()
+    ])
     values = np.zeros((n_steps + 1, dim))
-    return TriangleSolution(t_grid, values, alpha_grid, mask, norm)
+    return TriangleSolution(t_grid, values, alpha_grid, mask, norm, window, weights)
 
 
-def _radius_check(u: TriangleSolution, x: np.ndarray, r: float) -> None:
+def _radius_check(u: TriangleSolution, x: np.ndarray) -> None:
+    r = u.window.r
     if np.isinf(r):
         return
     dev = u.norm(u.values - x, u.alpha_grid.tolist())
@@ -221,9 +229,9 @@ def integral_map(
     increments c_j are formed for all steps at once.  ``steps`` are the grid
     actions of :meth:`EvolutionSystem.grid_steps`, built here when omitted;
     ``g_nodes`` is B(u(t_j), t_j) at every node, evaluated here when omitted.
-    u must stay in the ball of radius ``window.r`` around x.
+    u must stay in the ball of radius ``r`` of its grid's window around x.
     """
-    _radius_check(u, problem.x, problem.window.r)
+    _radius_check(u, problem.x)
     t = u.t_grid
     n = len(t) - 1
     out = np.zeros_like(u.values)
@@ -245,23 +253,15 @@ def integral_map(
     return u.with_values(out)
 
 
-def _weighted_diff_norm(
-    u: TriangleSolution, v: TriangleSolution, window: ScaleWindow
-) -> float:
-    return weighted_gamma_norm(u.with_values(u.values - v.values), window)
+def _weighted_diff_norm(u: TriangleSolution, v: TriangleSolution) -> float:
+    return weighted_gamma_norm(u.with_values(u.values - v.values))
 
 
-def monitor_m(
-    u: TriangleSolution,
-    B: PerturbationMap,
-    window: ScaleWindow,
-    n_tau: int = 3,
-) -> float:
+def monitor_m(u: TriangleSolution, B: PerturbationMap, n_tau: int = 3) -> float:
     """M(u): weighted sup of ||B(u(t), tau)||_alpha over the triangle and n_tau taus."""
-    lam = window.require_lam()
-    taus = np.linspace(0.0, (window.alpha_top - window.alpha0) / lam, n_tau)
+    taus = np.linspace(0.0, u.window.horizon(), n_tau)
     b_vals = np.stack([B.apply(u.values, tau) for tau in taus])
-    return triangle_sup(u, b_vals, window)
+    return triangle_sup(u, b_vals)
 
 
 def apriori_bound_rhs(window: ScaleWindow, consts: OvcyannikovConstants) -> float:
@@ -343,9 +343,9 @@ def picard_solve(
         # released here, so the monitors' peak memory holds no extra node table
         g_nodes = None
         u_next = grid.with_values(u_free.values + tu.values)
-        d = _weighted_diff_norm(u_next, u, window)
+        d = _weighted_diff_norm(u_next, u)
         report.increments.append(d)
-        report.m_values.append(monitor_m(u_next, B, window))
+        report.m_values.append(monitor_m(u_next, B))
         g_nodes = B.apply(u_next.values, t)
         quad_budget = _quadrature_estimate(u_next, g_nodes)
         if prev_d is not None and prev_d > 0:
@@ -379,13 +379,13 @@ def contraction_check(
     window = problem.window
     lam = window.require_lam()
     bound = lambda0(window, problem.consts) / lam
-    denom = _weighted_diff_norm(u, v, window)
+    denom = _weighted_diff_norm(u, v)
     if denom == 0.0:
         return ContractionReport(False, None, bound, RATIO_SLACK, False)
     steps = problem.evolution.grid_steps(u.t_grid)
     tu = integral_map(u, problem, steps)
     tv = integral_map(v, problem, steps)
-    measured = _weighted_diff_norm(tu, tv, window) / denom
+    measured = _weighted_diff_norm(tu, tv) / denom
     B = problem.perturbation
     quad = max(_quadrature_estimate(w, B.apply(w.values, w.t_grid)) for w in (u, v))
     tol = RATIO_SLACK + quad
@@ -395,7 +395,7 @@ def contraction_check(
 def apriori_check(u: TriangleSolution, problem: Problem, n_tau: int = 5) -> AprioriReport:
     """Margin of the a-priori bound: its right-hand side minus M(u) over n_tau taus."""
     rhs = apriori_bound_rhs(problem.window, problem.consts)
-    worst_lhs = monitor_m(u, problem.perturbation, problem.window, n_tau)
+    worst_lhs = monitor_m(u, problem.perturbation, n_tau)
     return AprioriReport(rhs - worst_lhs, rhs, worst_lhs, n_tau * int(u.mask.sum()))
 
 

@@ -135,31 +135,6 @@ def stability_experiment(
     return StabilityReport(s_values, family.sizes, floor, alpha, t_prime, family.labels)
 
 
-def propagator_convergence(
-    family: PerturbedFamily, samples: int = 20, seed: int = 0
-) -> list[float]:
-    """Sampled surrogate for uniform convergence of the propagators U_n -> U.
-
-    Compact-uniform convergence reduces to finite samples in the truncated
-    state space: random unit-scaled vectors and (t, s) pairs are propagated by
-    each member and by the limit, and the worst alpha_top-norm gap per member
-    is returned.
-    """
-    rng = np.random.default_rng(seed)
-    win = family.window
-    dim = len(family.limit.x)
-    vecs = rng.uniform(-1.0, 1.0, (samples, dim))
-    s, t = np.sort(rng.uniform(0.0, win.T, (samples, 2)), axis=1).T
-    limit = family.limit.evolution.apply(t, s, vecs)
-    return [
-        float(np.max(
-            family.limit.norm(p.evolution.apply(t, s, vecs) - limit, win.alpha_top),
-            initial=0.0,
-        ))
-        for p in family.members
-    ]
-
-
 # ---------------------------------------------------------------------------
 # family builders
 

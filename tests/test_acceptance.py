@@ -206,7 +206,7 @@ def test_criterion_11_uniqueness_surrogate(solved):
     sc = solved["desk-epistatic"]
     tol = sc.opts["tol"]
     u_alt, rep_alt = picard_solve(sc.problem, u_init=sc.k0.to_vector(), **sc.opts)
-    d = weighted_gamma_norm(sc.u.with_values(sc.u.values - u_alt.values), sc.window)
+    d = weighted_gamma_norm(sc.u.with_values(sc.u.values - u_alt.values))
     bound = 2.0 * tol / (1.0 - sc.rep.rho)
     ok = d <= bound
     report(11, ok, f"fixed points from two admissible starting iterates differ by "

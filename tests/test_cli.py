@@ -204,6 +204,15 @@ class TestSolve:
         assert run(subcommand, write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(f"invalid configuration: {named}: ")
 
+    def test_initial_with_both_keys_exit_2_names_both(self, tmp_path, capsys, shipped_configs):
+        # neither key may silently win over the other
+        cfg = {**shipped_configs["desk-epistatic"],
+               "initial": {"poisson_z": 0.5, "rho": [9, 9, 9, 9]}}
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: initial: ")
+        assert "'poisson_z'" in err and "'rho'" in err
+
     @pytest.mark.parametrize("subcommand", ["solve", "stability", "oracle-compare"])
     def test_huge_fixed_slope_exit_0(self, tmp_path, subcommand):
         # a horizon of 5e-309 gives a subnormal grid step; nothing divides by its square

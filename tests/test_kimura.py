@@ -941,32 +941,32 @@ class TestWorkCount:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_triangle_weights_built_once_per_solve(self, epistatic_problem, monkeypatch):
-        # every iterate, increment and monitor of a run shares the grid's one table
+    def test_one_weight_table_per_solve(self, epistatic_problem, monkeypatch):
+        # the grid builds its table once; every iterate, increment and monitor shares it
         from banachscale import solver
 
-        class CountedCache(dict):
-            builds = 0
-
-            def __setitem__(self, key, value):
-                CountedCache.builds += 1
-                super().__setitem__(key, value)
-
+        grids, seen = [], []
         make_grid = solver.make_grid
 
         def counted_grid(*args, **kwargs):
-            grid = make_grid(*args, **kwargs)
-            grid.weight_cache = CountedCache()
-            return grid
+            grids.append(make_grid(*args, **kwargs))
+            return grids[-1]
+
+        def spy(fn):
+            def wrapper(u, *args):
+                seen.append(u.weights)
+                return fn(u, *args)
+
+            return wrapper
 
         monkeypatch.setattr(solver, "make_grid", counted_grid)
+        for name in ("integral_map", "weighted_gamma_norm", "monitor_m"):
+            monkeypatch.setattr(solver, name, spy(getattr(solver, name)))
         u, rep = picard_solve(epistatic_problem, n_steps=20, k_max=4)
         assert rep.iterations >= 3
-        assert CountedCache.builds == 1
-        assert list(u.weight_cache) == [
-            (epistatic_problem.window.alpha0, epistatic_problem.window.lam,
-             epistatic_problem.window.gamma)
-        ]
+        assert len(grids) == 1
+        assert len(seen) == 3 * rep.iterations
+        assert all(w is grids[0].weights for w in [*seen, u.weights])
 
     def test_verify_propagates_once_per_phase(self, shipped_configs, tmp_path, monkeypatch):
         # evolution_law_check propagates every row that starts from the sampled

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from banachscale.scalecore import (
     lambda0,
     lambda0_audit,
     lambda0_terms,
-    triangle_sup,
     weighted_gamma_norm,
 )
 from banachscale.solver import make_grid
@@ -155,44 +153,41 @@ def grid_with(values_scale, lam=1.0, n_steps=4, n_alpha=4):
 class TestWeightedGammaNorm:
     def test_zero_function(self):
         g, win = grid_with(0.0)
-        assert weighted_gamma_norm(g, win) == 0.0
+        assert weighted_gamma_norm(g) == 0.0
 
     def test_constant_function_corner_value(self):
         # flat norm c: maximum weight at t=0, alpha=alpha_top
         g, win = grid_with(3.0)
         expected = 3.0 * (win.alpha_top - win.alpha0) ** win.gamma
-        assert weighted_gamma_norm(g, win) == pytest.approx(expected)
+        assert weighted_gamma_norm(g) == pytest.approx(expected)
 
     def test_single_node_hand_value(self):
-        win = unit_window(lam=1.0)
-
         class OneNode:
             t_grid = np.array([0.0])
             alpha_grid = np.array([1.0])
             mask = np.array([[True]])
             values = np.zeros((1, 1))
-            weight_cache = {}
+            # (alpha - alpha0 - lam*t)^gamma with alpha0 = gamma = 0.5, t = 0
+            weights = np.array([[0.5**0.5]])
 
             def norm(self, rows, alphas):
                 return np.full(rows.shape[:-1] + np.shape(alphas), 2.0)
 
-        assert weighted_gamma_norm(OneNode(), win) == pytest.approx(2.0 * 0.5**0.5)
+        assert weighted_gamma_norm(OneNode()) == pytest.approx(2.0 * 0.5**0.5)
 
     def test_empty_grid_rejected(self):
-        win = unit_window(lam=1.0)
-
         class Empty:
             t_grid = np.array([])
             alpha_grid = np.array([])
             mask = np.zeros((0, 0), dtype=bool)
             values = np.zeros((0, 1))
-            weight_cache = {}
+            weights = np.zeros((0, 0))
 
             def norm(self, rows, alphas):
                 return np.zeros(rows.shape[:-1] + np.shape(alphas))
 
         with pytest.raises(DomainError):
-            weighted_gamma_norm(Empty(), win)
+            weighted_gamma_norm(Empty())
 
     @given(st.lists(st.floats(-5, 5), min_size=5, max_size=5),
            st.lists(st.floats(-5, 5), min_size=5, max_size=5))
@@ -204,31 +199,32 @@ class TestWeightedGammaNorm:
         ga.values[:, 0] = a_vals
         gb.values[:, 0] = b_vals
         gs = ga.with_values(ga.values + gb.values)
-        assert weighted_gamma_norm(gs, win) <= (
-            weighted_gamma_norm(ga, win) + weighted_gamma_norm(gb, win) + 1e-12
+        assert weighted_gamma_norm(gs) <= (
+            weighted_gamma_norm(ga) + weighted_gamma_norm(gb) + 1e-12
         )
 
-    @given(st.tuples(st.floats(0.1, 0.9), st.floats(0.2, 5.0), st.floats(0.05, 0.95)),
-           st.tuples(st.floats(0.1, 0.9), st.floats(0.2, 5.0), st.floats(0.05, 0.95)),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_weights_cached_for_another_window_are_not_reused(self, first, second, seed):
-        windows = [ScaleWindow(0.0, a0, 1.0, gamma=g, lam=lam) for a0, lam, g in (first, second)]
-        rng = np.random.default_rng(seed)
-        g = make_grid(windows[0], flat_norm, 2, 6, 5)
-        g.values[:] = rng.uniform(-2.0, 2.0, g.values.shape)
-        rows = rng.uniform(-2.0, 2.0, (3,) + g.values.shape)
-        for win in windows:
-            # g caches each window's table; fresh has no table yet
-            fresh = replace(g, weight_cache={})
-            assert weighted_gamma_norm(g, win) == weighted_gamma_norm(fresh, win)
-            assert triangle_sup(g, rows, win) == triangle_sup(fresh, rows, win)
-        keys = {(w.alpha0, w.lam, w.gamma) for w in windows}
-        assert set(g.weight_cache) == keys
-        assert g.with_values(rows[0]).weight_cache is g.weight_cache
-
     def test_larger_gamma_shrinks_norm(self):
-        # window width <= 1, so weights decrease as gamma grows
-        g_lo, win_lo = grid_with(2.0)
-        win_hi = ScaleWindow(0.0, 0.5, 1.0, gamma=0.8, lam=1.0)
-        assert weighted_gamma_norm(g_lo, win_hi) <= weighted_gamma_norm(g_lo, win_lo) + 1e-12
+        # window width <= 1, so weights decrease as gamma grows; one grid per window
+        g_lo, _ = grid_with(2.0)
+        g_hi = make_grid(ScaleWindow(0.0, 0.5, 1.0, gamma=0.8, lam=1.0), flat_norm, 2, 4, 4)
+        g_hi.values[:] = 2.0
+        assert weighted_gamma_norm(g_hi) <= weighted_gamma_norm(g_lo) + 1e-12
+
+
+class TestGridWeights:
+    @given(st.integers(0, 12), st.integers(0, 8), st.floats(0.05, 0.95),
+           st.floats(0.1, 50.0), st.floats(0.05, 0.95), st.floats(0.5, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_table_is_the_pernode_scalar_formula(self, n_steps, n_alpha, alpha0, lam, gamma, theta):
+        # theta >= 1 puts nodes on or past the horizon into the grid
+        win = ScaleWindow(0.0, alpha0, 1.0, gamma=gamma, lam=lam)
+        g = make_grid(win, flat_norm, 1, n_steps, n_alpha, theta)
+        gaps = [[a - alpha0 - lam * t for a in g.alpha_grid.tolist()] for t in g.t_grid.tolist()]
+        expected = np.array([[max(gap, 0.0) ** gamma for gap in row] for row in gaps])
+        assert g.weights.shape == (n_steps + 1, n_alpha + 1)
+        assert g.weights.tobytes() == expected.tobytes()
+        # the alpha0 column lies on the horizon at t = 0 and past it after
+        outside = np.array(gaps) <= 0.0
+        assert outside[:, 0].all()
+        assert (g.weights[outside] == 0.0).all()
+        assert not np.signbit(g.weights).any()

@@ -210,7 +210,7 @@ class TestPicardSolve:
         p = problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win, x)
         u1, r1 = picard_solve(p, tol=tol, n_steps=30)
         u2, r2 = picard_solve(p, tol=tol, n_steps=30, u_init=x)
-        d = weighted_gamma_norm(u1.with_values(u1.values - u2.values), win)
+        d = weighted_gamma_norm(u1.with_values(u1.values - u2.values))
         assert d <= 2.0 * tol / (1.0 - r1.rho)
 
     def test_geometric_decrease(self):
@@ -319,7 +319,7 @@ class TestTriangleKernel:
         u = make_grid(win, p.norm, len(x), n_steps, n_alpha, theta)
         u.values[:] = x + np.random.default_rng(seed).uniform(-0.5, 0.5, u.values.shape)
         B = p.perturbation
-        assert weighted_gamma_norm(u, win) == pernode_sup(u, u.values, win)
+        assert weighted_gamma_norm(u) == pernode_sup(u, u.values, win)
 
         def reference_m(n_tau):
             taus = np.linspace(0.0, (win.alpha_top - win.alpha0) / lam, n_tau)
@@ -328,7 +328,7 @@ class TestTriangleKernel:
                 for tau in taus
             )
 
-        assert monitor_m(u, B, win) == reference_m(3)
+        assert monitor_m(u, B) == reference_m(3)
         rep = apriori_check(u, replace(p, window=win), n_tau=5)
         assert rep.worst_lhs == reference_m(5)
         assert rep.worst_margin == rep.rhs - rep.worst_lhs

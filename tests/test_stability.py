@@ -12,7 +12,6 @@ from banachscale.stability import (
     PerturbedFamily,
     kimura_h_family,
     lambda1,
-    propagator_convergence,
     scalar_exact,
     scalar_family,
     scalar_problem,
@@ -105,13 +104,6 @@ class TestStabilityExperiment:
         lo = stability_experiment(fam, 0.75, tp, n_steps=20)
         for s_hi, s_lo in zip(hi.s_values, lo.s_values):
             assert s_hi <= s_lo + 1e-15
-
-    def test_propagator_convergence_sampling(self, epistatic_problem):
-        fam = kimura_h_family(epistatic_problem, [1, 4])
-        gaps = propagator_convergence(fam, samples=10, seed=3)
-        assert len(gaps) == 2
-        # the closer member (n = 4) has the smaller propagator gap
-        assert gaps[1] < gaps[0]
 
 
 class TestKimuraFamily:
