@@ -5,8 +5,8 @@ one JSON configuration file, run the corresponding pipeline and write CSV
 tables plus a JSON summary to the output directory.  Output is byte-identical
 across reruns with the same config and seed.
 
-Exit codes: 0 success, 2 invalid configuration or ``--out``, 3 measured
-contraction violation, 4 infeasible horizon slope, 5 certified bound violated.
+Exit codes: 0 success, 2 an unreadable config or unusable ``--out``, 5 a
+failed check; a library error exits with its type's ``exit_code`` (``errors``).
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    BanachScaleError,
-    ConfigurationError,
-    ContractionViolationError,
-    DomainError,
-    InfeasibleHorizonError,
-    ModelValidationError,
-)
+from .errors import BanachScaleError, ConfigurationError, DomainError, ModelValidationError
 from .kimura import (
     MAX_SPAN,
     CorrelationHierarchy,
@@ -48,9 +40,22 @@ from .stability import kimura_h_family, lambda1, stability_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_CONTRACTION = 3
-EXIT_HORIZON = 4
 EXIT_BOUND = 5
+
+_PROFILE = tuple(f.name for f in fields(TimeProfile))
+#: the fields of each config block, "" the top level; no other field is accepted
+FIELDS = {
+    "": ("model", "window", "solver", "initial", "run", "family", "certificate_override"),
+    "model": ("m", "weights", "n_max", "rates"),
+    "model.rates": ("h", "psi", "a", "h_profile", "psi_profile", "a_profile"),
+    **{f"model.rates.{k}_profile": _PROFILE for k in ("h", "psi", "a")},
+    "window": ("alpha_star", "alpha0", "alpha_top", "gamma", "lambda", "r", "T"),
+    "solver": ("tol", "k_max", "n_steps", "n_alpha", "theta"),
+    "initial": ("poisson_z", "rho"),
+    "run": ("samples", "compare_tol"),
+    "family": ("n_values", "alpha", "t_prime"),
+    "certificate_override": tuple(f.name for f in fields(OvcyannikovConstants)),
+}
 
 #: largest x with e^x finite in double precision
 _LOG_MAX = math.log(sys.float_info.max)
@@ -66,7 +71,7 @@ def _fail(path: str, message: str) -> ConfigurationError:
 
 def _get(cfg: dict, path: str, default=None, required: bool = False):
     node = cfg
-    for part in path.split("."):
+    for part in path.split(".") if path else ():
         if not isinstance(node, dict) or part not in node:
             if required:
                 raise _fail(path, "required field is missing")
@@ -76,12 +81,17 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
 
 
 def _block(cfg: dict, path: str, default=None, required: bool = False) -> dict:
-    """The object at ``path``; an absent or null one reads as ``default`` (or {})."""
+    """The object at ``path`` ("" the top level), holding only the fields that
+    ``FIELDS`` names; an absent or null one reads as ``default`` (or {})."""
     value = _get(cfg, path, required=required)
     if value is None and not required:
         value = {} if default is None else default
     if not isinstance(value, dict):
-        raise _fail(path, f"expected an object, got {value!r}")
+        raise _fail(path or "config", f"expected an object, got {value!r}")
+    for key in value:
+        if key not in FIELDS[path]:
+            field = f"{path}.{key}" if path else key
+            raise _fail(field, f"unknown field; expected one of {', '.join(FIELDS[path])}")
     return value
 
 
@@ -118,18 +128,11 @@ def _rate_array(value, m: int, path: str, square: bool = False) -> np.ndarray:
     return arr
 
 
-def _profile(cfg, path: str) -> TimeProfile:
-    if cfg is None:
-        return TimeProfile()
-    if not isinstance(cfg, dict):
-        raise _fail(path, "expected an object with a 'kind' field")
+def _profile(cfg: dict, path: str) -> TimeProfile:
+    block = _block(cfg, path)
+    numbers = {key: _as_float(v, f"{path}.{key}") for key, v in block.items() if key != "kind"}
     try:
-        return TimeProfile(
-            kind=cfg.get("kind", "constant"),
-            rate=_as_float(cfg.get("rate", 0.0), path + ".rate"),
-            amp=_as_float(cfg.get("amp", 0.0), path + ".amp"),
-            freq=_as_float(cfg.get("freq", 1.0), path + ".freq"),
-        )
+        return TimeProfile(kind=block.get("kind", "constant"), **numbers)
     except ModelValidationError as exc:
         raise _fail(path, str(exc)) from exc
 
@@ -143,10 +146,6 @@ def parse_window(cfg: dict) -> ScaleWindow:
         lam = _as_float(lam_raw, "window.lambda")
     r_raw = w.get("r", "inf")
     r = math.inf if r_raw in ("inf", None) else _as_float(r_raw, "window.r")
-    # beta belongs to the certificate, and model_constants declares 0
-    beta = _as_float(w.get("beta", 0.0), "window.beta")
-    if beta != 0.0:
-        raise _fail("window.beta", f"the certificate declares beta = 0, got {beta}")
     try:
         return ScaleWindow(
             alpha_star=_as_float(_get(cfg, "window.alpha_star", required=True), "window.alpha_star"),
@@ -175,15 +174,15 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
     except ModelValidationError as exc:
         raise _fail("model.weights", str(exc)) from exc
 
-    rates_cfg = _block(cfg, "model.rates", required=True)
+    _block(cfg, "model.rates", required=True)
     try:
         rates = RateData(
             h_base=_rate_array(_get(cfg, "model.rates.h", required=True), m, "model.rates.h"),
             psi_base=_rate_array(_get(cfg, "model.rates.psi", required=True), m, "model.rates.psi", square=True),
             a_base=_rate_array(_get(cfg, "model.rates.a", required=True), m, "model.rates.a"),
-            h_profile=_profile(rates_cfg.get("h_profile"), "model.rates.h_profile"),
-            psi_profile=_profile(rates_cfg.get("psi_profile"), "model.rates.psi_profile"),
-            a_profile=_profile(rates_cfg.get("a_profile"), "model.rates.a_profile"),
+            h_profile=_profile(cfg, "model.rates.h_profile"),
+            psi_profile=_profile(cfg, "model.rates.psi_profile"),
+            a_profile=_profile(cfg, "model.rates.a_profile"),
         )
     except ModelValidationError as exc:
         raise _fail("model.rates", str(exc)) from exc
@@ -245,13 +244,8 @@ def parse_solver_opts(cfg: dict) -> dict:
 
 def parse_override(cfg: dict) -> dict[str, float]:
     """Optional certificate override block, used for fault injection."""
-    known = {f.name for f in fields(OvcyannikovConstants)}
-    override = {}
-    for key, value in _block(cfg, "certificate_override").items():
-        if key not in known:
-            raise _fail(f"certificate_override.{key}", "unknown constant")
-        override[key] = _as_float(value, f"certificate_override.{key}")
-    return override
+    block = _block(cfg, "certificate_override")
+    return {key: _as_float(v, f"certificate_override.{key}") for key, v in block.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +293,6 @@ def _sanitize(obj):
     return obj
 
 
-def config_digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
 def trajectory_lines(u, model: KimuraModel):
     """``trajectory.csv`` one time slice at a time: a line per (t, level,
     configuration), lexicographic inside a level, floats as their repr."""
@@ -324,7 +314,10 @@ def trajectory_lines(u, model: KimuraModel):
 
 
 def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
-    """Parse the config and certify the problem: its horizon slope is resolved."""
+    """Parse the config and certify the problem: its horizon slope is resolved.
+    Every block is checked, also one that this subcommand does not read."""
+    for path in FIELDS:
+        _block(cfg, path)
     window = parse_window(cfg)
     model = parse_model(cfg, window)
     k0 = parse_initial(cfg, model)
@@ -484,26 +477,26 @@ def run_oracle_compare(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, 
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="banachscale",
-        description="Scale-of-Banach-spaces hierarchy solver and verifier",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("solve", "stability", "verify", "oracle-compare"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument("--seed", type=int, default=42)
-    return parser
-
-
 _DISPATCH = {
     "solve": run_solve,
     "stability": run_stability,
     "verify": run_verify,
     "oracle-compare": run_oracle_compare,
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="banachscale",
+        description="Scale-of-Banach-spaces hierarchy solver and verifier",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in _DISPATCH:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON configuration file")
+        p.add_argument("--out", default="./out", help="output directory")
+        p.add_argument("--seed", type=int, default=42)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -528,25 +521,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         problem, summary, code = _DISPATCH[args.subcommand](cfg, out, args.seed)
-    except AdmissibilityError as exc:
-        # the slope exceeds lambda0, so the certificate guarantees the ball
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except InfeasibleHorizonError as exc:
-        print(f"infeasible horizon slope: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except (ConfigurationError, DomainError, ModelValidationError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ContractionViolationError as exc:
-        print(f"contraction violation: {exc}", file=sys.stderr)
-        return EXIT_CONTRACTION
     except BanachScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{exc.verdict}: {exc}", file=sys.stderr)
+        return exc.exit_code
     write_summary(out / "summary.json", {
         "subcommand": args.subcommand,
-        "config_sha256": config_digest(raw),
+        "config_sha256": hashlib.sha256(raw).hexdigest(),
         "seed": args.seed,
         "lambda0_audit": lambda0_audit(problem.window, problem.consts),
         **summary,

@@ -281,11 +281,6 @@ class CorrelationHierarchy:
             self.m, self.n_max, [a + b for a, b in zip(self.levels, other.levels)]
         )
 
-    def __sub__(self, other):
-        return CorrelationHierarchy(
-            self.m, self.n_max, [a - b for a, b in zip(self.levels, other.levels)]
-        )
-
     def __rmul__(self, c: float):
         return CorrelationHierarchy(self.m, self.n_max, [c * lv for lv in self.levels])
 

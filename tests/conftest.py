@@ -53,8 +53,9 @@ def dead_model():
     return KimuraModel(DiscreteSpace.uniform(3), RateData.constant(3, 0.0, 0.0, 0.0), 3, win)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def shipped_configs():
+    # read for each test: a test may edit its configs without touching another's
     return {
         name: json.loads((CONFIG_DIR / f"{name}.json").read_text())
         for name in ("desk-epistatic", "desk-free", "desk-smooth")

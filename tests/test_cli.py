@@ -107,6 +107,82 @@ MALFORMED = [
     ("verify", "initial", {"rho": [1e200, 0.5, 0.5]}, "initial"),
 ]
 
+# one undeclared field in each config block, the top level first:
+# (field set, its value, field path the message must start with)
+UNKNOWN_FIELDS = [
+    ("extra_block", {}, "extra_block"),
+    ("model.n_maxx", 3, "model.n_maxx"),
+    ("model.rates.h_profil", {"kind": "exp_decay", "rate": 1.0}, "model.rates.h_profil"),
+    ("model.rates.h_profile", {"kind": "exp_decay", "rat": 1.0}, "model.rates.h_profile.rat"),
+    ("window.alpha_to", 1.0, "window.alpha_to"),
+    # beta is the certificate's, which declares 0: a field with one legal value
+    ("window.beta", 0.0, "window.beta"),
+    ("solver.nsteps", 3, "solver.nsteps"),
+    ("initial.poisson", 0.5, "initial.poisson"),
+    ("run.sample", 10, "run.sample"),
+    ("family.alphas", 1.0, "family.alphas"),
+    ("certificate_override", {"c4": 1.0}, "certificate_override.c4"),
+]
+
+# (fields set on desk-epistatic, exit code of solve, verdict the message starts with)
+FAILURE_EXITS = [
+    ({"solver.nsteps": 3}, 2, "invalid configuration"),
+    # a certificate far below the true constants: the measured ratio exceeds it
+    ({"certificate_override": {"c1": 1, "c2": 1e-9, "c3": 1e-9, "cx": 1e-9},
+      "window.lambda": 2.0, "window.T": 100}, 3, "contraction violation"),
+    ({"window.lambda": 1.0}, 4, "infeasible horizon slope"),
+    ({"certificate_override": {"c2": 1e-9, "c3": 1e-9, "cx": 1e-9}, "window.r": 0.01},
+     5, "bound violation"),
+]
+
+
+class TestContract:
+    @pytest.mark.parametrize("subcommand", ["solve", "stability", "verify", "oracle-compare"])
+    @pytest.mark.parametrize("field, value, named", UNKNOWN_FIELDS,
+                             ids=[named for _, _, named in UNKNOWN_FIELDS])
+    def test_unknown_field_exit_2_names_it(
+        self, tmp_path, capsys, shipped_configs, subcommand, field, value, named
+    ):
+        # an ignored field would certify another problem than the one written,
+        # also in a subcommand that does not read its block
+        cfg = shipped_configs["desk-epistatic"]
+        set_field(cfg, field, value)
+        out = tmp_path / "out"
+        assert run(subcommand, write_config(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: {named}: unknown field; expected one of ")
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("changes, code, verdict", FAILURE_EXITS,
+                             ids=[f"exit-{code}" for _, code, _ in FAILURE_EXITS])
+    def test_failure_exit_code_and_verdict(
+        self, tmp_path, capsys, shipped_configs, changes, code, verdict
+    ):
+        cfg = shipped_configs["desk-epistatic"]
+        for field, value in changes.items():
+            set_field(cfg, field, value)
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == code
+        assert capsys.readouterr().err.startswith(f"{verdict}: ")
+
+    def test_explicit_weights_equal_uniform_bit_for_bit(self, tmp_path, shipped_configs):
+        cfg = shipped_configs["desk-epistatic"]
+        assert run("solve", write_config(tmp_path, cfg, "uniform.json"), tmp_path / "uniform") == 0
+        cfg["model"]["weights"] = [0.25, 0.25, 0.25, 0.25]
+        assert run("solve", write_config(tmp_path, cfg, "array.json"), tmp_path / "array") == 0
+        for name in ("trajectory.csv", "convergence.csv", "summary.json"):
+            # the summaries differ in the digest of the config file only
+            a, b = ([line for line in (tmp_path / side / name).read_bytes().splitlines()
+                     if b'"config_sha256"' not in line] for side in ("uniform", "array"))
+            assert a == b, name
+
+    def test_weights_of_the_wrong_length_exit_2(self, tmp_path, capsys, shipped_configs):
+        cfg = shipped_configs["desk-epistatic"]
+        cfg["model"]["weights"] = [0.5, 0.5]
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: model.weights: expected 4 weights"
+        )
+
 
 class TestSolve:
     def test_shipped_config_succeeds(self, tmp_path):

@@ -17,29 +17,19 @@ spread cannot tell a change within the bound from one beyond it.  The exit
 status does not depend on it.  It exits 1 when, on any
 workload, a metric's median is worse than the ref's by more than the
 metric's bound, or the working tree fails a larger share of calls or a
-correctness check.  The worktree is removed at exit.
+correctness check.  The worktree is removed at exit (``reftree``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import shutil
-import signal
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def git(*args: str) -> str:
-    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"git {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
-    return proc.stdout
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -115,13 +105,11 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, spec)
 
-    # a termination signal unwinds through the finally below
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
-    tree = tmp / "ref"
+    # a sibling module: a tool run as a script has its directory on sys.path
+    from reftree import ref_worktree
+
     ok = True
-    try:
-        git("worktree", "add", "--detach", str(tree), args.ref)
+    with ref_worktree(args.ref, prefix="ab_bench-") as tree:
         sides = {"ref": tree, "change": ROOT}
         for workload in args.workloads:
             print(f"== {workload}", flush=True)
@@ -134,10 +122,6 @@ def main(argv: list[str] | None = None) -> int:
                     values = "  ".join(f"{k} {v['value']:.6g}" for k, v in r["metrics"].items())
                     print(f"pair {i + 1} {side:6s} {values}  failed {r['failed']}", flush=True)
             ok = summarize(spec["end_to_end"], runs) and ok
-    finally:
-        # pruning drops the worktree's record once its directory is gone
-        shutil.rmtree(tmp, ignore_errors=True)
-        git("worktree", "prune")
     return 0 if ok else 1
 
 

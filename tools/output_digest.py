@@ -13,7 +13,7 @@ stderr and of each file it wrote.
 With REF it makes the same runs, on the same config files, in a detached
 ``git worktree`` of REF in a temporary directory.  It then prints only the
 lines that differ (``-`` for REF, ``+`` for the working tree) and their
-count, and exits 1 if any differ.  The worktree is removed at exit.
+count, and exits 1 if any differ.  The worktree is removed at exit (``reftree``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import hashlib
 import importlib.util
 import json
 import os
-import shutil
-import signal
 import subprocess
 import sys
 import tempfile
@@ -32,13 +30,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("solve", "stability", "verify", "oracle-compare")
-
-
-def git(*args: str) -> str:
-    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"git {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
-    return proc.stdout
 
 
 def runs() -> list[tuple[str, str, bytes]]:
@@ -98,18 +89,12 @@ def main(argv: list[str] | None = None) -> int:
             print(digest(ROOT, *run), flush=True)
         return 0
 
-    # a termination signal unwinds through the finally below
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    tmp = Path(tempfile.mkdtemp(prefix="output_digest-"))
-    tree = tmp / "ref"
-    try:
-        git("worktree", "add", "--detach", str(tree), args.ref)
+    # a sibling module: a tool run as a script has its directory on sys.path
+    from reftree import ref_worktree
+
+    with ref_worktree(args.ref, prefix="output_digest-") as tree:
         ref = [digest(tree, *run) for run in todo]
         change = [digest(ROOT, *run) for run in todo]
-    finally:
-        # pruning drops the worktree's record once its directory is gone
-        shutil.rmtree(tmp, ignore_errors=True)
-        git("worktree", "prune")
     diff = differences(ref, change)
     for line in diff:
         print(line)
