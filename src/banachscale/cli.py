@@ -51,7 +51,7 @@ FIELDS = {
     **{f"model.rates.{k}_profile": _PROFILE for k in ("h", "psi", "a")},
     "window": ("alpha_star", "alpha0", "alpha_top", "gamma", "lambda", "r", "T"),
     "solver": ("tol", "k_max", "n_steps", "n_alpha", "theta"),
-    "initial": ("poisson_z", "rho"),
+    "initial": ("rho",),
     "run": ("samples", "compare_tol"),
     "family": ("n_values", "alpha", "t_prime"),
     "certificate_override": tuple(f.name for f in fields(OvcyannikovConstants)),
@@ -69,23 +69,25 @@ def _fail(path: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"{path}: {message}")
 
 
-def _get(cfg: dict, path: str, default=None, required: bool = False):
-    node = cfg
-    for part in path.split(".") if path else ():
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise _fail(path, "required field is missing")
-            return default
-        node = node[part]
-    return node
+def _required(block: dict, path: str):
+    """The field at ``path``, read from ``block``, the object at its parent path."""
+    key = path.rpartition(".")[2]
+    if key not in block:
+        raise _fail(path, "required field is missing")
+    return block[key]
 
 
-def _block(cfg: dict, path: str, default=None, required: bool = False) -> dict:
+def _block(cfg: dict, path: str, required: bool = False) -> dict:
     """The object at ``path`` ("" the top level), holding only the fields that
-    ``FIELDS`` names; an absent or null one reads as ``default`` (or {})."""
-    value = _get(cfg, path, required=required)
-    if value is None and not required:
-        value = {} if default is None else default
+    ``FIELDS`` names; unless ``required``, an absent or null one reads as {}.
+    Its parent blocks are checked on the way."""
+    value = cfg
+    if path:
+        parent, _, name = path.rpartition(".")
+        block = _block(cfg, parent)
+        value = _required(block, path) if required else block.get(name)
+        if value is None and not required:
+            value = {}
     if not isinstance(value, dict):
         raise _fail(path or "config", f"expected an object, got {value!r}")
     for key in value:
@@ -130,39 +132,35 @@ def _rate_array(value, m: int, path: str, square: bool = False) -> np.ndarray:
 
 def _profile(cfg: dict, path: str) -> TimeProfile:
     block = _block(cfg, path)
-    numbers = {key: _as_float(v, f"{path}.{key}") for key, v in block.items() if key != "kind"}
+    values = {k: v if k == "kind" else _as_float(v, f"{path}.{k}") for k, v in block.items()}
     try:
-        return TimeProfile(kind=block.get("kind", "constant"), **numbers)
+        return TimeProfile(**values)
     except ModelValidationError as exc:
         raise _fail(path, str(exc)) from exc
 
 
 def parse_window(cfg: dict) -> ScaleWindow:
+    """The window the config sets; ``ScaleWindow`` supplies ``gamma`` and ``T``.
+    ``"lambda": "auto"`` leaves the slope unset, for ``KimuraProblem.build``."""
     w = _block(cfg, "window", required=True)
-    lam_raw = w.get("lambda", "auto")
-    if lam_raw == "auto":
-        lam = None
-    else:
-        lam = _as_float(lam_raw, "window.lambda")
-    r_raw = w.get("r", "inf")
-    r = math.inf if r_raw in ("inf", None) else _as_float(r_raw, "window.r")
+    # r too: the hierarchy's B is quadratic, so its bounds hold in a finite ball only
+    for name in ("alpha_star", "alpha0", "alpha_top", "r"):
+        _required(w, f"window.{name}")
+    opts = {
+        "lam" if key == "lambda" else key: _as_float(value, f"window.{key}")
+        for key, value in w.items()
+        if (key, value) != ("lambda", "auto")
+    }
     try:
-        return ScaleWindow(
-            alpha_star=_as_float(_get(cfg, "window.alpha_star", required=True), "window.alpha_star"),
-            alpha0=_as_float(_get(cfg, "window.alpha0", required=True), "window.alpha0"),
-            alpha_top=_as_float(_get(cfg, "window.alpha_top", required=True), "window.alpha_top"),
-            gamma=_as_float(w.get("gamma", 0.5), "window.gamma"),
-            lam=lam,
-            r=r,
-            T=_as_float(w.get("T", 1.0), "window.T"),
-        )
+        return ScaleWindow(**opts)
     except DomainError as exc:
         raise _fail("window", str(exc)) from exc
 
 
 def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
-    m = _as_int(_get(cfg, "model.m", required=True), "model.m")
-    weights = _get(cfg, "model.weights", "uniform")
+    block = _block(cfg, "model", required=True)
+    m = _as_int(_required(block, "model.m"), "model.m")
+    weights = block.get("weights", "uniform")
     try:
         if weights == "uniform":
             space = DiscreteSpace.uniform(m)
@@ -174,20 +172,18 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
     except ModelValidationError as exc:
         raise _fail("model.weights", str(exc)) from exc
 
-    _block(cfg, "model.rates", required=True)
+    rate_block = _block(cfg, "model.rates", required=True)
+    rate_data = {}
+    for key in ("h", "psi", "a"):
+        path = f"model.rates.{key}"
+        rate_data[f"{key}_base"] = _rate_array(_required(rate_block, path), m, path, key == "psi")
+        rate_data[f"{key}_profile"] = _profile(cfg, f"{path}_profile")
     try:
-        rates = RateData(
-            h_base=_rate_array(_get(cfg, "model.rates.h", required=True), m, "model.rates.h"),
-            psi_base=_rate_array(_get(cfg, "model.rates.psi", required=True), m, "model.rates.psi", square=True),
-            a_base=_rate_array(_get(cfg, "model.rates.a", required=True), m, "model.rates.a"),
-            h_profile=_profile(cfg, "model.rates.h_profile"),
-            psi_profile=_profile(cfg, "model.rates.psi_profile"),
-            a_profile=_profile(cfg, "model.rates.a_profile"),
-        )
+        rates = RateData(**rate_data)
     except ModelValidationError as exc:
         raise _fail("model.rates", str(exc)) from exc
 
-    n_max = _as_int(_get(cfg, "model.n_max", required=True), "model.n_max", positive=False)
+    n_max = _as_int(_required(block, "model.n_max"), "model.n_max", positive=False)
     # the scale weights e^(-alpha n) and the growth rate's e^alpha, e^(2 alpha)
     # are scalar math.exp values, which raise once they overflow
     top = max(2, n_max)
@@ -202,42 +198,25 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
 
 
 def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
-    block = _block(cfg, "initial", {"poisson_z": 1.0})
-    if "poisson_z" in block and "rho" in block:
-        raise _fail("initial", "give one of 'poisson_z' and 'rho', not both")
-    if "poisson_z" in block:
-        z = _as_float(block["poisson_z"], "initial.poisson_z")
-        if z < 0:
-            raise _fail("initial.poisson_z", "density must be nonnegative")
-        rho = np.full(model.m, z)
-    elif "rho" in block:
-        rho = _as_array(block["rho"], "initial.rho")
-        if rho.shape != (model.m,):
-            raise _fail("initial.rho", f"expected {model.m} densities, got shape {rho.shape}")
-        if not np.all(np.isfinite(rho) & (rho >= 0)):
-            raise _fail("initial.rho", "densities must be finite and nonnegative")
-    else:
-        raise _fail("initial", "need 'poisson_z' or 'rho'")
+    """The Poisson hierarchy of ``initial.rho``: a density, or one per site."""
+    rho = _rate_array(_block(cfg, "initial").get("rho", 1.0), model.m, "initial.rho")
+    if not np.all(np.isfinite(rho) & (rho >= 0)):
+        raise _fail("initial.rho", "densities must be finite and nonnegative")
     with np.errstate(over="ignore"):
         k0 = CorrelationHierarchy.poisson(model.m, model.n_max, rho)
     if not np.all(np.isfinite(k0.to_vector())):
-        path = "initial.poisson_z" if "poisson_z" in block else "initial.rho"
-        raise _fail(path, "a product of densities overflows a double")
+        raise _fail("initial.rho", "a product of densities overflows a double")
     return k0
 
 
 def parse_solver_opts(cfg: dict) -> dict:
-    s = _block(cfg, "solver")
-    opts = {
-        "tol": _as_float(s.get("tol", 1e-10), "solver.tol"),
-        "k_max": _as_int(s.get("k_max", 60), "solver.k_max"),
-        "n_steps": _as_int(s.get("n_steps", 100), "solver.n_steps"),
-        "n_alpha": _as_int(s.get("n_alpha", 8), "solver.n_alpha"),
-        "theta": _as_float(s.get("theta", 0.9), "solver.theta"),
-    }
-    if not opts["tol"] > 0.0:
+    """The solver fields the config sets; ``picard_solve`` supplies the rest."""
+    read = {"tol": _as_float, "k_max": _as_int, "n_steps": _as_int, "n_alpha": _as_int,
+            "theta": _as_float}
+    opts = {key: read[key](value, f"solver.{key}") for key, value in _block(cfg, "solver").items()}
+    if "tol" in opts and not opts["tol"] > 0.0:
         raise _fail("solver.tol", f"tolerance must be positive, got {opts['tol']}")
-    if not (0.0 < opts["theta"] < 1.0):
+    if "theta" in opts and not 0.0 < opts["theta"] < 1.0:
         raise _fail("solver.theta", f"safety factor must lie in (0, 1), got {opts['theta']}")
     return opts
 

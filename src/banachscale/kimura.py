@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, DomainError, ModelValidationError
-from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
+from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_terms
 from .solver import EvolutionSystem, PerturbationMap, Problem, StepAction
 
 
@@ -937,10 +937,17 @@ class KimuraProblem(Problem):
         consts = model_constants(model, k0)
         try:
             consts = replace(consts, **(override or {}))
-            lam0 = lambda0(model.window, consts)
+            terms = lambda0_terms(model.window, consts)
         except DomainError as exc:
             # model_constants certifies beta = 0, which every window admits
             raise ConfigurationError(f"certificate_override: {exc}") from exc
+        lam0 = terms.pop("lambda0")
+        for name, term in terms.items():
+            if not math.isfinite(term):
+                # time_span is (alpha_top - alpha_star) / T; the others grow with T
+                fix = ("lengthen window.T" if name == "time_span" else
+                       "shorten window.T or lower window.alpha_top or the rates")
+                raise ModelValidationError(f"lambda0 overflows a double in its {name} term: {fix}")
         window = model.window
         if window.lam is None:
             window = window.with_lam(AUTO_LAMBDA * lam0)

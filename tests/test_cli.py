@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import banachscale
 from banachscale import kimura
 from banachscale.cli import (
+    FIELDS,
     main,
     parse_initial,
     parse_model,
@@ -26,9 +29,11 @@ from banachscale.cli import (
     write_csv,
 )
 from banachscale.kimura import KimuraProblem, level_configs
+from banachscale.scalecore import ScaleWindow
 from banachscale.solver import picard_solve
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def run(subcommand, config, out, extra=()):
@@ -41,6 +46,15 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return path
 
 
+def solve_outputs(out):
+    """The lines of each file ``solve`` writes, but the summary's config digest."""
+    return {
+        name: [line for line in (out / name).read_bytes().splitlines()
+               if b'"config_sha256"' not in line]
+        for name in ("trajectory.csv", "convergence.csv", "summary.json")
+    }
+
+
 def base_config(**overrides):
     cfg = {
         "model": {"m": 3, "weights": "uniform", "n_max": 3,
@@ -48,7 +62,7 @@ def base_config(**overrides):
         "window": {"alpha_star": 0.0, "alpha0": 0.5, "alpha_top": 1.0,
                    "lambda": "auto", "r": 1.0, "T": 1.0},
         "solver": {"tol": 1e-10, "n_steps": 40},
-        "initial": {"poisson_z": 0.5},
+        "initial": {"rho": 0.5},
         "run": {"samples": 30},
         "family": {"n_values": [1, 2, 3]},
     }
@@ -83,7 +97,7 @@ MALFORMED = [
     ("solve", "solver.n_alpha", True, "solver.n_alpha"),
     ("verify", "run.samples", True, "run.samples"),
     ("verify", "run", [30], "run"),
-    ("solve", "initial.poisson_z", float("nan"), "initial.poisson_z"),
+    ("solve", "initial.rho", float("nan"), "initial.rho"),
     # extreme values and ranges the library used to report without a field path
     ("solve", "window.alpha_top", 1e308, "window.alpha_top"),
     ("verify", "window.alpha_top", 1e308, "window.alpha_top"),
@@ -101,8 +115,8 @@ MALFORMED = [
     ("verify", "initial", {"rho": [float("nan"), 0.5, 0.5]}, "initial.rho"),
     ("solve", "initial", {"rho": [float("inf"), 0.5, 0.5]}, "initial.rho"),
     ("verify", "initial", {"rho": [float("inf"), 0.5, 0.5]}, "initial.rho"),
-    ("solve", "initial.poisson_z", 1e300, "initial.poisson_z"),
-    ("verify", "initial.poisson_z", 1e300, "initial.poisson_z"),
+    ("solve", "initial.rho", 1e300, "initial.rho"),
+    ("verify", "initial.rho", 1e300, "initial.rho"),
     ("solve", "initial", {"rho": [1e200, 0.5, 0.5]}, "initial"),
     ("verify", "initial", {"rho": [1e200, 0.5, 0.5]}, "initial"),
 ]
@@ -169,11 +183,56 @@ class TestContract:
         assert run("solve", write_config(tmp_path, cfg, "uniform.json"), tmp_path / "uniform") == 0
         cfg["model"]["weights"] = [0.25, 0.25, 0.25, 0.25]
         assert run("solve", write_config(tmp_path, cfg, "array.json"), tmp_path / "array") == 0
-        for name in ("trajectory.csv", "convergence.csv", "summary.json"):
-            # the summaries differ in the digest of the config file only
-            a, b = ([line for line in (tmp_path / side / name).read_bytes().splitlines()
-                     if b'"config_sha256"' not in line] for side in ("uniform", "array"))
-            assert a == b, name
+        assert solve_outputs(tmp_path / "uniform") == solve_outputs(tmp_path / "array")
+
+    def test_scalar_rho_equals_one_density_per_site(self, tmp_path, shipped_configs):
+        cfg = shipped_configs["desk-epistatic"]
+        assert cfg["initial"] == {"rho": 0.5}
+        assert run("solve", write_config(tmp_path, cfg, "scalar.json"), tmp_path / "scalar") == 0
+        cfg["initial"]["rho"] = [0.5, 0.5, 0.5, 0.5]
+        assert run("solve", write_config(tmp_path, cfg, "array.json"), tmp_path / "array") == 0
+        assert solve_outputs(tmp_path / "scalar") == solve_outputs(tmp_path / "array")
+
+    @pytest.mark.parametrize("block, defaults", [
+        ("solver", {name: p.default for name, p in inspect.signature(picard_solve).parameters.items()
+                    if name in FIELDS["solver"]}),
+        ("window", {f.name: f.default for f in fields(ScaleWindow) if f.name in ("gamma", "T")}),
+    ], ids=["solver", "window"])
+    def test_unset_fields_take_the_library_defaults(
+        self, tmp_path, shipped_configs, block, defaults
+    ):
+        # the defaults are stated once, by picard_solve and ScaleWindow
+        cfg = shipped_configs["desk-epistatic"]
+        for key in defaults:
+            del cfg[block][key]
+        if not cfg[block]:
+            del cfg[block]
+        assert run("solve", write_config(tmp_path, cfg, "unset.json"), tmp_path / "unset") == 0
+        cfg[block] = {**cfg.get(block, {}), **defaults}
+        assert run("solve", write_config(tmp_path, cfg, "set.json"), tmp_path / "set") == 0
+        assert solve_outputs(tmp_path / "unset") == solve_outputs(tmp_path / "set")
+
+    @pytest.mark.parametrize("subcommand", ["solve", "stability", "verify", "oracle-compare"])
+    @pytest.mark.parametrize("r", [..., "inf", None], ids=["absent", "inf", "null"])
+    def test_window_r_is_required_and_finite(
+        self, tmp_path, capsys, shipped_configs, subcommand, r
+    ):
+        # B is quadratic: its bounds hold in a ball of finite radius r around x only
+        cfg = shipped_configs["desk-epistatic"]
+        if r is ...:
+            del cfg["window"]["r"]
+        else:
+            cfg["window"]["r"] = r
+        out = tmp_path / "out"
+        assert run(subcommand, write_config(tmp_path, cfg), out) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: window.r: ")
+        assert not (out / "summary.json").exists()
+
+    def test_readme_config_sketch_solves(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        sketch = section.split("Config sketch (JSON):\n\n```json\n", 1)[1].split("```", 1)[0]
+        assert run("solve", write_config(tmp_path, json.loads(sketch)), tmp_path / "out") == 0
 
     def test_weights_of_the_wrong_length_exit_2(self, tmp_path, capsys, shipped_configs):
         cfg = shipped_configs["desk-epistatic"]
@@ -280,15 +339,6 @@ class TestSolve:
         assert run(subcommand, write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(f"invalid configuration: {named}: ")
 
-    def test_initial_with_both_keys_exit_2_names_both(self, tmp_path, capsys, shipped_configs):
-        # neither key may silently win over the other
-        cfg = {**shipped_configs["desk-epistatic"],
-               "initial": {"poisson_z": 0.5, "rho": [9, 9, 9, 9]}}
-        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid configuration: initial: ")
-        assert "'poisson_z'" in err and "'rho'" in err
-
     @pytest.mark.parametrize("subcommand", ["solve", "stability", "oracle-compare"])
     def test_huge_fixed_slope_exit_0(self, tmp_path, subcommand):
         # a horizon of 5e-309 gives a subnormal grid step; nothing divides by its square
@@ -319,6 +369,16 @@ class TestSolve:
             cfg["model"]["rates"]["h_profile"] = h_profile
         assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("invalid configuration: c1 = exp(")
+
+    def test_overflowing_time_span_term_exit_2(self, tmp_path, capsys, shipped_configs):
+        # lambda0's time_span term is (alpha_top - alpha_star) / T
+        cfg = shipped_configs["desk-epistatic"]
+        cfg["window"]["T"] = 1e-320
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: lambda0 overflows a double in its time_span term: "
+            "lengthen window.T"
+        )
 
     def test_override_resolves_auto_lambda_from_overridden_certificate(self, tmp_path):
         cfg = base_config()
@@ -452,6 +512,19 @@ class TestStability:
         assert run("stability", write_config(tmp_path, cfg), tmp_path / "out") == 4
         err = capsys.readouterr().err
         assert err.startswith("infeasible horizon slope: lambda = 50.0 <= lambda1 = ")
+
+    def test_overflowing_member_lambda0_exit_2(self, tmp_path, capsys, shipped_configs):
+        # the limit's certificate is finite, but members with a larger h
+        # overflow lambda0 in its radius term
+        cfg = shipped_configs["desk-epistatic"]
+        cfg["window"]["T"] = 100
+        config = write_config(tmp_path, cfg)
+        assert run("solve", config, tmp_path / "solve") == 0
+        assert run("stability", config, tmp_path / "stability") == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: lambda0 overflows a double in its radius term: "
+            "shorten window.T"
+        )
 
 
 class TestVerify:
