@@ -35,7 +35,7 @@ from .kimura import (
 )
 from .oracles import bound_verifier, evolution_law_check, oracle_reference, relative_deviation
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_audit
-from .solver import picard_solve
+from .solver import SolverOptions, picard_solve
 from .stability import kimura_h_family, lambda1, stability_experiment
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ FIELDS = {
     "model.rates": ("h", "psi", "a", "h_profile", "psi_profile", "a_profile"),
     **{f"model.rates.{k}_profile": _PROFILE for k in ("h", "psi", "a")},
     "window": ("alpha_star", "alpha0", "alpha_top", "gamma", "lambda", "r", "T"),
-    "solver": ("tol", "k_max", "n_steps", "n_alpha", "theta"),
+    "solver": tuple(f.name for f in fields(SolverOptions)),
     "initial": ("rho",),
     "run": ("samples", "compare_tol"),
     "family": ("n_values", "alpha", "t_prime"),
@@ -151,6 +151,8 @@ def parse_window(cfg: dict) -> ScaleWindow:
         for key, value in w.items()
         if (key, value) != ("lambda", "auto")
     }
+    if not opts["r"] > 0.0:
+        raise _fail("window.r", f"radius must be positive, got {opts['r']}")
     try:
         return ScaleWindow(**opts)
     except DomainError as exc:
@@ -184,6 +186,15 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
         raise _fail("model.rates", str(exc)) from exc
 
     n_max = _as_int(_required(block, "model.n_max"), "model.n_max", positive=False)
+    # the generator sums h over the sites of a configuration and psi over its
+    # site pairs; checked in Python floats, before numpy sums them
+    sites = min(m, n_max)
+    for key, terms in (("h", sites), ("psi", math.comb(sites, 2))):
+        largest = max(getattr(rates, f"{key}_base").ravel().tolist())
+        if not math.isfinite(largest * terms):
+            raise _fail(
+                f"model.rates.{key}", f"a sum of {terms} rates {largest} overflows a double"
+            )
     # the scale weights e^(-alpha n) and the growth rate's e^alpha, e^(2 alpha)
     # are scalar math.exp values, which raise once they overflow
     top = max(2, n_max)
@@ -209,16 +220,22 @@ def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
     return k0
 
 
-def parse_solver_opts(cfg: dict) -> dict:
-    """The solver fields the config sets; ``picard_solve`` supplies the rest."""
-    read = {"tol": _as_float, "k_max": _as_int, "n_steps": _as_int, "n_alpha": _as_int,
-            "theta": _as_float}
-    opts = {key: read[key](value, f"solver.{key}") for key, value in _block(cfg, "solver").items()}
-    if "tol" in opts and not opts["tol"] > 0.0:
-        raise _fail("solver.tol", f"tolerance must be positive, got {opts['tol']}")
-    if "theta" in opts and not 0.0 < opts["theta"] < 1.0:
-        raise _fail("solver.theta", f"safety factor must lie in (0, 1), got {opts['theta']}")
-    return opts
+def parse_solver_opts(cfg: dict) -> SolverOptions:
+    """The solver options the config sets; ``SolverOptions`` supplies the rest.
+    Its range checks are independent, so each set field is checked alone."""
+    opts = {}
+    for key, value in _block(cfg, "solver").items():
+        path = f"solver.{key}"
+        # a field's default has the field's type
+        if isinstance(getattr(SolverOptions, key), float):
+            opts[key] = _as_float(value, path)
+        else:
+            opts[key] = _as_int(value, path, positive=False)
+        try:
+            SolverOptions(**{key: opts[key]})
+        except DomainError as exc:
+            raise _fail(path, str(exc)) from exc
+    return SolverOptions(**opts)
 
 
 def parse_override(cfg: dict) -> dict[str, float]:
@@ -292,7 +309,7 @@ def trajectory_lines(u, model: KimuraModel):
 # its own summary fields and the exit code
 
 
-def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
+def _prepare(cfg: dict) -> tuple[KimuraProblem, SolverOptions]:
     """Parse the config and certify the problem: its horizon slope is resolved.
     Every block is checked, also one that this subcommand does not read."""
     for path in FIELDS:
@@ -308,7 +325,7 @@ def _prepare(cfg: dict) -> tuple[KimuraProblem, dict]:
 def _solve(cfg: dict):
     """Prepare, certify and solve: the problem, the trajectory and its report."""
     problem, opts = _prepare(cfg)
-    u, report = picard_solve(problem, **opts)
+    u, report = picard_solve(problem, opts)
     return problem, u, report
 
 
@@ -378,7 +395,7 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
         t_prime = _as_float(fam_cfg["t_prime"], "family.t_prime")
         if not (0.0 < t_prime < horizon):
             raise _fail("family.t_prime", f"must lie in (0, {horizon}), got {t_prime}")
-    rep = stability_experiment(family, alpha, t_prime, **opts)
+    rep = stability_experiment(family, alpha, t_prime, opts)
     rows = [
         [n, rep.labels[i], rep.perturbation_sizes[i], rep.s_values[i], rep.floor]
         for i, n in enumerate(n_values)

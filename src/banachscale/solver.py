@@ -9,6 +9,7 @@ a-priori bound and the classical-solution residual.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -111,6 +112,34 @@ class Problem:
     consts: OvcyannikovConstants
 
 
+@dataclass(frozen=True)
+class SolverOptions:
+    """The discretisation of the fixed-point construction.
+
+    Picard iteration stops once the increment is at most ``tol`` or after
+    ``k_max`` iterates.  The grid has ``n_steps`` time steps and ``n_alpha``
+    scale steps and ends at ``theta`` times the top horizon; theta < 1 keeps
+    the degenerate weight at the horizon out of the grid.  Each field is
+    checked on its own, so every check names its field.
+    """
+
+    tol: float = 1e-10
+    k_max: int = 60
+    n_steps: int = 100
+    n_alpha: int = 8
+    theta: float = 0.9
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        for name in ("k_max", "n_steps", "n_alpha"):
+            count = getattr(self, name)
+            if not count >= 1:
+                raise DomainError(f"{name} must be at least 1, got {count}")
+        if not 0.0 < self.theta < 1.0:
+            raise DomainError(f"theta must lie in (0, 1), got {self.theta}")
+
+
 @dataclass
 class TriangleSolution:
     """Values of u on the (t, alpha) triangle grid of ``window``.
@@ -173,30 +202,25 @@ class ConvergenceReport:
 
 
 def make_grid(
-    window: ScaleWindow,
-    norm: ScaleNorm,
-    dim: int,
-    n_steps: int,
-    n_alpha: int = 8,
-    theta: float = 0.9,
+    window: ScaleWindow, norm: ScaleNorm, dim: int, opts: SolverOptions
 ) -> TriangleSolution:
-    """Empty triangle grid on [0, theta*(alpha_top-alpha0)/lam], with its weights.
+    """Empty triangle grid of ``opts`` on [0, theta*(alpha_top-alpha0)/lam],
+    with its weights.
 
-    theta < 1 keeps the degenerate weight at the horizon out of the grid.  The
-    weights are scalar Python powers (numpy's vectorised power may differ in
+    The weights are scalar Python powers (numpy's vectorised power may differ in
     the last bit); a node on or past the horizon by round-off weighs 0.
     """
     lam, alpha0, gamma = window.require_lam(), window.alpha0, window.gamma
-    t_end = theta * (window.alpha_top - alpha0) / lam
-    t_grid = np.linspace(0.0, t_end, n_steps + 1)
-    alpha_grid = np.linspace(alpha0, window.alpha_top, n_alpha + 1)
+    t_end = opts.theta * (window.alpha_top - alpha0) / lam
+    t_grid = np.linspace(0.0, t_end, opts.n_steps + 1)
+    alpha_grid = np.linspace(alpha0, window.alpha_top, opts.n_alpha + 1)
     mask = t_grid[:, None] < (alpha_grid[None, :] - alpha0) / lam
     alphas = alpha_grid.tolist()
     weights = np.array([
         [max(alpha - alpha0 - lam * t, 0.0) ** gamma for alpha in alphas]
         for t in t_grid.tolist()
     ])
-    values = np.zeros((n_steps + 1, dim))
+    values = np.zeros((opts.n_steps + 1, dim))
     return TriangleSolution(t_grid, values, alpha_grid, mask, norm, window, weights)
 
 
@@ -290,15 +314,10 @@ def _quadrature_estimate(u: TriangleSolution, g: np.ndarray) -> float:
 
 
 def picard_solve(
-    problem: Problem,
-    tol: float = 1e-10,
-    k_max: int = 60,
-    n_steps: int = 100,
-    n_alpha: int = 8,
-    theta: float = 0.9,
-    u_init: np.ndarray | None = None,
+    problem: Problem, opts: SolverOptions = SolverOptions(), u_init: np.ndarray | None = None
 ) -> tuple[TriangleSolution, ConvergenceReport]:
-    """Iterate u_{k+1} = U(.,0)x + T(u_k) until the increment drops below tol.
+    """Iterate u_{k+1} = U(.,0)x + T(u_k) on the grid of ``opts`` until the
+    increment drops to ``opts.tol`` or ``opts.k_max`` iterates are made.
 
     Requires lam > lambda0, else :class:`InfeasibleHorizonError`; measured
     increment ratios above lambda0/lam plus RATIO_SLACK abort with
@@ -310,11 +329,9 @@ def picard_solve(
     lam0 = lambda0(window, problem.consts)
     if lam <= lam0:
         raise InfeasibleHorizonError(f"lambda = {lam} <= lambda0 = {lam0}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     rho = lam0 / lam
 
-    grid = make_grid(window, problem.norm, len(x), n_steps, n_alpha, theta)
+    grid = make_grid(window, problem.norm, len(x), opts)
     t = grid.t_grid
 
     # the grid is the same for every iterate: build its step actions once
@@ -338,7 +355,7 @@ def picard_solve(
     # B at the current iterate's nodes: the quadrature budget of one iterate
     # and the integral map of the next share it
     g_nodes = None
-    for k in range(k_max):
+    for k in range(opts.k_max):
         tu = integral_map(u, problem, steps, g_nodes)
         # released here, so the monitors' peak memory holds no extra node table
         g_nodes = None
@@ -351,7 +368,7 @@ def picard_solve(
         if prev_d is not None and prev_d > 0:
             ratio = d / prev_d
             report.ratios.append(ratio)
-            if d > tol and ratio > rho + RATIO_SLACK + quad_budget:
+            if d > opts.tol and ratio > rho + RATIO_SLACK + quad_budget:
                 raise ContractionViolationError(
                     f"measured ratio {ratio} exceeds lambda0/lam = {rho} "
                     f"plus slack {RATIO_SLACK + quad_budget}"
@@ -359,7 +376,7 @@ def picard_solve(
         u = u_next
         prev_d = d
         report.iterations = k + 1
-        if d <= tol:
+        if d <= opts.tol:
             report.converged = True
             break
 

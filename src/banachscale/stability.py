@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InfeasibleHorizonError
-from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0
-from .solver import EvolutionSystem, PerturbationMap, Problem, TriangleSolution, picard_solve
+from .scalecore import ScaleWindow, lambda0
+from .solver import Problem, SolverOptions, TriangleSolution, picard_solve
 
 
 @dataclass
@@ -98,10 +98,10 @@ def stability_experiment(
     family: PerturbedFamily,
     alpha: float,
     t_prime: float,
-    tol: float = 1e-10,
-    **solver_kwargs,
+    opts: SolverOptions = SolverOptions(),
 ) -> StabilityReport:
-    """Solve the limit and every member, report s_n at the diagnostic scale.
+    """Solve the limit and every member with ``opts``, report s_n at the
+    diagnostic scale.
 
     Requires lam > lambda1 so every solve contracts under the shared slope,
     else :class:`InfeasibleHorizonError`.  The floor is twice the worst
@@ -123,15 +123,13 @@ def stability_experiment(
         )
 
     # the limit first, then one member at a time: one solution held besides it
-    solves = (
-        picard_solve(p, tol=tol, **solver_kwargs) for p in (family.limit, *family.members)
-    )
+    solves = (picard_solve(p, opts) for p in (family.limit, *family.members))
     u_lim, rep_lim = next(solves)
     s_values, tails = [], [rep_lim.tail_bound]
     for u_n, rep_n in solves:
         s_values.append(_sup_deviation(u_n, u_lim, alpha, t_prime))
         tails.append(rep_n.tail_bound)
-    floor = 2.0 * max(*tails, tol)
+    floor = 2.0 * max(*tails, opts.tol)
     return StabilityReport(s_values, family.sizes, floor, alpha, t_prime, family.labels)
 
 
@@ -166,80 +164,3 @@ def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
     if problem.model.window.lam is None:
         family = at(problem.window.with_lam(AUTO_LAMBDA * lambda1(family)))
     return family
-
-
-# ---------------------------------------------------------------------------
-# scalar closed-form test problem
-
-
-class ScalarEvolution(EvolutionSystem):
-    """U(t,s) = exp(-mu (t-s)), applied componentwise."""
-
-    def __init__(self, mu: float):
-        self.mu = mu
-
-    def apply(self, t: float | np.ndarray, s: float | np.ndarray, V: np.ndarray) -> np.ndarray:
-        # one scalar exp per row, like the profiles of the hierarchy
-        span = np.subtract(t, s)
-        factors = np.array([math.exp(-self.mu * x) for x in np.ravel(span).tolist()])
-        return factors.reshape(np.shape(span) + (1,)) * V
-
-    def generator_apply(self, t: float | np.ndarray, V: np.ndarray) -> np.ndarray:
-        return -self.mu * V
-
-
-class ScalarPerturbation(PerturbationMap):
-    """B(u, t) = c u."""
-
-    def __init__(self, c: float):
-        self.c = c
-
-    def apply(self, V: np.ndarray, ts: float | np.ndarray) -> np.ndarray:
-        return self.c * V
-
-
-def flat_norm(V: np.ndarray, alpha: float | list[float]) -> np.ndarray | float:
-    """max_i |v_i| of each row, the same at every scale (the scalar problem's
-    norm); for a sequence of alphas, that value repeated in each column."""
-    best = np.max(np.abs(V), axis=-1)
-    return best if np.ndim(alpha) == 0 else np.repeat(best[..., None], len(alpha), axis=-1)
-
-
-def scalar_problem(mu: float, c: float, x0: float, window: ScaleWindow) -> Problem:
-    """Problem u' = -mu u + c u, exact solution x0 exp((c - mu) t).
-
-    The certificate is sized to the declared window.
-    """
-    span = window.alpha_top - window.alpha_star
-    consts = OvcyannikovConstants(
-        c1=1.0 if mu >= 0 else math.inf,
-        beta=0.0,
-        c2=abs(c) * span,
-        c3=abs(c) * abs(x0) * span,
-        cx=abs(mu) * abs(x0),
-        x_norm=abs(x0),
-    )
-    return Problem(
-        np.array([x0]), ScalarEvolution(mu), ScalarPerturbation(c), flat_norm, window, consts
-    )
-
-
-def scalar_family(
-    mu: float, c: float, x0: float, epsilons: list[float], window: ScaleWindow
-) -> PerturbedFamily:
-    """Initial-datum family x_n = x0 (1 + eps_n) for the scalar problem.
-
-    Member n's perturbation size is |x_n - x0|.
-    """
-    data = [x0 * (1.0 + eps) for eps in epsilons]
-    return PerturbedFamily(
-        scalar_problem(mu, c, x0, window),
-        [scalar_problem(mu, c, x_n, window) for x_n in data],
-        [f"x0={x_n:g}" for x_n in data],
-        [abs(x_n - x0) for x_n in data],
-    )
-
-
-def scalar_exact(mu: float, c: float, x0: float, t: float) -> float:
-    """Closed-form solution of the scalar test problem."""
-    return x0 * math.exp((c - mu) * t)

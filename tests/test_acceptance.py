@@ -21,13 +21,9 @@ from banachscale.oracles import (
     validate_poisson_closure,
 )
 from banachscale.scalecore import lambda0, weighted_gamma_norm
-from banachscale.solver import apriori_check, picard_solve, residual_check
-from banachscale.stability import (
-    kimura_h_family,
-    lambda1,
-    scalar_family,
-    stability_experiment,
-)
+from banachscale.solver import SolverOptions, apriori_check, picard_solve, residual_check
+from banachscale.stability import kimura_h_family, lambda1, stability_experiment
+from scalar import scalar_family
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_NAMES = ("desk-epistatic", "desk-free", "desk-smooth")
@@ -53,7 +49,7 @@ class SolvedConfig:
         self.problem = KimuraProblem.build(self.model, self.k0)
         self.consts = self.problem.consts
         self.window = self.problem.window
-        self.u, self.rep = picard_solve(self.problem, **self.opts)
+        self.u, self.rep = picard_solve(self.problem, self.opts)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +160,7 @@ def test_criterion_9_residual_order(solved):
     problem = replace(sc.problem, window=sc.window.with_lam(1.1 * lambda0(sc.window, sc.consts)))
     residuals = {}
     for n in (8, 16):
-        u, _ = picard_solve(problem, n_steps=n)
+        u, _ = picard_solve(problem, SolverOptions(n_steps=n))
         residuals[n] = residual_check(u, problem)
     ratio = residuals[8] / residuals[16]
     ok = 3.5 <= ratio <= 4.5
@@ -179,7 +175,8 @@ def test_criterion_10_stability(solved):
     fam = kimura_h_family(sc.problem, [1, 2, 3, 4, 5, 40])
     alpha = fam.window.alpha_top
     tp = 0.4 * (alpha - fam.window.alpha0) / fam.window.lam
-    rep = stability_experiment(fam, alpha, tp, n_steps=30)
+    opts = SolverOptions(n_steps=30)
+    rep = stability_experiment(fam, alpha, tp, opts)
     s = rep.s_values
     decreasing = all(b < a for a, b in zip(s[:5], s[1:5]))
     at_floor = s[5] <= rep.floor
@@ -193,7 +190,7 @@ def test_criterion_10_stability(solved):
     win_s = win0.with_lam(lam_s)
     fam_s = scalar_family(1.0, 0.5, 1.0, eps, win_s)
     tp_s = 0.4 * (win_s.alpha_top - win_s.alpha0) / lam_s
-    slope = stability_experiment(fam_s, win_s.alpha_top, tp_s, n_steps=30).loglog_slope()
+    slope = stability_experiment(fam_s, win_s.alpha_top, tp_s, opts).loglog_slope()
     slope_ok = abs(slope - 1.0) <= 0.1
 
     ok = kimura_ok and slope_ok
@@ -204,8 +201,8 @@ def test_criterion_10_stability(solved):
 
 def test_criterion_11_uniqueness_surrogate(solved):
     sc = solved["desk-epistatic"]
-    tol = sc.opts["tol"]
-    u_alt, rep_alt = picard_solve(sc.problem, u_init=sc.k0.to_vector(), **sc.opts)
+    tol = sc.opts.tol
+    u_alt, rep_alt = picard_solve(sc.problem, sc.opts, u_init=sc.k0.to_vector())
     d = weighted_gamma_norm(sc.u.with_values(sc.u.values - u_alt.values))
     bound = 2.0 * tol / (1.0 - sc.rep.rho)
     ok = d <= bound

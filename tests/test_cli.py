@@ -1,5 +1,4 @@
 import csv
-import inspect
 import io
 import json
 import math
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 import banachscale
 from banachscale import kimura
 from banachscale.cli import (
-    FIELDS,
+    _prepare,
     main,
     parse_initial,
     parse_model,
@@ -28,9 +27,10 @@ from banachscale.cli import (
     trajectory_lines,
     write_csv,
 )
+from banachscale.errors import ConfigurationError, ModelValidationError
 from banachscale.kimura import KimuraProblem, level_configs
 from banachscale.scalecore import ScaleWindow
-from banachscale.solver import picard_solve
+from banachscale.solver import SolverOptions, picard_solve
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -46,12 +46,12 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return path
 
 
-def solve_outputs(out):
-    """The lines of each file ``solve`` writes, but the summary's config digest."""
+def run_outputs(out):
+    """The lines of each file a run wrote, but the summary's config digest."""
     return {
-        name: [line for line in (out / name).read_bytes().splitlines()
-               if b'"config_sha256"' not in line]
-        for name in ("trajectory.csv", "convergence.csv", "summary.json")
+        path.name: [line for line in path.read_bytes().splitlines()
+                    if b'"config_sha256"' not in line]
+        for path in sorted(out.iterdir())
     }
 
 
@@ -119,6 +119,11 @@ MALFORMED = [
     ("verify", "initial.rho", 1e300, "initial.rho"),
     ("solve", "initial", {"rho": [1e200, 0.5, 0.5]}, "initial"),
     ("verify", "initial", {"rho": [1e200, 0.5, 0.5]}, "initial"),
+    # ranges that SolverOptions and parse_window check, named by field
+    ("solve", "solver.theta", 1.5, "solver.theta"),
+    ("solve", "solver.k_max", 0, "solver.k_max"),
+    ("solve", "window.r", 0, "window.r"),
+    ("solve", "window.r", -1, "window.r"),
 ]
 
 # one undeclared field in each config block, the top level first:
@@ -183,7 +188,7 @@ class TestContract:
         assert run("solve", write_config(tmp_path, cfg, "uniform.json"), tmp_path / "uniform") == 0
         cfg["model"]["weights"] = [0.25, 0.25, 0.25, 0.25]
         assert run("solve", write_config(tmp_path, cfg, "array.json"), tmp_path / "array") == 0
-        assert solve_outputs(tmp_path / "uniform") == solve_outputs(tmp_path / "array")
+        assert run_outputs(tmp_path / "uniform") == run_outputs(tmp_path / "array")
 
     def test_scalar_rho_equals_one_density_per_site(self, tmp_path, shipped_configs):
         cfg = shipped_configs["desk-epistatic"]
@@ -191,26 +196,30 @@ class TestContract:
         assert run("solve", write_config(tmp_path, cfg, "scalar.json"), tmp_path / "scalar") == 0
         cfg["initial"]["rho"] = [0.5, 0.5, 0.5, 0.5]
         assert run("solve", write_config(tmp_path, cfg, "array.json"), tmp_path / "array") == 0
-        assert solve_outputs(tmp_path / "scalar") == solve_outputs(tmp_path / "array")
+        assert run_outputs(tmp_path / "scalar") == run_outputs(tmp_path / "array")
 
     @pytest.mark.parametrize("block, defaults", [
-        ("solver", {name: p.default for name, p in inspect.signature(picard_solve).parameters.items()
-                    if name in FIELDS["solver"]}),
+        ("solver", {f.name: f.default for f in fields(SolverOptions)}),
         ("window", {f.name: f.default for f in fields(ScaleWindow) if f.name in ("gamma", "T")}),
     ], ids=["solver", "window"])
     def test_unset_fields_take_the_library_defaults(
         self, tmp_path, shipped_configs, block, defaults
     ):
-        # the defaults are stated once, by picard_solve and ScaleWindow
+        # the defaults are stated once, by SolverOptions and ScaleWindow; the
+        # stability floor reads the solver's tol too
         cfg = shipped_configs["desk-epistatic"]
         for key in defaults:
             del cfg[block][key]
         if not cfg[block]:
             del cfg[block]
-        assert run("solve", write_config(tmp_path, cfg, "unset.json"), tmp_path / "unset") == 0
+        unset = write_config(tmp_path, cfg, "unset.json")
         cfg[block] = {**cfg.get(block, {}), **defaults}
-        assert run("solve", write_config(tmp_path, cfg, "set.json"), tmp_path / "set") == 0
-        assert solve_outputs(tmp_path / "unset") == solve_outputs(tmp_path / "set")
+        configs = {"unset": unset, "set": write_config(tmp_path, cfg, "set.json")}
+        for subcommand in ("solve", "stability"):
+            outs = {name: tmp_path / f"{subcommand}-{name}" for name in configs}
+            for name, config in configs.items():
+                assert run(subcommand, config, outs[name]) == 0
+            assert run_outputs(outs["unset"]) == run_outputs(outs["set"])
 
     @pytest.mark.parametrize("subcommand", ["solve", "stability", "verify", "oracle-compare"])
     @pytest.mark.parametrize("r", [..., "inf", None], ids=["absent", "inf", "null"])
@@ -318,6 +327,19 @@ class TestSolve:
             "invalid configuration: certificate_override: gamma must lie in (beta, 1-beta)"
         )
 
+    @pytest.mark.parametrize("key", ["h", "psi"])
+    def test_rate_whose_site_sums_overflow_is_named(self, shipped_configs, key):
+        # desk-epistatic sums h over 3 sites and psi over 3 site pairs; the
+        # refusal comes before numpy overflows, and a third of the rate passes
+        # on to the certificate
+        cfg = shipped_configs["desk-epistatic"]
+        cfg["model"]["rates"][key] = 1e308
+        with pytest.raises(ConfigurationError, match=rf"^model\.rates\.{key}: "):
+            _prepare(cfg)
+        cfg["model"]["rates"][key] = 1e308 / 3
+        with pytest.raises(ModelValidationError, match="^c1 = "):
+            _prepare(cfg)
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         del cfg["model"]["rates"]["h"]
@@ -394,7 +416,7 @@ class TestSolve:
         cfg = json.loads((CONFIG_DIR / "desk-epistatic.json").read_text())
         model = parse_model(cfg, parse_window(cfg))
         problem = KimuraProblem.build(model, parse_initial(cfg, model))
-        u, _ = picard_solve(problem, **parse_solver_opts(cfg))
+        u, _ = picard_solve(problem, parse_solver_opts(cfg))
         out = tmp_path / "out"
         assert run("solve", CONFIG_DIR / "desk-epistatic.json", out) == 0
         with open(out / "trajectory.csv") as fh:

@@ -38,14 +38,14 @@ from banachscale.kimura import (
 )
 from banachscale.oracles import bound_verifier, evolution_law_check
 from banachscale.scalecore import ScaleWindow
-from banachscale.solver import make_grid, picard_solve, residual_check
-from banachscale.stability import flat_norm
+from banachscale.solver import SolverOptions, make_grid, picard_solve, residual_check
+from scalar import flat_norm
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
 
 
-def solve(model, k0, **solver_kwargs):
-    return picard_solve(KimuraProblem.build(model, k0), **solver_kwargs)
+def solve(model, k0, n_steps):
+    return picard_solve(KimuraProblem.build(model, k0), SolverOptions(n_steps=n_steps))
 
 
 def single_site_model(h=1.0, a=0.0, w=1.0):
@@ -626,7 +626,7 @@ class TestGridSteps:
     def test_steps_match_rk4_on_picard_grid(self, epistatic_problem):
         model = epistatic_problem.model
         win = epistatic_problem.window
-        t = make_grid(win, model.hierarchy_norm, model.dim, 100).t_grid
+        t = make_grid(win, model.hierarchy_norm, model.dim, SolverOptions()).t_grid
         full, half = epistatic_problem.evolution.grid_steps(t)
         rng = np.random.default_rng(3)
         for j in (0, 37, 99):
@@ -936,7 +936,7 @@ class TestWorkCount:
         counts = []
         for n_steps in (20, 80):
             calls.clear()
-            _, rep = picard_solve(problem, n_steps=n_steps, k_max=2)
+            _, rep = picard_solve(problem, SolverOptions(n_steps=n_steps, k_max=2))
             assert rep.iterations == 2
             counts.append(len(calls))
         assert counts[0] == counts[1]
@@ -962,7 +962,7 @@ class TestWorkCount:
         monkeypatch.setattr(solver, "make_grid", counted_grid)
         for name in ("integral_map", "weighted_gamma_norm", "monitor_m"):
             monkeypatch.setattr(solver, name, spy(getattr(solver, name)))
-        u, rep = picard_solve(epistatic_problem, n_steps=20, k_max=4)
+        u, rep = picard_solve(epistatic_problem, SolverOptions(n_steps=20, k_max=4))
         assert rep.iterations >= 3
         assert len(grids) == 1
         assert len(seen) == 3 * rep.iterations
@@ -1012,7 +1012,7 @@ class TestWorkCount:
         window = cli.parse_window(cfg)
         model = cli.parse_model(cfg, window)
         problem = KimuraProblem.build(model, cli.parse_initial(cfg, model))
-        u, _ = picard_solve(problem, n_steps=20, k_max=2)
+        u, _ = picard_solve(problem, SolverOptions(n_steps=20, k_max=2))
         calls = []
         generator_apply = KimuraEvolution.generator_apply
 
@@ -1056,7 +1056,7 @@ class TestWorkCount:
             return apply(self, V, ts)
 
         monkeypatch.setattr(KimuraPerturbation, "apply", counted)
-        _, rep = picard_solve(epistatic_problem, n_steps=20, k_max=4)
+        _, rep = picard_solve(epistatic_problem, SolverOptions(n_steps=20, k_max=4))
         assert rep.iterations >= 3
         assert len(calls) == 5 * rep.iterations + 1
 

@@ -14,8 +14,8 @@ from banachscale.scalecore import (
     lambda0_terms,
     weighted_gamma_norm,
 )
-from banachscale.solver import make_grid
-from banachscale.stability import flat_norm
+from banachscale.solver import SolverOptions, make_grid
+from scalar import flat_norm
 
 
 def unit_window(**kw):
@@ -143,9 +143,13 @@ class TestLambda0:
         assert terms["radius"] == 0.0
 
 
-def grid_with(values_scale, lam=1.0, n_steps=4, n_alpha=4):
+#: a 4 x 4 triangle grid
+SMALL = SolverOptions(n_steps=4, n_alpha=4)
+
+
+def grid_with(values_scale, lam=1.0):
     win = unit_window(lam=lam)
-    g = make_grid(win, flat_norm, 2, n_steps, n_alpha)
+    g = make_grid(win, flat_norm, 2, SMALL)
     g.values[:] = values_scale
     return g, win
 
@@ -194,8 +198,8 @@ class TestWeightedGammaNorm:
     @settings(max_examples=40, deadline=None)
     def test_triangle_inequality(self, a_vals, b_vals):
         win = unit_window(lam=1.0)
-        ga = make_grid(win, flat_norm, 1, 4, 4)
-        gb = make_grid(win, flat_norm, 1, 4, 4)
+        ga = make_grid(win, flat_norm, 1, SMALL)
+        gb = make_grid(win, flat_norm, 1, SMALL)
         ga.values[:, 0] = a_vals
         gb.values[:, 0] = b_vals
         gs = ga.with_values(ga.values + gb.values)
@@ -206,19 +210,20 @@ class TestWeightedGammaNorm:
     def test_larger_gamma_shrinks_norm(self):
         # window width <= 1, so weights decrease as gamma grows; one grid per window
         g_lo, _ = grid_with(2.0)
-        g_hi = make_grid(ScaleWindow(0.0, 0.5, 1.0, gamma=0.8, lam=1.0), flat_norm, 2, 4, 4)
+        g_hi = make_grid(ScaleWindow(0.0, 0.5, 1.0, gamma=0.8, lam=1.0), flat_norm, 2, SMALL)
         g_hi.values[:] = 2.0
         assert weighted_gamma_norm(g_hi) <= weighted_gamma_norm(g_lo) + 1e-12
 
 
 class TestGridWeights:
-    @given(st.integers(0, 12), st.integers(0, 8), st.floats(0.05, 0.95),
-           st.floats(0.1, 50.0), st.floats(0.05, 0.95), st.floats(0.5, 1.5))
+    @given(st.integers(1, 12), st.integers(1, 8), st.floats(0.05, 0.95),
+           st.floats(0.1, 50.0), st.floats(0.05, 0.95), st.floats(0.5, 0.999))
     @settings(max_examples=60, deadline=None)
     def test_table_is_the_pernode_scalar_formula(self, n_steps, n_alpha, alpha0, lam, gamma, theta):
-        # theta >= 1 puts nodes on or past the horizon into the grid
+        # the nodes above a low alpha's horizon lie outside the triangle
         win = ScaleWindow(0.0, alpha0, 1.0, gamma=gamma, lam=lam)
-        g = make_grid(win, flat_norm, 1, n_steps, n_alpha, theta)
+        opts = SolverOptions(n_steps=n_steps, n_alpha=n_alpha, theta=theta)
+        g = make_grid(win, flat_norm, 1, opts)
         gaps = [[a - alpha0 - lam * t for a in g.alpha_grid.tolist()] for t in g.t_grid.tolist()]
         expected = np.array([[max(gap, 0.0) ** gamma for gap in row] for row in gaps])
         assert g.weights.shape == (n_steps + 1, n_alpha + 1)

@@ -23,6 +23,7 @@ from banachscale.solver import (
     EvolutionSystem,
     PerturbationMap,
     Problem,
+    SolverOptions,
     apriori_check,
     contraction_check,
     integral_map,
@@ -31,7 +32,7 @@ from banachscale.solver import (
     picard_solve,
     residual_check,
 )
-from banachscale.stability import ScalarEvolution, flat_norm
+from scalar import ScalarEvolution, ScalarPerturbation, flat_norm
 
 
 class IdentityEvolution(EvolutionSystem):
@@ -48,14 +49,6 @@ class ConstantPerturbation(PerturbationMap):
 
     def apply(self, v, t):
         return np.broadcast_to(self.c, np.shape(v)).copy()
-
-
-class LinearPerturbation(PerturbationMap):
-    def __init__(self, slope):
-        self.slope = slope
-
-    def apply(self, v, t):
-        return self.slope * np.asarray(v, dtype=float)
 
 
 class ApplyOnlyEvolution(EvolutionSystem):
@@ -105,18 +98,23 @@ def problem(U, B, win, x=(1.0,), certificate=None):
     return Problem(np.asarray(x, dtype=float), U, B, flat_norm, win, certificate or consts())
 
 
+def grid(win, dim, n_steps):
+    """Empty flat-norm grid of ``n_steps`` time steps and the default options."""
+    return make_grid(win, flat_norm, dim, SolverOptions(n_steps=n_steps))
+
+
 class TestIntegralMap:
     def test_zero_perturbation(self):
         win = window(lam=1.0)
-        u = make_grid(win, flat_norm, 2, 10)
+        u = grid(win, 2, 10)
         u.values[:] = 0.3
-        B = LinearPerturbation(0.0)
+        B = ScalarPerturbation(0.0)
         out = integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(2)))
         assert np.all(out.values == 0.0)
 
     def test_starts_at_zero(self):
         win = window(lam=1.0)
-        u = make_grid(win, flat_norm, 2, 10)
+        u = grid(win, 2, 10)
         B = ConstantPerturbation([1.0, -2.0])
         out = integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(2)))
         assert np.all(out.values[0] == 0.0)
@@ -124,7 +122,7 @@ class TestIntegralMap:
     def test_constant_integrand_exact(self):
         # identity propagator, constant B: T(u)(t) = t*c
         win = window(lam=1.0)
-        u = make_grid(win, flat_norm, 2, 20)
+        u = grid(win, 2, 20)
         c = np.array([1.0, -2.0])
         out = integral_map(u, problem(IdentityEvolution(), ConstantPerturbation(c), win, np.zeros(2)))
         for j, t in enumerate(u.t_grid):
@@ -132,17 +130,17 @@ class TestIntegralMap:
 
     def test_batched_increments_bit_identical_to_stepwise(self):
         win = window(lam=1.0)
-        u = make_grid(win, flat_norm, 3, 17)
+        u = grid(win, 3, 17)
         u.values[:] = np.sin(np.outer(np.arange(18), [1.0, 2.0, 3.0]))
-        U, B = ScalarEvolution(1.7), LinearPerturbation(-0.3)
+        U, B = ScalarEvolution(1.7), ScalarPerturbation(-0.3)
         out = integral_map(u, problem(U, B, win, np.zeros(3)))
         assert np.array_equal(out.values, stepwise_integral(u, U, B))
 
     def test_radius_violation_names_node(self):
         win = window(lam=1.0, r=0.1)
-        u = make_grid(win, flat_norm, 1, 5)
+        u = grid(win, 1, 5)
         u.values[:] = 5.0
-        B = LinearPerturbation(0.0)
+        B = ScalarPerturbation(0.0)
         with pytest.raises(AdmissibilityError, match="alpha"):
             integral_map(u, problem(IdentityEvolution(), B, win, np.zeros(1)))
 
@@ -152,7 +150,8 @@ class TestPicardSolve:
         win = window(lam=40.0)
         x = np.array([2.0])
         u, rep = picard_solve(
-            problem(ScalarEvolution(1.0), LinearPerturbation(0.0), win, x), n_steps=20
+            problem(ScalarEvolution(1.0), ScalarPerturbation(0.0), win, x),
+            SolverOptions(n_steps=20),
         )
         assert rep.increments[0] == 0.0
         assert rep.converged
@@ -162,8 +161,8 @@ class TestPicardSolve:
     def test_zero_data_zero_solution(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win, np.zeros(1), consts(x_norm=0.0)),
-            n_steps=10,
+            problem(ScalarEvolution(1.0), ScalarPerturbation(0.5), win, np.zeros(1), consts(x_norm=0.0)),
+            SolverOptions(n_steps=10),
         )
         assert np.all(u.values == 0.0)
 
@@ -171,14 +170,9 @@ class TestPicardSolve:
         win = window(lam=0.5)
         lam0 = lambda0(win, consts())
         with pytest.raises(InfeasibleHorizonError) as exc:
-            picard_solve(problem(ScalarEvolution(1.0), LinearPerturbation(0.1), win))
+            picard_solve(problem(ScalarEvolution(1.0), ScalarPerturbation(0.1), win))
         assert str(exc.value) == f"lambda = 0.5 <= lambda0 = {lam0}"
         assert isinstance(exc.value, ConfigurationError)
-
-    def test_bad_tol_rejected(self):
-        win = window(lam=40.0)
-        with pytest.raises(DomainError):
-            picard_solve(problem(ScalarEvolution(1.0), LinearPerturbation(0.1), win), tol=0.0)
 
     def test_inconsistent_certificate_detected(self):
         # B has Lipschitz slope 30 but the certificate declares c2 = 1e-3;
@@ -189,15 +183,15 @@ class TestPicardSolve:
         assert lambda0(win, fake) < 2.1
         with pytest.raises(ContractionViolationError):
             picard_solve(
-                problem(IdentityEvolution(), LinearPerturbation(30.0), win, certificate=fake),
-                n_steps=40,
+                problem(IdentityEvolution(), ScalarPerturbation(30.0), win, certificate=fake),
+                SolverOptions(n_steps=40),
             )
 
     def test_exact_solution_linear_problem(self):
         # u' = -u + 0.5 u, closed form x e^{-t/2}
         win = window(lam=40.0)
         u, rep = picard_solve(
-            problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win), n_steps=50
+            problem(ScalarEvolution(1.0), ScalarPerturbation(0.5), win), SolverOptions(n_steps=50)
         )
         for j, t in enumerate(u.t_grid):
             assert u.values[j, 0] == pytest.approx(math.exp(-0.5 * t), rel=1e-8)
@@ -206,30 +200,40 @@ class TestPicardSolve:
         # second run starts from the constant-in-time iterate u^(0) = x
         win = window(lam=40.0)
         x = np.array([1.0])
-        tol = 1e-12
-        p = problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win, x)
-        u1, r1 = picard_solve(p, tol=tol, n_steps=30)
-        u2, r2 = picard_solve(p, tol=tol, n_steps=30, u_init=x)
+        opts = SolverOptions(tol=1e-12, n_steps=30)
+        p = problem(ScalarEvolution(1.0), ScalarPerturbation(0.5), win, x)
+        u1, r1 = picard_solve(p, opts)
+        u2, r2 = picard_solve(p, opts, u_init=x)
         d = weighted_gamma_norm(u1.with_values(u1.values - u2.values))
-        assert d <= 2.0 * tol / (1.0 - r1.rho)
+        assert d <= 2.0 * opts.tol / (1.0 - r1.rho)
 
     def test_geometric_decrease(self):
         win = window(lam=40.0)
         u, rep = picard_solve(
-            problem(ScalarEvolution(1.0), LinearPerturbation(0.5), win), n_steps=30
+            problem(ScalarEvolution(1.0), ScalarPerturbation(0.5), win), SolverOptions(n_steps=30)
         )
         for ratio in rep.ratios:
             if rep.increments[rep.ratios.index(ratio)] > 1e-10:
                 assert ratio <= rep.rho + 1e-9 + rep.quadrature_error_estimate
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("theta", 0.0), ("theta", 1.0), ("theta", 1.5),
+        ("tol", 0.0), ("tol", math.nan), ("tol", math.inf),
+        ("k_max", 0), ("n_steps", 0), ("n_alpha", 0),
+    ])
+    def test_out_of_range_refused_naming_the_field(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} "):
+            SolverOptions(**{field: value})
+
+
 class TestGridStepsInPicard:
     def test_kimura_fast_path_matches_apply_only_run(self, epistatic_problem):
         p = epistatic_problem
-        u_fast, r_fast = picard_solve(p, n_steps=30)
-        u_ref, r_ref = picard_solve(
-            replace(p, evolution=ApplyOnlyEvolution(p.evolution)), n_steps=30
-        )
+        opts = SolverOptions(n_steps=30)
+        u_fast, r_fast = picard_solve(p, opts)
+        u_ref, r_ref = picard_solve(replace(p, evolution=ApplyOnlyEvolution(p.evolution)), opts)
         assert r_fast.iterations == r_ref.iterations
         for a, b in zip(r_fast.increments, r_ref.increments):
             assert abs(a - b) <= 1e-12 * abs(b)
@@ -239,11 +243,11 @@ class TestGridStepsInPicard:
 class TestContractionCheck:
     def test_equal_iterates_undefined(self):
         win = window(lam=40.0)
-        u = make_grid(win, flat_norm, 1, 10)
+        u = grid(win, 1, 10)
         u.values[:] = 1.0
         rep = contraction_check(
             u, u.with_values(u.values.copy()),
-            problem(IdentityEvolution(), LinearPerturbation(0.5), win),
+            problem(IdentityEvolution(), ScalarPerturbation(0.5), win),
         )
         assert not rep.defined
         assert rep.measured is None
@@ -251,11 +255,11 @@ class TestContractionCheck:
 
     def test_linear_map_within_bound(self):
         win = window(lam=40.0)
-        u = make_grid(win, flat_norm, 1, 20)
-        v = make_grid(win, flat_norm, 1, 20)
+        u = grid(win, 1, 20)
+        v = grid(win, 1, 20)
         u.values[:] = 1.0
         v.values[:, 0] = 1.0 + 0.01 * np.sin(np.arange(21))
-        rep = contraction_check(u, v, problem(IdentityEvolution(), LinearPerturbation(0.5), win))
+        rep = contraction_check(u, v, problem(IdentityEvolution(), ScalarPerturbation(0.5), win))
         assert rep.defined
         assert not rep.violated
         assert rep.measured <= rep.bound + rep.slack
@@ -264,24 +268,24 @@ class TestContractionCheck:
 class TestResidualCheck:
     def test_constant_solution_zero_residual(self):
         win = window(lam=1.0)
-        u = make_grid(win, flat_norm, 1, 10)
+        u = grid(win, 1, 10)
         u.values[:] = 2.0
-        res = residual_check(u, problem(IdentityEvolution(), LinearPerturbation(0.0), win))
+        res = residual_check(u, problem(IdentityEvolution(), ScalarPerturbation(0.0), win))
         assert res <= 1e-14
 
     def test_exact_exponential_residual_is_taylor_remainder(self):
         # u = e^{-t}, A = -1, B = 0: residual <= dt^2 ||u|| / 6 + eps
         win = window(lam=1.0)
-        u = make_grid(win, flat_norm, 1, 40)
+        u = grid(win, 1, 40)
         u.values[:, 0] = np.exp(-u.t_grid)
-        res = residual_check(u, problem(ScalarEvolution(1.0), LinearPerturbation(0.0), win))
+        res = residual_check(u, problem(ScalarEvolution(1.0), ScalarPerturbation(0.0), win))
         assert res <= u.dt**2 / 6.0 + 1e-12
 
     def test_too_few_nodes_rejected(self):
         win = window(lam=1.0)
-        u = make_grid(win, flat_norm, 1, 1)
+        u = grid(win, 1, 1)
         with pytest.raises(DomainError):
-            residual_check(u, problem(IdentityEvolution(), LinearPerturbation(0.0), win))
+            residual_check(u, problem(IdentityEvolution(), ScalarPerturbation(0.0), win))
 
 
 def pernode_sup(u, rows, window):
@@ -316,7 +320,8 @@ class TestTriangleKernel:
         p = epistatic_problem
         win = ScaleWindow(0.0, alpha0, 1.0, gamma=gamma, lam=lam)
         x = p.k0.to_vector()
-        u = make_grid(win, p.norm, len(x), n_steps, n_alpha, theta)
+        opts = SolverOptions(n_steps=n_steps, n_alpha=n_alpha, theta=theta)
+        u = make_grid(win, p.norm, len(x), opts)
         u.values[:] = x + np.random.default_rng(seed).uniform(-0.5, 0.5, u.values.shape)
         B = p.perturbation
         assert weighted_gamma_norm(u) == pernode_sup(u, u.values, win)

@@ -8,15 +8,9 @@ import pytest
 from banachscale.errors import ConfigurationError, DomainError, InfeasibleHorizonError
 from banachscale.kimura import AUTO_LAMBDA, KimuraProblem
 from banachscale.scalecore import ScaleWindow, lambda0
-from banachscale.stability import (
-    PerturbedFamily,
-    kimura_h_family,
-    lambda1,
-    scalar_exact,
-    scalar_family,
-    scalar_problem,
-    stability_experiment,
-)
+from banachscale.solver import SolverOptions, picard_solve
+from banachscale.stability import PerturbedFamily, kimura_h_family, lambda1, stability_experiment
+from scalar import scalar_exact, scalar_family, scalar_problem
 
 SCALAR_WIN = ScaleWindow(0.0, 0.5, 1.0, T=1.0)
 
@@ -76,7 +70,7 @@ class TestStabilityExperiment:
     def test_identical_family_sits_at_floor(self):
         fam, win = resolved_scalar_family([0.0, 0.0, 0.0])
         tp = 0.4 * (1.0 - 0.5) / win.lam
-        rep = stability_experiment(fam, 1.0, tp, n_steps=20)
+        rep = stability_experiment(fam, 1.0, tp, SolverOptions(n_steps=20))
         for s in rep.s_values:
             assert s <= rep.floor
 
@@ -84,24 +78,22 @@ class TestStabilityExperiment:
         eps = [1e-2, 3e-3, 1e-3, 3e-4]
         fam, win = resolved_scalar_family(eps)
         tp = 0.4 * 0.5 / win.lam
-        rep = stability_experiment(fam, 1.0, tp, n_steps=30)
+        rep = stability_experiment(fam, 1.0, tp, SolverOptions(n_steps=30))
         assert all(b < a for a, b in zip(rep.s_values, rep.s_values[1:]))
         assert rep.loglog_slope() == pytest.approx(1.0, abs=0.1)
 
     def test_scalar_solver_matches_closed_form(self):
         fam, win = resolved_scalar_family([0.0])
         tp = 0.4 * 0.5 / win.lam
-        from banachscale.solver import picard_solve
-
-        u, _ = picard_solve(fam.limit, n_steps=30)
+        u, _ = picard_solve(fam.limit, SolverOptions(n_steps=30))
         for j, t in enumerate(u.t_grid):
             assert u.values[j, 0] == pytest.approx(scalar_exact(1.0, 0.5, 1.0, t), rel=1e-8)
 
     def test_monotone_majorant_in_alpha(self, epistatic_problem):
         fam = kimura_h_family(epistatic_problem, [1, 2])
         tp = 0.4 * (0.75 - 0.5) / fam.window.lam
-        hi = stability_experiment(fam, 1.0, tp, n_steps=20)
-        lo = stability_experiment(fam, 0.75, tp, n_steps=20)
+        hi = stability_experiment(fam, 1.0, tp, SolverOptions(n_steps=20))
+        lo = stability_experiment(fam, 0.75, tp, SolverOptions(n_steps=20))
         for s_hi, s_lo in zip(hi.s_values, lo.s_values):
             assert s_hi <= s_lo + 1e-15
 
@@ -136,6 +128,6 @@ class TestKimuraFamily:
         fam = kimura_h_family(epistatic_problem, [1, 2, 3])
         assert fam.sizes == [2.0**-n for n in (1, 2, 3)]
         tp = 0.4 * (1.0 - 0.5) / fam.window.lam
-        slope = stability_experiment(fam, 1.0, tp, n_steps=20).loglog_slope()
+        slope = stability_experiment(fam, 1.0, tp, SolverOptions(n_steps=20)).loglog_slope()
         # the deviations are linear in the perturbation of h
         assert slope == pytest.approx(1.0, abs=0.1)
