@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BanachScaleError, ConfigurationError, DomainError, ModelValidationError
+from .errors import BanachScaleError, ConfigurationError
 from .kimura import (
     MAX_SPAN,
     CorrelationHierarchy,
@@ -60,6 +60,9 @@ FIELDS = {
 #: largest x with e^x finite in double precision
 _LOG_MAX = math.log(sys.float_info.max)
 
+#: the config name of a library field where the two differ
+_CONFIG_NAMES = {"lam": "lambda", "space.weights": "weights"}
+
 
 # ---------------------------------------------------------------------------
 # configuration parsing
@@ -67,6 +70,21 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 def _fail(path: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"{path}: {message}")
+
+
+def _checked(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: a library type or call, given values read
+    from the block at ``path``.  A refusal that names its field exits 2 as
+    ``<path>.<field>``; any other refusal by a type is about several of the
+    block's values and exits 2 as ``<path>``; a call's other errors pass on."""
+    try:
+        return make(*args, **kwargs)
+    except BanachScaleError as exc:
+        if exc.field is not None:
+            raise _fail(f"{path}.{_CONFIG_NAMES.get(exc.field, exc.field)}", str(exc)) from exc
+        if isinstance(make, type):
+            raise _fail(path, str(exc)) from exc
+        raise
 
 
 def _required(block: dict, path: str):
@@ -133,10 +151,7 @@ def _rate_array(value, m: int, path: str, square: bool = False) -> np.ndarray:
 def _profile(cfg: dict, path: str) -> TimeProfile:
     block = _block(cfg, path)
     values = {k: v if k == "kind" else _as_float(v, f"{path}.{k}") for k, v in block.items()}
-    try:
-        return TimeProfile(**values)
-    except ModelValidationError as exc:
-        raise _fail(path, str(exc)) from exc
+    return _checked(path, TimeProfile, **values)
 
 
 def parse_window(cfg: dict) -> ScaleWindow:
@@ -151,28 +166,20 @@ def parse_window(cfg: dict) -> ScaleWindow:
         for key, value in w.items()
         if (key, value) != ("lambda", "auto")
     }
-    if not opts["r"] > 0.0:
-        raise _fail("window.r", f"radius must be positive, got {opts['r']}")
-    try:
-        return ScaleWindow(**opts)
-    except DomainError as exc:
-        raise _fail("window", str(exc)) from exc
+    return _checked("window", ScaleWindow, **opts)
 
 
 def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
     block = _block(cfg, "model", required=True)
     m = _as_int(_required(block, "model.m"), "model.m")
     weights = block.get("weights", "uniform")
-    try:
-        if weights == "uniform":
-            space = DiscreteSpace.uniform(m)
-        else:
-            arr = _as_array(weights, "model.weights")
-            if arr.shape != (m,):
-                raise _fail("model.weights", f"expected {m} weights, got shape {arr.shape}")
-            space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), arr)
-    except ModelValidationError as exc:
-        raise _fail("model.weights", str(exc)) from exc
+    if weights == "uniform":
+        space = DiscreteSpace.uniform(m)
+    else:
+        arr = _as_array(weights, "model.weights")
+        if arr.shape != (m,):
+            raise _fail("model.weights", f"expected {m} weights, got shape {arr.shape}")
+        space = _checked("model", DiscreteSpace, tuple(f"x{i}" for i in range(m)), arr)
 
     rate_block = _block(cfg, "model.rates", required=True)
     rate_data = {}
@@ -180,21 +187,9 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
         path = f"model.rates.{key}"
         rate_data[f"{key}_base"] = _rate_array(_required(rate_block, path), m, path, key == "psi")
         rate_data[f"{key}_profile"] = _profile(cfg, f"{path}_profile")
-    try:
-        rates = RateData(**rate_data)
-    except ModelValidationError as exc:
-        raise _fail("model.rates", str(exc)) from exc
+    rates = _checked("model.rates", RateData, **rate_data)
 
     n_max = _as_int(_required(block, "model.n_max"), "model.n_max", positive=False)
-    # the generator sums h over the sites of a configuration and psi over its
-    # site pairs; checked in Python floats, before numpy sums them
-    sites = min(m, n_max)
-    for key, terms in (("h", sites), ("psi", math.comb(sites, 2))):
-        largest = max(getattr(rates, f"{key}_base").ravel().tolist())
-        if not math.isfinite(largest * terms):
-            raise _fail(
-                f"model.rates.{key}", f"a sum of {terms} rates {largest} overflows a double"
-            )
     # the scale weights e^(-alpha n) and the growth rate's e^alpha, e^(2 alpha)
     # are scalar math.exp values, which raise once they overflow
     top = max(2, n_max)
@@ -202,10 +197,7 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
         alpha = getattr(window, name)
         if abs(alpha) * top > _LOG_MAX:
             raise _fail(f"window.{name}", f"e^({alpha} * {top}) overflows a double")
-    try:
-        return KimuraModel(space, rates, n_max, window)
-    except ModelValidationError as exc:
-        raise _fail("model", str(exc)) from exc
+    return _checked("model", KimuraModel, space, rates, n_max, window)
 
 
 def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
@@ -221,8 +213,7 @@ def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
 
 
 def parse_solver_opts(cfg: dict) -> SolverOptions:
-    """The solver options the config sets; ``SolverOptions`` supplies the rest.
-    Its range checks are independent, so each set field is checked alone."""
+    """The solver options the config sets; ``SolverOptions`` supplies the rest."""
     opts = {}
     for key, value in _block(cfg, "solver").items():
         path = f"solver.{key}"
@@ -231,11 +222,7 @@ def parse_solver_opts(cfg: dict) -> SolverOptions:
             opts[key] = _as_float(value, path)
         else:
             opts[key] = _as_int(value, path, positive=False)
-        try:
-            SolverOptions(**{key: opts[key]})
-        except DomainError as exc:
-            raise _fail(path, str(exc)) from exc
-    return SolverOptions(**opts)
+    return _checked("solver", SolverOptions, **opts)
 
 
 def parse_override(cfg: dict) -> dict[str, float]:
@@ -384,18 +371,10 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
     family = kimura_h_family(problem, n_values)
     window = family.window
     alpha = _as_float(fam_cfg.get("alpha", window.alpha_top), "family.alpha")
-    if not (window.alpha0 < alpha <= window.alpha_top):
-        raise _fail(
-            "family.alpha",
-            f"diagnostic scale must lie in ({window.alpha0}, {window.alpha_top}], got {alpha}",
-        )
-    horizon = (alpha - window.alpha0) / window.lam
-    t_prime = 0.5 * horizon
+    t_prime = None
     if "t_prime" in fam_cfg:
         t_prime = _as_float(fam_cfg["t_prime"], "family.t_prime")
-        if not (0.0 < t_prime < horizon):
-            raise _fail("family.t_prime", f"must lie in (0, {horizon}), got {t_prime}")
-    rep = stability_experiment(family, alpha, t_prime, opts)
+    rep = _checked("family", stability_experiment, family, alpha, t_prime, opts)
     rows = [
         [n, rep.labels[i], rep.perturbation_sizes[i], rep.s_values[i], rep.floor]
         for i, n in enumerate(n_values)
@@ -409,7 +388,7 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
         "lambda": window.lam,
         "lambda1": lambda1(family),
         "alpha": alpha,
-        "t_prime": t_prime,
+        "t_prime": rep.t_prime,
         "floor": rep.floor,
         "deviations": rep.s_values,
         "strictly_decreasing": all(

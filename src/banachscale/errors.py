@@ -6,9 +6,15 @@ class BanachScaleError(Exception):
 
     Each type carries the CLI's outcome for it: ``cli.main`` prints
     ``f"{verdict}: {message}"`` to stderr and exits with ``exit_code``.
+    ``field`` names the argument a refusal is about, as its owner calls it,
+    or is None for a condition on several values.
     """
     exit_code = 2
     verdict = "error"
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class DomainError(BanachScaleError, ValueError):

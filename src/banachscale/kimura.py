@@ -53,7 +53,9 @@ class DiscreteSpace:
         if len(self.points) < 1 or len(self.points) != len(w):
             raise ModelValidationError("points and weights must be nonempty and aligned")
         if not np.all(np.isfinite(w)) or not np.all(w > 0):
-            raise ModelValidationError("weights must be finite and strictly positive")
+            raise ModelValidationError(
+                "weights must be finite and strictly positive", field="weights"
+            )
 
     @classmethod
     def uniform(cls, m: int) -> "DiscreteSpace":
@@ -75,11 +77,11 @@ class TimeProfile:
 
     def __post_init__(self):
         if self.kind not in ("constant", "exp_decay", "sinusoidal"):
-            raise ModelValidationError(f"unknown time profile {self.kind!r}")
+            raise ModelValidationError(f"unknown time profile {self.kind!r}", field="kind")
         if self.kind == "exp_decay" and self.rate < 0:
-            raise ModelValidationError("exp_decay rate must be nonnegative")
+            raise ModelValidationError("exp_decay rate must be nonnegative", field="rate")
         if self.kind == "sinusoidal" and not (0.0 <= self.amp <= 1.0):
-            raise ModelValidationError("sinusoidal amplitude must lie in [0, 1]")
+            raise ModelValidationError("sinusoidal amplitude must lie in [0, 1]", field="amp")
 
     def value(self, t: float) -> float:
         if self.kind == "constant":
@@ -179,9 +181,11 @@ class RateData:
             raise ModelValidationError("rate arrays must share the site dimension")
         for arr, name in ((h, "h"), (psi, "psi"), (a, "a")):
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise ModelValidationError(f"rate {name} must be finite and nonnegative")
+                raise ModelValidationError(
+                    f"rate {name} must be finite and nonnegative", field=name
+                )
         if not np.array_equal(psi, psi.T):
-            raise ModelValidationError("psi must be symmetric in its site arguments")
+            raise ModelValidationError("psi must be symmetric in its site arguments", field="psi")
         object.__setattr__(self, "psi_base", psi * ~np.eye(m, dtype=bool))
 
     @classmethod
@@ -305,9 +309,12 @@ class KimuraModel:
 
     def __post_init__(self):
         if self.n_max < 2:
-            raise ModelValidationError("n_max must be at least 2 (pair term of Bdelta)")
+            raise ModelValidationError(
+                f"n_max must be at least 2 (pair term of Bdelta), got {self.n_max}", field="n_max"
+            )
         if len(self.rates.h_base) != self.space.m:
             raise ModelValidationError("rates and space disagree on the site count")
+        _check_sums(self)
         a0_h, a0_psi, a1_psi, a1_a = _assemble_components(self)
         self._a0 = sparse.vstack([a0_h, a0_psi], format="csr")
         self._b = sparse.vstack([a1_psi, a1_a, a0_h[0], a0_psi[0]], format="csr")
@@ -349,6 +356,54 @@ class KimuraModel:
         d = self._a0.shape[1]
         p_h, p_psi = self.a0_factors(t)
         return _scaled(p_h, self._a0[:d]) + _scaled(p_psi, self._a0[d:])
+
+
+def _check_sums(model: KimuraModel) -> None:
+    """Refuse rates or weights whose sums or products overflow a double.
+
+    Bounds, in Python floats and before numpy forms them, the largest sums
+    over the sites and site pairs of a configuration and the weighted entries
+    of :func:`_assemble_components`, and the aggregates of
+    :func:`rate_aggregates`.  Each bound is attained but psi's: its largest
+    pair rates need not share a configuration.  A rate whose own sums
+    overflow is named first (``rates.h``, ``rates.psi``, ``rates.a``), then
+    the weights that scale it (``space.weights``).
+    """
+    rates, T = model.rates, model.window.T
+    m, sites = model.m, min(model.m, model.n_max)
+    w = model.space.weights.tolist()
+    h, psi, a = rates.h_base.tolist(), rates.psi_base.tolist(), rates.a_base.tolist()
+    profiles = (rates.h_profile, rates.psi_profile, rates.a_profile)
+    sup_h, sup_psi, sup_a = (p.sup(T) for p in profiles)
+
+    def top(values, k: int) -> float:
+        """The largest sum of k of the nonnegative values."""
+        return sum(sorted(values, reverse=True)[:k])
+
+    def dot(x, y) -> float:
+        return sum(p * q for p, q in zip(x, y))
+
+    pairs = [psi[i][j] for i in range(m) for j in range(i + 1, m)]
+    row_ints = [dot(row, w) for row in psi]
+    checks = (
+        ("rates.h", top(h, sites), f"a sum of h over {sites} sites"),
+        ("rates.h", max(h) * sup_h, "h at the peak of its profile"),
+        ("rates.psi", top(pairs, math.comb(sites, 2)), f"a sum of psi over {sites} sites"),
+        ("rates.psi", max(pairs, default=0.0) * sup_psi, "psi at the peak of its profile"),
+        ("rates.a", max(a) * sup_a, "a at the peak of its profile"),
+        # a product w_i w_j psi_ij is then a term of the double integral
+        ("space.weights", max(w) * max(w), "a product of two weights"),
+        # w_j times site j's psi summed over the other sites of a configuration
+        ("space.weights", max(
+            w[j] * top((psi[i][j] for i in range(m) if i != j), sites - 1) for j in range(m)
+        ), "a weight times a sum of psi"),
+        ("space.weights", dot(w, h) * sup_h, "the integral of h"),
+        ("space.weights", max(row_ints) * sup_psi, "an integral of a row of psi"),
+        ("space.weights", dot(w, row_ints) * sup_psi, "the double integral of psi"),
+    )
+    for field_name, value, what in checks:
+        if not math.isfinite(value):
+            raise ModelValidationError(f"{what} overflows a double", field=field_name)
 
 
 def _scaled(p, x):
@@ -743,11 +798,12 @@ def _site_sums(model: KimuraModel) -> tuple[float, float, np.ndarray]:
 
 
 def rate_aggregates(model: KimuraModel) -> RateAggregates:
-    """Exact suprema over [0, T]: nonnegative base aggregates times profile maxima."""
+    """Exact suprema over [0, T]: nonnegative base aggregates times profile maxima,
+    each a finite double (``KimuraModel`` refuses rates and weights otherwise)."""
     rates, T = model.rates, model.window.T
     sup_h, sup_psi, sup_a = (p.sup(T) for p in (rates.h_profile, rates.psi_profile, rates.a_profile))
     int_h, int_psi, row_ints = _site_sums(model)
-    values = (
+    return RateAggregates(
         float(np.max(rates.h_base)) * sup_h,
         float(np.max(rates.psi_base)) * sup_psi,
         float(np.max(rates.a_base)) * sup_a,
@@ -755,9 +811,6 @@ def rate_aggregates(model: KimuraModel) -> RateAggregates:
         int_psi * sup_psi,
         float(np.max(row_ints)) * sup_psi,
     )
-    if not all(math.isfinite(v) for v in values):
-        raise ModelValidationError("rate aggregates are not finite")
-    return RateAggregates(*values)
 
 
 def _growth(model: KimuraModel, alpha: float, h_factor: float, psi_factor: float) -> float:
@@ -798,10 +851,6 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
     scale index.
     """
     win = model.window
-    if math.isinf(win.r):
-        raise ModelValidationError(
-            "the hierarchy perturbation is quadratic; a finite admissible radius r is required"
-        )
     agg = rate_aggregates(model)
     try:
         c1 = math.exp(kappa_integral(model, 0.0, win.T, win.alpha_top))
@@ -836,10 +885,16 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
     a0k0_sup = rates.h_profile.sup(win.T) * a0_h_k0 + rates.psi_profile.sup(win.T) * a0_psi_k0
     cx = c1 * model.hierarchy_norm(a0k0_sup, win.alpha0)
     if not all(map(math.isfinite, (c2, c3, cx))):
-        raise ModelValidationError(
-            f"initial: the initial hierarchy, of norm {x_norm} at alpha_star, makes "
-            f"c2 = {c2}, c3 = {c3}, cx = {cx}, not all finite: lower the initial densities"
+        # they grow with the rate constants, the radius and the datum: name the largest
+        made = f"c2 = {c2}, c3 = {c3}, cx = {cx}, not all finite"
+        causes = (
+            (max(c1, cb_top, a1_sup), f"model.rates: the rate constants c1 = {c1}, "
+             f"cb = {cb_top}, a1 = {a1_sup} make {made}: lower the rates"),
+            (win.r, f"window.r: the admissible radius {win.r} makes {made}: lower window.r"),
+            (x_norm, f"initial: the initial hierarchy, of norm {x_norm} at alpha_star, makes "
+             f"{made}: lower the initial densities"),
         )
+        raise ModelValidationError(max(causes, key=lambda cause: cause[0])[1])
     return OvcyannikovConstants(
         c1=c1, beta=0.0, c2=float(c2), c3=float(c3), cx=cx, x_norm=float(x_norm)
     )

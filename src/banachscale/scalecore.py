@@ -43,13 +43,13 @@ class ScaleWindow:
                 f"{self.alpha_star}, {self.alpha0}, {self.alpha_top}"
             )
         if not (0.0 < self.gamma < 1.0):
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
+            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}", field="gamma")
         if self.lam is not None and not self.lam > 0.0:
-            raise DomainError(f"horizon slope must be positive, got {self.lam}")
+            raise DomainError(f"horizon slope must be positive, got {self.lam}", field="lam")
         if not self.T > 0.0:
-            raise DomainError(f"T must be positive, got {self.T}")
+            raise DomainError(f"T must be positive, got {self.T}", field="T")
         if not self.r > 0.0:
-            raise DomainError(f"r must be positive (inf allowed), got {self.r}")
+            raise DomainError(f"r must be positive, got {self.r}", field="r")
 
     @property
     def width(self) -> float:

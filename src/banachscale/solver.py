@@ -131,13 +131,13 @@ class SolverOptions:
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
-            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+            raise DomainError(f"tol must be positive and finite, got {self.tol}", field="tol")
         for name in ("k_max", "n_steps", "n_alpha"):
             count = getattr(self, name)
             if not count >= 1:
-                raise DomainError(f"{name} must be at least 1, got {count}")
+                raise DomainError(f"{name} must be at least 1, got {count}", field=name)
         if not 0.0 < self.theta < 1.0:
-            raise DomainError(f"theta must lie in (0, 1), got {self.theta}")
+            raise DomainError(f"theta must lie in (0, 1), got {self.theta}", field="theta")
 
 
 @dataclass

@@ -97,30 +97,33 @@ def _sup_deviation(
 def stability_experiment(
     family: PerturbedFamily,
     alpha: float,
-    t_prime: float,
+    t_prime: float | None = None,
     opts: SolverOptions = SolverOptions(),
 ) -> StabilityReport:
     """Solve the limit and every member with ``opts``, report s_n at the
-    diagnostic scale.
+    diagnostic scale ``alpha`` up to ``t_prime``, by default half the horizon
+    (alpha - alpha0) / lam.
 
-    Requires lam > lambda1 so every solve contracts under the shared slope,
+    Checks alpha in (alpha0, alpha_top], then t_prime inside the horizon,
+    then lam > lambda1, so that every solve contracts under the shared slope,
     else :class:`InfeasibleHorizonError`.  The floor is twice the worst
     certified tail bound across all solves: two trajectories agreeing to
     solver accuracy cannot be told apart below it.
     """
-    lam = family.window.require_lam()
+    window = family.window
+    lam = window.require_lam()
+    if not (window.alpha0 < alpha <= window.alpha_top):
+        raise DomainError(
+            f"alpha must lie in ({window.alpha0}, {window.alpha_top}], got {alpha}", field="alpha"
+        )
+    horizon = (alpha - window.alpha0) / lam
+    if t_prime is None:
+        t_prime = 0.5 * horizon
+    if not (0.0 < t_prime < horizon):
+        raise DomainError(f"t_prime must lie in (0, {horizon}), got {t_prime}", field="t_prime")
     lam1 = lambda1(family)
     if lam <= lam1:
         raise InfeasibleHorizonError(f"lambda = {lam} <= lambda1 = {lam1}")
-    if not (family.window.alpha0 < alpha <= family.window.alpha_top):
-        raise DomainError(
-            f"diagnostic alpha = {alpha} outside ({family.window.alpha0}, "
-            f"{family.window.alpha_top}]"
-        )
-    if not (0.0 < t_prime < (alpha - family.window.alpha0) / lam):
-        raise DomainError(
-            f"t_prime = {t_prime} outside (0, {(alpha - family.window.alpha0) / lam})"
-        )
 
     # the limit first, then one member at a time: one solution held besides it
     solves = (picard_solve(p, opts) for p in (family.limit, *family.members))

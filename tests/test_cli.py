@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import banachscale
 from banachscale import kimura
 from banachscale.cli import (
+    FIELDS,
     _prepare,
     main,
     parse_initial,
@@ -27,7 +28,7 @@ from banachscale.cli import (
     trajectory_lines,
     write_csv,
 )
-from banachscale.errors import ConfigurationError, ModelValidationError
+from banachscale.errors import BanachScaleError, ConfigurationError, ModelValidationError
 from banachscale.kimura import KimuraProblem, level_configs
 from banachscale.scalecore import ScaleWindow
 from banachscale.solver import SolverOptions, picard_solve
@@ -68,6 +69,16 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def leaves(block, path=""):
+    """The path of every value in a config that is not an object, depth first."""
+    for key, value in block.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from leaves(value, sub)
+        else:
+            yield sub
 
 
 def set_field(cfg, path, value):
@@ -124,7 +135,22 @@ MALFORMED = [
     ("solve", "solver.k_max", 0, "solver.k_max"),
     ("solve", "window.r", 0, "window.r"),
     ("solve", "window.r", -1, "window.r"),
+    # ranges the library types check, named by the field their refusal names
+    ("solve", "window.gamma", 1.5, "window.gamma"),
+    ("solve", "window.T", 0, "window.T"),
+    ("solve", "window.lambda", -1, "window.lambda"),
+    ("solve", "model.n_max", 1, "model.n_max"),
+    ("solve", "model.rates.h", -1, "model.rates.h"),
+    ("solve", "model.rates.psi", [[0, 1, 0], [0, 0, 0], [0, 0, 0]], "model.rates.psi"),
+    ("solve", "model.rates.h_profile", {"kind": "exp_decay", "rate": -1},
+     "model.rates.h_profile.rate"),
+    ("solve", "model.rates.h_profile", {"kind": "sinusoidal", "amp": 2},
+     "model.rates.h_profile.amp"),
+    ("solve", "model.n_max", -1, "model.n_max"),
 ]
+
+# the junk values of the config fuzz, set on one leaf of a config at a time
+JUNK = [None, True, "x", [], {}, -1, 0, 1e308, -1e308, math.nan, 1e-320, 1e-300]
 
 # one undeclared field in each config block, the top level first:
 # (field set, its value, field path the message must start with)
@@ -340,6 +366,41 @@ class TestSolve:
         with pytest.raises(ModelValidationError, match="^c1 = "):
             _prepare(cfg)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, changes, named", [
+        # the outer product of the weights, the integral of h, the double integral of psi
+        ("desk-epistatic", {"model.weights": [1e300] * 4}, "model.weights"),
+        ("desk-epistatic", {"model.weights": [1e200] * 4, "model.rates.h": 1e200},
+         "model.weights"),
+        ("desk-epistatic", {"model.weights": [1e150] * 4, "model.rates.h": 1e200},
+         "model.weights"),
+        ("desk-epistatic", {"model.weights": [1e150] * 4, "model.rates.psi": 1e10},
+         "model.weights"),
+        # a sinusoidal profile of amplitude 1 doubles a at its peak
+        ("desk-smooth", {"model.rates.a": 1e308}, "model.rates.a"),
+    ], ids=["weights", "weights-h", "weights-times-h", "weights-psi", "a-at-peak"])
+    def test_overflowing_weighted_sum_is_named(self, shipped_configs, name, changes, named):
+        cfg = shipped_configs[name]
+        for field, value in changes.items():
+            set_field(cfg, field, value)
+        with pytest.raises(ConfigurationError, match=rf"^{named}: "):
+            _prepare(cfg)
+
+    @pytest.mark.parametrize("changes, named", [
+        # the initial norm is 1, the smallest there is, since k0(empty) = 1;
+        # MALFORMED holds the initial densities whose norm is the largest factor
+        ({"window.r": 1e308}, "window.r: the admissible radius 1e+308 makes c2 = inf"),
+        ({"model.rates.h": 2e307, "window.T": 1e-307}, "model.rates: the rate constants "),
+    ], ids=["window.r", "model.rates"])
+    def test_overflowing_certificate_names_its_largest_factor(
+        self, tmp_path, capsys, shipped_configs, changes, named
+    ):
+        cfg = shipped_configs["desk-epistatic"]
+        for field, value in changes.items():
+            set_field(cfg, field, value)
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"invalid configuration: {named}")
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = base_config()
         del cfg["model"]["rates"]["h"]
@@ -509,6 +570,34 @@ class TestSolve:
         # read afterwards could not set it; the environment variables can
         with pytest.raises(SystemExit):
             run("solve", CONFIG_DIR / "desk-free.json", tmp_path / "out", ["--threads", "2"])
+
+
+class TestConfigFuzz:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["desk-epistatic", "desk-free", "desk-smooth"])
+    def test_junk_leaf_is_certified_or_refused_by_path(self, name):
+        # every leaf set to every junk value: parsing and certifying either
+        # succeed or raise a library error, with no warning, and a config error
+        # starts with a path that cli.FIELDS declares
+        declared = {path for path in FIELDS if path} | {
+            f"{path}.{key}" if path else key for path, keys in FIELDS.items() for key in keys
+        }
+        text = (CONFIG_DIR / f"{name}.json").read_text()
+        wrong = []
+        for path in leaves(json.loads(text)):
+            for junk in JUNK:
+                cfg = json.loads(text)
+                set_field(cfg, path, junk)
+                try:
+                    _prepare(cfg)
+                except ConfigurationError as exc:
+                    if str(exc).split(": ", 1)[0] not in declared:
+                        wrong.append((path, junk, str(exc)))
+                except BanachScaleError:
+                    pass
+                except Exception as exc:  # any other failure is a finding
+                    wrong.append((path, junk, repr(exc)))
+        assert wrong == []
 
 
 class TestStability:

@@ -2,7 +2,9 @@ import gc
 import json
 import math
 import tracemalloc
+from dataclasses import astuple
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,19 +92,24 @@ def rate_models(draw):
 
 class TestStructures:
     def test_space_validation(self):
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(ModelValidationError) as exc:
             DiscreteSpace(("a",), np.array([0.0]))
-        with pytest.raises(ModelValidationError):
+        assert exc.value.field == "weights"
+        # a condition on two arguments names no field
+        with pytest.raises(ModelValidationError) as exc:
             DiscreteSpace(("a", "b"), np.array([1.0]))
+        assert exc.value.field is None
 
     def test_rate_symmetry_enforced(self):
         psi = np.array([[0.0, 0.3], [0.4, 0.0]])
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(ModelValidationError) as exc:
             RateData(np.zeros(2), psi, np.zeros(2))
+        assert exc.value.field == "psi"
 
     def test_negative_rates_rejected(self):
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(ModelValidationError) as exc:
             RateData(np.array([-0.1]), np.zeros((1, 1)), np.zeros(1))
+        assert exc.value.field == "h"
 
     def test_psi_diagonal_validated_then_zeroed(self):
         psi = np.array([[0.7, 0.3], [0.3, 0.2]])
@@ -114,8 +121,49 @@ class TestStructures:
                 RateData(np.zeros(2), np.array([[bad, 0.3], [0.3, 0.0]]), np.zeros(2))
 
     def test_n_max_floor(self):
-        with pytest.raises(ModelValidationError):
-            KimuraModel(DiscreteSpace.uniform(2), RateData.constant(2, 0, 0, 0), 1, WIN)
+        for n_max in (1, -1):
+            with pytest.raises(ModelValidationError) as exc:
+                KimuraModel(DiscreteSpace.uniform(2), RateData.constant(2, 0, 0, 0), n_max, WIN)
+            assert exc.value.field == "n_max"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sum_guard_refuses_what_would_overflow(self, data):
+        # assembly and aggregates, run on a model the guard refuses, overflow;
+        # on one it accepts, they form finite doubles only
+        m, n_max = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 4))
+        sizes = st.sampled_from([0.0, 1e-300, 1.0, 1e100, 1e154, 1e200, 1e300, 1e308])
+
+        def array(n, values=sizes):
+            return np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+        psi = np.zeros((m, m))
+        psi[np.triu_indices(m, 1)] = array(m * (m - 1) // 2)
+        profile = st.one_of(st.just(TimeProfile()), st.builds(
+            TimeProfile, st.just("sinusoidal"), amp=st.sampled_from([0.5, 1.0]), freq=st.just(40.0)
+        ))
+        rates = RateData(array(m), psi + psi.T, array(m), *(data.draw(profile) for _ in range(3)))
+        space = DiscreteSpace(tuple(f"x{i}" for i in range(m)), array(m, sizes.filter(bool)))
+        try:
+            KimuraModel(space, rates, n_max, WIN)
+            refused = None
+        except ModelValidationError as exc:
+            refused = exc.field
+        dim = sum(math.comb(m, n) for n in range(n_max + 1))
+        stub = SimpleNamespace(m=m, n_max=n_max, dim=dim, space=space, rates=rates, window=WIN)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mats = kimura._assemble_components(stub)
+                values = [*np.concatenate([mat.data for mat in mats]).tolist(),
+                          *astuple(kimura.rate_aggregates(stub))]
+            overflows = not all(map(math.isfinite, values))
+        except FloatingPointError:
+            overflows = True
+        if refused is None:
+            assert not overflows
+        elif not overflows:
+            # the one bound not attained: psi's largest pair rates may share no configuration
+            assert refused == "rates.psi" and n_max < m
 
     def test_level_sizes(self):
         with pytest.raises(DomainError):
@@ -1142,10 +1190,11 @@ class TestModelConstants:
         assert a1_part_constant(0.5, agg) == 0.0
 
     def test_infinite_radius_rejected(self):
+        # B is quadratic: its bounds hold in a ball of finite radius only, so c2 = inf
         win = ScaleWindow(0.0, 0.5, 1.0, r=math.inf, T=1.0)
         model = KimuraModel(DiscreteSpace.uniform(3), RateData.constant(3, 0.1, 0.0, 0.1), 3, win)
         k0 = CorrelationHierarchy.poisson(3, 3, np.full(3, 0.5))
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(ModelValidationError, match=r"^window\.r: the admissible radius inf "):
             model_constants(model, k0)
 
     def test_c2_dominates_random_lipschitz_sweep(self, epistatic_model, epistatic_k0, epistatic_problem):

@@ -224,8 +224,9 @@ class TestSolverOptions:
         ("k_max", 0), ("n_steps", 0), ("n_alpha", 0),
     ])
     def test_out_of_range_refused_naming_the_field(self, field, value):
-        with pytest.raises(DomainError, match=f"^{field} "):
+        with pytest.raises(DomainError, match=f"^{field} ") as exc:
             SolverOptions(**{field: value})
+        assert exc.value.field == field
 
 
 class TestGridStepsInPicard:

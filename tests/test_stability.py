@@ -64,8 +64,25 @@ class TestStabilityExperiment:
 
     def test_bad_t_prime_rejected(self):
         fam, win = resolved_scalar_family([0.1])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^t_prime ") as exc:
             stability_experiment(fam, 1.0, 10.0)
+        assert exc.value.field == "t_prime"
+
+    def test_diagnostic_scale_checked_before_lambda1(self):
+        # alpha, then t_prime, then the slope: each refusal names its argument
+        fam, win = resolved_scalar_family([0.1])
+        bad = scalar_family(1.0, 0.5, 1.0, [0.1], win.with_lam(0.5 * lambda1(fam)))
+        for alpha, t_prime, field in ((0.4, 1e-3, "alpha"), (1.0, -1.0, "t_prime")):
+            with pytest.raises(DomainError) as exc:
+                stability_experiment(bad, alpha, t_prime)
+            assert exc.value.field == field
+        with pytest.raises(InfeasibleHorizonError):
+            stability_experiment(bad, 1.0)
+
+    def test_t_prime_defaults_to_half_the_horizon(self):
+        fam, win = resolved_scalar_family([0.1])
+        rep = stability_experiment(fam, 0.75, opts=SolverOptions(n_steps=10))
+        assert rep.t_prime == 0.5 * ((0.75 - 0.5) / win.lam)
 
     def test_identical_family_sits_at_floor(self):
         fam, win = resolved_scalar_family([0.0, 0.0, 0.0])
