@@ -31,6 +31,7 @@ from .kimura import (
     KimuraProblem,
     RateData,
     TimeProfile,
+    check_size,
     level_configs,
 )
 from .oracles import bound_verifier, evolution_law_check, oracle_reference, relative_deviation
@@ -116,8 +117,10 @@ def _block(cfg: dict, path: str, required: bool = False) -> dict:
 
 
 def _as_float(value, path: str) -> float:
-    # json reads NaN and Infinity literals as floats
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # json reads NaN and Infinity literals as floats, and an integer of any size
+    # as an int; the comparison is exact for an int and false for NaN
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -132,15 +135,14 @@ def _as_int(value, path: str, positive: bool = True) -> int:
 def _as_array(value, path: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _fail(path, f"expected numbers, got {value!r}") from exc
 
 
 def _rate_array(value, m: int, path: str, square: bool = False) -> np.ndarray:
     """Accept a scalar or a full per-site table."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        v = float(value)
-        return np.full((m, m), v) if square else np.full(m, v)
+        return np.full((m, m) if square else m, _as_array(value, path))
     arr = _as_array(value, path)
     want = (m, m) if square else (m,)
     if arr.shape != want:
@@ -172,6 +174,9 @@ def parse_window(cfg: dict) -> ScaleWindow:
 def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
     block = _block(cfg, "model", required=True)
     m = _as_int(_required(block, "model.m"), "model.m")
+    n_max = _as_int(_required(block, "model.n_max"), "model.n_max", positive=False)
+    # before the site arrays and the m x m psi table are allocated
+    _checked("model", check_size, m, n_max)
     weights = block.get("weights", "uniform")
     if weights == "uniform":
         space = DiscreteSpace.uniform(m)
@@ -189,10 +194,11 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
         rate_data[f"{key}_profile"] = _profile(cfg, f"{path}_profile")
     rates = _checked("model.rates", RateData, **rate_data)
 
-    n_max = _as_int(_required(block, "model.n_max"), "model.n_max", positive=False)
     # the scale weights e^(-alpha n) and the growth rate's e^alpha, e^(2 alpha)
     # are scalar math.exp values, which raise once they overflow
     top = max(2, n_max)
+    if top > sys.float_info.max:
+        raise _fail("model.n_max", f"expected an integer a double can hold, got {n_max!r}")
     for name in ("alpha_star", "alpha_top"):
         alpha = getattr(window, name)
         if abs(alpha) * top > _LOG_MAX:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations, repeat
 
 import numpy as np
@@ -38,6 +38,30 @@ def config_index(m: int, n: int) -> dict[tuple[int, ...], int]:
 def level_starts(m: int, n_max: int) -> tuple[int, ...]:
     """Position of each level 0..n_max in the flattened hierarchy."""
     return tuple(accumulate((math.comb(m, n) for n in range(n_max)), initial=0))
+
+
+#: most entries a hierarchy may hold, sum_n C(m, n) over its levels: far
+#: above the sizes its dense site tables and sparse operators are meant for
+MAX_DIM = 2**16
+
+
+def check_size(m: int, n_max: int) -> None:
+    """Refuse m sites or a truncation n_max whose hierarchy holds more than MAX_DIM
+    entries, with exact integers, before anything of that size is allocated.
+
+    The sites are at fault (field ``m``) when the smallest truncation,
+    n_max = 2, is too large already; otherwise the truncation is (``n_max``).
+    """
+    for field_name, top in (("m", 2), ("n_max", n_max)):
+        dim = 0
+        # levels above m are empty
+        for n in range(min(m, top) + 1):
+            dim += math.comb(m, n)
+            if dim > MAX_DIM:
+                raise ModelValidationError(
+                    f"{m} sites truncated at n_max = {top} make a hierarchy of more "
+                    f"than {MAX_DIM} entries", field=field_name,
+                )
 
 
 @dataclass(frozen=True)
@@ -312,6 +336,7 @@ class KimuraModel:
             raise ModelValidationError(
                 f"n_max must be at least 2 (pair term of Bdelta), got {self.n_max}", field="n_max"
             )
+        check_size(self.m, self.n_max)
         if len(self.rates.h_base) != self.space.m:
             raise ModelValidationError("rates and space disagree on the site count")
         _check_sums(self)
@@ -336,18 +361,15 @@ class KimuraModel:
         """Profile values (p_h, p_psi) at t by :meth:`TimeProfile.at`."""
         return self.rates.h_profile.at(t), self.rates.psi_profile.at(t)
 
-    def a0_dot(
-        self, t: float | np.ndarray, V: np.ndarray, factors: tuple | None = None
-    ) -> np.ndarray:
+    def a0_dot(self, t: float | np.ndarray, V: np.ndarray) -> np.ndarray:
         """A0(t[i]) V[i] for every row of V, from one product with the stacked components.
 
         ``t`` holds one time per row; a scalar t with one vector is the
-        one-row case.  ``factors`` are the :meth:`a0_factors` of t when the
-        caller has them already (RK4 stages share their times).  The product
-        is :func:`_csr_product`, scipy's CSR kernel without the ``@``
-        dispatch, so each row is ``_a0 @ V[i]`` bit for bit.
+        one-row case.  The product is :func:`_csr_product`, scipy's CSR
+        kernel without the ``@`` dispatch, so each row is ``_a0 @ V[i]``
+        bit for bit.
         """
-        p_h, p_psi = self.a0_factors(t) if factors is None else factors
+        p_h, p_psi = self.a0_factors(t)
         d = V.shape[-1]
         Y = _csr_product(self._a0, V.T)
         return (_scaled(p_h, Y[:d]) + _scaled(p_psi, Y[d:])).T
@@ -703,12 +725,52 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
     doubles s + (k + 0.5) h and s + (k + 1) h).  The profile values of a
     block of at most _BLOCK steps come from one :meth:`KimuraModel.a0_factors`
     call on its (2 block + 1, rows) table of stage times, so memory grows
-    with the rows, not the steps.  The state holds one column per row, so a
-    stage is one sparse product on a contiguous block.  Stages hold A0 v
-    rather than -A0 v: negation is exact, so v - c (A0 v) rounds as v + c (-A0 v).
+    with the rows, not the steps.
+
+    The state, the four stages and the stage input hold one column per row,
+    in buffers allocated once per run.  A stage writes the product of the
+    stacked components [A0_h; A0_psi] with its input into one zeroed
+    (2d, rows) block by scipy's CSR kernel, called as :func:`_csr_product`
+    calls it, then forms p_h (A0_h v) + p_psi (A0_psi v) in place: the values
+    of :meth:`KimuraModel.a0_dot`, bit for bit.  The updates keep the
+    textbook operation order, x - c k and x - sixth (((k1 + 2 k2) + 2 k3) + k4),
+    so no float depends on the buffering.  Stages hold A0 v rather than
+    -A0 v: negation is exact, so v - c (A0 v) rounds as v + c (-A0 v).
     """
-    half, sixth = 0.5 * h, h / 6.0
-    x = V0.T.copy()
+    a0 = model._a0
+    M, d = a0.shape
+    rows = len(V0)
+    if V0.shape[1:] != (d,):
+        # the kernel itself would read past the state's end
+        raise ValueError(f"cannot propagate rows of shape {V0.shape[1:]} in a {d}-dim hierarchy")
+    # each row's step constants repeated to the stages' (d, rows) shape: a product
+    # with a broadcast row costs more per call than one of equal shapes
+    half, step, sixth = (np.repeat(c[None, :], d, axis=0) for c in (0.5 * h, h, h / 6.0))
+    # a float copy with one contiguous column per row, which the stages overwrite
+    x = V0.T.astype(float, order="C")
+    k1, k2, k3, k4, y = (np.empty((d, rows)) for _ in range(5))
+    Y = np.empty((M, rows))
+    Y_h, Y_psi = Y[:d], Y[d:]
+    x_flat, y_flat, Y_flat = x.reshape(-1), y.reshape(-1), Y.reshape(-1)
+    if rows == 1:
+        product = partial(_sparsetools.csr_matvec, M, d, a0.indptr, a0.indices, a0.data)
+    else:
+        product = partial(_sparsetools.csr_matvecs, M, d, rows, a0.indptr, a0.indices, a0.data)
+
+    # numpy's ufuncs, bound once, each given its output as third argument: at
+    # the desk sizes a stage is mostly per-call cost
+    add, sub, mul = np.add, np.subtract, np.multiply
+
+    def stage(p_h, p_psi, v_flat: np.ndarray, out: np.ndarray) -> None:
+        """out = A0 v at a stage time with profile values p_h, p_psi (None if constant)."""
+        Y.fill(0.0)
+        product(v_flat, Y_flat)
+        if p_h is not None:
+            mul(p_h, Y_h, Y_h)
+        if p_psi is not None:
+            mul(p_psi, Y_psi, Y_psi)
+        add(Y_h, Y_psi, out)
+
     for k0 in range(0, n, _BLOCK):
         steps = min(_BLOCK, n - k0)
         times = s + (0.5 * np.arange(2 * k0, 2 * (k0 + steps) + 1))[:, None] * h
@@ -716,11 +778,17 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
         table = model.a0_factors(times)
         f = list(zip(*(repeat(None, len(times)) if p is None else p for p in table)))
         for i in range(0, 2 * steps, 2):
-            k1 = model.a0_dot(times[i], x.T, f[i]).T
-            k2 = model.a0_dot(times[i + 1], (x - half * k1).T, f[i + 1]).T
-            k3 = model.a0_dot(times[i + 1], (x - half * k2).T, f[i + 1]).T
-            k4 = model.a0_dot(times[i + 2], (x - h * k3).T, f[i + 2]).T
-            x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            stage(*f[i], x_flat, k1)
+            sub(x, mul(half, k1, y), y)
+            stage(*f[i + 1], y_flat, k2)
+            sub(x, mul(half, k2, y), y)
+            stage(*f[i + 1], y_flat, k3)
+            sub(x, mul(step, k3, y), y)
+            stage(*f[i + 2], y_flat, k4)
+            add(k1, mul(2.0, k2, k2), k1)
+            add(k1, mul(2.0, k3, k3), k1)
+            add(k1, k4, k1)
+            sub(x, mul(sixth, k1, k1), x)
     return x.T
 
 

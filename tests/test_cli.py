@@ -147,10 +147,19 @@ MALFORMED = [
     ("solve", "model.rates.h_profile", {"kind": "sinusoidal", "amp": 2},
      "model.rates.h_profile.amp"),
     ("solve", "model.n_max", -1, "model.n_max"),
+    # integers past the largest double, and models too large to allocate
+    ("solve", "solver.tol", 10**400, "solver.tol"),
+    ("solve", "window.T", 10**400, "window.T"),
+    ("solve", "model.rates.h", 10**400, "model.rates.h"),
+    ("solve", "model.n_max", 10**400, "model.n_max"),
+    ("solve", "model.m", 1000000, "model.m"),
+    ("solve", "model.m", 10**400, "model.m"),
+    ("solve", "model", {"m": 20, "n_max": 10, "rates": {"h": 0.5, "psi": 0.1, "a": 0.2}},
+     "model.n_max"),
 ]
 
 # the junk values of the config fuzz, set on one leaf of a config at a time
-JUNK = [None, True, "x", [], {}, -1, 0, 1e308, -1e308, math.nan, 1e-320, 1e-300]
+JUNK = [None, True, "x", [], {}, -1, 0, 1e308, -1e308, math.nan, 1e-320, 1e-300, 10**400]
 
 # one undeclared field in each config block, the top level first:
 # (field set, its value, field path the message must start with)
@@ -413,7 +422,9 @@ class TestSolve:
             path.write_bytes(content)
             assert run("solve", path, tmp_path / "out") == 2
 
-    @pytest.mark.parametrize("subcommand, field, value, named", MALFORMED)
+    # an integer past the doubles would print its 401 digits in the test id
+    @pytest.mark.parametrize("subcommand, field, value, named", MALFORMED,
+                             ids=lambda v: "10**400" if v == 10**400 else None)
     def test_malformed_field_exit_2_names_it(
         self, tmp_path, capsys, subcommand, field, value, named
     ):

@@ -126,6 +126,28 @@ class TestStructures:
                 KimuraModel(DiscreteSpace.uniform(2), RateData.constant(2, 0, 0, 0), n_max, WIN)
             assert exc.value.field == "n_max"
 
+    @pytest.mark.parametrize("m, n_max, at_fault", [
+        (361, 2, None), (362, 2, "m"), (10**400, 2, "m"), (362, 10**400, "m"),
+        (16, 16, None), (16, 10**400, None), (17, 16, "n_max"), (30, 5, "n_max"),
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
+    def test_size_limit_names_what_makes_the_hierarchy_too_large(self, m, n_max, at_fault):
+        # 1 + 361 + C(361, 2) = 65342 entries fit and 362 sites do not; m = n_max = 16
+        # holds exactly 2^16 and m = 17 more; levels above m hold nothing
+        assert kimura.MAX_DIM == 2**16
+        if at_fault is None:
+            kimura.check_size(m, n_max)
+            return
+        with pytest.raises(ModelValidationError, match="more than 65536 entries") as exc:
+            kimura.check_size(m, n_max)
+        assert exc.value.field == at_fault
+
+    def test_model_refuses_a_hierarchy_past_the_size_limit(self):
+        # refused before assembly: level 5 alone holds C(30, 5) = 142506 configurations
+        rates = RateData.constant(30, 0.5, 0.1, 0.2)
+        with pytest.raises(ModelValidationError) as exc:
+            KimuraModel(DiscreteSpace.uniform(30), rates, 5, WIN)
+        assert exc.value.field == "n_max"
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_sum_guard_refuses_what_would_overflow(self, data):
@@ -469,6 +491,13 @@ class TestEvolution:
         with pytest.raises(DomainError):
             evolution_u(epistatic_model, 0.1, 0.5, epistatic_k0.to_vector())
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_vector_of_another_length_is_refused(self, epistatic_model, extra):
+        # the RK4 stages call the CSR kernel on the state directly
+        V = np.ones((2, epistatic_model.dim + extra))
+        with pytest.raises(ValueError, match="cannot propagate rows of shape"):
+            evolution_u(epistatic_model, 0.5, 0.1, V)
+
     def test_step_budget_refuses_an_unresolvable_profile(self, shipped_configs, monkeypatch):
         # p_h falls from 1 to 0 inside the first substep, so step doubling never
         # reaches tolerance: the propagation stops before its RK4 steps pass the cap
@@ -590,26 +619,26 @@ class TestBatchedEvolution:
 
 
 def rk4_per_step(model, s, h, V0, n):
-    """Reference RK4: profile values by scalar ``value`` at each step's midpoint and end."""
+    """Reference RK4, one step at a time: each stage is ``model._a0 @ x`` with
+    scalar ``TimeProfile.value`` factors, 1.0 for a constant profile (an exact
+    product), at the step's start, midpoint and end."""
+    d = model.dim
+    profiles = (model.rates.h_profile, model.rates.psi_profile)
 
-    def factors(t):
-        return tuple(
-            None if p.is_constant else np.array([p.value(x) for x in t.tolist()])
-            for p in (model.rates.h_profile, model.rates.psi_profile)
-        )
+    def a0x(t, x):
+        p_h, p_psi = (np.array([p.value(tau) for tau in t.tolist()]) for p in profiles)
+        Y = model._a0 @ x
+        return p_h * Y[:d] + p_psi * Y[d:]
 
     half, sixth = 0.5 * h, h / 6.0
     x = V0.T.copy()
-    tau, f = s, factors(s)
     for k in range(n):
-        mid, end = s + (k + 0.5) * h, s + (k + 1) * h
-        f_mid, f_end = factors(mid), factors(end)
-        k1 = model.a0_dot(tau, x.T, f).T
-        k2 = model.a0_dot(mid, (x - half * k1).T, f_mid).T
-        k3 = model.a0_dot(mid, (x - half * k2).T, f_mid).T
-        k4 = model.a0_dot(end, (x - h * k3).T, f_end).T
+        tau, mid, end = s + k * h, s + (k + 0.5) * h, s + (k + 1) * h
+        k1 = a0x(tau, x)
+        k2 = a0x(mid, x - half * k1)
+        k3 = a0x(mid, x - half * k2)
+        k4 = a0x(end, x - h * k3)
         x = x - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau, f = end, f_end
     return x.T
 
 
@@ -636,6 +665,23 @@ class TestRK4Blocks:
             -2.0, 2.0, (rows, model.dim)
         )
         assert np.array_equal(kimura._rk4(model, s, h, V0, n), rk4_per_step(model, s, h, V0, n))
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
+    @pytest.mark.parametrize("psi_profile", [TimeProfile(), TimeProfile("exp_decay", rate=2.0)],
+                             ids=["psi-constant", "psi-varying"])
+    @pytest.mark.parametrize("h_profile", [TimeProfile(), TimeProfile("sinusoidal", amp=0.5, freq=3.0)],
+                             ids=["h-constant", "h-varying"])
+    def test_every_stage_branch_equals_the_per_step_loop(self, h_profile, psi_profile, rows):
+        # each constant profile skips its product; 65 steps cross a block boundary
+        rates = RateData(
+            np.array([0.5, 0.9, 0.3]), np.full((3, 3), 0.4), np.full(3, 0.2),
+            h_profile=h_profile, psi_profile=psi_profile,
+        )
+        model = KimuraModel(DiscreteSpace.uniform(3), rates, 3, WIN)
+        rng = np.random.default_rng(10)
+        s, h = rng.uniform(0.0, 1.0, rows), rng.uniform(1e-3, 0.02, rows)
+        V0 = rng.uniform(-2.0, 2.0, (rows, model.dim))
+        assert np.array_equal(kimura._rk4(model, s, h, V0, 65), rk4_per_step(model, s, h, V0, 65))
 
     def test_profiles_are_read_once_per_block(self, monkeypatch):
         model = gentle_model()
@@ -948,22 +994,21 @@ class TestWorkCount:
             psi_profile=TimeProfile("exp_decay", rate=2.0),
         )
         model = KimuraModel(DiscreteSpace.uniform(3), rates, 3, WIN)
-        calls = {"a0_matrix": 0, "a0_dot": 0}
+        calls = {"a0_matrix": 0, "_rk4": 0}
 
-        def counted(name):
-            fn = getattr(KimuraModel, name)
-
+        def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(KimuraModel, name, counted(name))
+        monkeypatch.setattr(KimuraModel, "a0_matrix", counted("a0_matrix", KimuraModel.a0_matrix))
+        monkeypatch.setattr(kimura, "_rk4", counted("_rk4", kimura._rk4))
         solve(model, CorrelationHierarchy.poisson(3, 3, np.full(3, 0.5)), n_steps=4)
         assert calls["a0_matrix"] == 0
-        assert calls["a0_dot"] > 0
+        # the RK4 path ran
+        assert calls["_rk4"] > 0
 
 
     def test_norm_calls_do_not_grow_with_the_grid(self, shipped_configs, monkeypatch):
