@@ -36,7 +36,7 @@ from .kimura import (
 )
 from .oracles import bound_verifier, evolution_law_check, oracle_reference, relative_deviation
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_audit
-from .solver import SolverOptions, picard_solve
+from .solver import SolverOptions, check_grid, picard_solve
 from .stability import kimura_h_family, lambda1, stability_experiment
 
 EXIT_OK = 0
@@ -213,7 +213,7 @@ def parse_initial(cfg: dict, model: KimuraModel) -> CorrelationHierarchy:
         raise _fail("initial.rho", "densities must be finite and nonnegative")
     with np.errstate(over="ignore"):
         k0 = CorrelationHierarchy.poisson(model.m, model.n_max, rho)
-    if not np.all(np.isfinite(k0.to_vector())):
+    if not np.all(np.isfinite(k0.vec)):
         raise _fail("initial.rho", "a product of densities overflows a double")
     return k0
 
@@ -286,7 +286,7 @@ def trajectory_lines(u, model: KimuraModel):
     """``trajectory.csv`` one time slice at a time: a line per (t, level,
     configuration), lexicographic inside a level, floats as their repr."""
     prefixes = []
-    for n in range(model.n_max + 1):
+    for n in range(min(model.m, model.n_max) + 1):
         for eta in level_configs(model.m, n):
             label = "|".join(str(s) for s in eta)
             # digits and "|" only, so csv quoting never applied to a label
@@ -311,6 +311,8 @@ def _prepare(cfg: dict) -> tuple[KimuraProblem, SolverOptions]:
     model = parse_model(cfg, window)
     k0 = parse_initial(cfg, model)
     opts = parse_solver_opts(cfg)
+    # before a subcommand allocates the grid
+    _checked("solver", check_grid, opts, model.dim)
     override = parse_override(cfg)
     return KimuraProblem.build(model, k0, override), opts
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, pairwise, repeat
 
 import numpy as np
 from scipy import sparse
@@ -36,8 +36,9 @@ def config_index(m: int, n: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def level_starts(m: int, n_max: int) -> tuple[int, ...]:
-    """Position of each level 0..n_max in the flattened hierarchy."""
-    return tuple(accumulate((math.comb(m, n) for n in range(n_max)), initial=0))
+    """Position of each level 0..min(m, n_max) in the flattened hierarchy, then
+    its size.  Levels above m, of more than m distinct sites, are empty."""
+    return tuple(accumulate((math.comb(m, n) for n in range(min(m, n_max) + 1)), initial=0))
 
 
 #: most entries a hierarchy may hold, sum_n C(m, n) over its levels: far
@@ -234,12 +235,10 @@ def graded_norm(
     Returns an array of shape ``vec.shape[:-1]``, a float for one vector; for
     a 1-D sequence of alphas, the table of shape ``vec.shape[:-1] + (k,)``
     whose column i is the norm at ``alpha[i]``, from one pass over ``vec``.
-    Levels n > m are empty and contribute 0; they sit at the tail, so the
-    starts of the nonempty levels are the first min(m, n_max) + 1 starts.
     The level weights are scalar ``math.exp`` values; numpy's vectorised exp
     may differ from it in the last bit.
     """
-    level_max = np.maximum.reduceat(np.abs(vec), level_starts(m, n_max)[: m + 1], axis=-1)
+    level_max = np.maximum.reduceat(np.abs(vec), level_starts(m, n_max)[:-1], axis=-1)
     alphas = alpha if np.ndim(alpha) else [alpha]
     weights = np.array([[math.exp(-a * n) for n in range(level_max.shape[-1])] for a in alphas])
     table = np.max(level_max[..., None, :] * weights, axis=-1)
@@ -250,37 +249,47 @@ def graded_norm(
 
 
 class CorrelationHierarchy:
-    """Truncated hierarchy: one table per level n, indexed by sorted subsets."""
+    """Truncated hierarchy: one float vector ``vec`` in the layout of
+    :func:`level_starts`, of which ``levels[n]``, the table of level n indexed
+    by sorted subsets, is a writable view for each nonempty level n."""
 
     def __init__(self, m: int, n_max: int, levels: list[np.ndarray]):
-        if len(levels) != n_max + 1:
-            raise DomainError("need one table per level 0..n_max")
-        self.m = m
-        self.n_max = n_max
-        self.levels = [np.asarray(lv, dtype=float).copy() for lv in levels]
-        for n, lv in enumerate(self.levels):
-            if lv.shape != (math.comb(m, n),):
-                raise DomainError(
-                    f"level {n} must have binomial({m},{n}) = {math.comb(m, n)} entries"
-                )
+        """From one table per level 0..n_max, those above m empty."""
+        if [np.shape(lv) for lv in levels] != [(math.comb(m, n),) for n in range(n_max + 1)]:
+            raise DomainError(f"need a table of binomial({m}, n) entries per level n = 0..{n_max}")
+        self._hold(m, n_max, np.concatenate(levels, dtype=float))
+
+    def _hold(self, m: int, n_max: int, vec: np.ndarray) -> "CorrelationHierarchy":
+        """Keep ``vec`` itself as the hierarchy's vector."""
+        starts = level_starts(m, n_max)
+        if vec.shape != (starts[-1],):
+            raise DomainError(
+                f"{m} sites truncated at n_max = {n_max} make a hierarchy of "
+                f"{starts[-1]} entries, got a vector of shape {vec.shape}"
+            )
+        self.m, self.n_max, self.vec = m, n_max, vec
+        self.levels = tuple(vec[a:b] for a, b in pairwise(starts))
+        return self
+
+    @classmethod
+    def _of(cls, m: int, n_max: int, vec: np.ndarray) -> "CorrelationHierarchy":
+        return cls.__new__(cls)._hold(m, n_max, vec)
 
     @classmethod
     def zero(cls, m: int, n_max: int) -> "CorrelationHierarchy":
-        return cls(m, n_max, [np.zeros(math.comb(m, n)) for n in range(n_max + 1)])
+        return cls._of(m, n_max, np.zeros(level_starts(m, n_max)[-1]))
 
     @classmethod
     def poisson(cls, m: int, n_max: int, rho: np.ndarray) -> "CorrelationHierarchy":
         """Product hierarchy k(eta) = prod_{i in eta} rho_i, with k(empty) = 1."""
         rho = np.asarray(rho, dtype=float)
-        levels = []
-        for n in range(n_max + 1):
-            levels.append(
-                np.array([float(np.prod(rho[list(eta)])) for eta in level_configs(m, n)])
-            )
-        return cls(m, n_max, levels)
+        k = cls.zero(m, n_max)
+        for n, level in enumerate(k.levels):
+            level[:] = [float(np.prod(rho[list(eta)])) for eta in level_configs(m, n)]
+        return k
 
     def copy(self) -> "CorrelationHierarchy":
-        return CorrelationHierarchy(self.m, self.n_max, self.levels)
+        return CorrelationHierarchy.from_vector(self.m, self.n_max, self.vec)
 
     def value(self, eta: tuple[int, ...]) -> float:
         n = len(eta)
@@ -289,28 +298,22 @@ class CorrelationHierarchy:
         return float(self.levels[n][config_index(self.m, n)[tuple(sorted(eta))]])
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(self.levels)
+        return self.vec.copy()
 
     @classmethod
     def from_vector(cls, m: int, n_max: int, vec: np.ndarray) -> "CorrelationHierarchy":
-        levels, pos = [], 0
-        for n in range(n_max + 1):
-            size = math.comb(m, n)
-            levels.append(np.asarray(vec[pos : pos + size]))
-            pos += size
-        return cls(m, n_max, levels)
+        """The hierarchy of a float copy of ``vec``, which must have its size."""
+        return cls._of(m, n_max, np.array(vec, dtype=float))
 
     def norm(self, alpha: float) -> float:
         """max_n e^(-alpha n) max_eta |k^(n)(eta)|, by :func:`graded_norm`."""
-        return graded_norm(self.to_vector(), self.m, self.n_max, alpha)
+        return graded_norm(self.vec, self.m, self.n_max, alpha)
 
     def __add__(self, other):
-        return CorrelationHierarchy(
-            self.m, self.n_max, [a + b for a, b in zip(self.levels, other.levels)]
-        )
+        return CorrelationHierarchy._of(self.m, self.n_max, self.vec + other.vec)
 
     def __rmul__(self, c: float):
-        return CorrelationHierarchy(self.m, self.n_max, [c * lv for lv in self.levels])
+        return CorrelationHierarchy._of(self.m, self.n_max, c * self.vec)
 
 
 @dataclass
@@ -350,7 +353,7 @@ class KimuraModel:
 
     @property
     def dim(self) -> int:
-        return sum(math.comb(self.m, n) for n in range(self.n_max + 1))
+        return level_starts(self.m, self.n_max)[-1]
 
     def hierarchy_norm(self, vec: np.ndarray, alpha: float | list[float]) -> np.ndarray | float:
         """Scale norm of each flattened hierarchy vector, by :func:`graded_norm`
@@ -464,15 +467,14 @@ def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
     level's configurations as an (C(m, n), n) array of sorted rows.  Every
     entry links a configuration to a parent that lacks one or two of its
     sites: dropping columns of a sorted row leaves the parent sorted, and its
-    column is its lexicographic rank.  Each entry is the value the structural
-    loop forms, and every sum over the sites of a configuration is
-    accumulated position by position in ascending order, as the loop adds
+    position is its lexicographic rank in its level.  Each entry is the value
+    the structural loop forms, and every sum over the sites of a configuration
+    is accumulated position by position in ascending order, as the loop adds
     them (``np.sum`` may reorder 8 or more terms).  psi is symmetric, so the
     pair raising of A0 and the pair part of the selection cost, both half
     sums over ordered pairs, are sums over unordered pairs.
     """
-    m, n_max, d = model.m, model.n_max, model.dim
-    off = level_starts(m, n_max)
+    m, off = model.m, level_starts(model.m, model.n_max)
     w = model.space.weights
     h, psi, a = model.rates.h_base, model.rates.psi_base, model.rates.a_base
     w_h = w * h
@@ -480,20 +482,20 @@ def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
     # equals -w, since w > 0; np.negative would page in a numpy kernel that a
     # verify or stability run otherwise never runs (about 0.13 MiB of peak RSS)
     minus_w = 0.0 - w
-    # C(c, k) for c < m and k <= n_max: no larger binomial than the dimension
-    binom = np.array([[math.comb(c, k) for k in range(n_max + 1)] for c in range(m)])
+    # C(c, k) for c < m and k <= min(m, n_max): no larger binomial than the dimension
+    binom = np.array([[math.comb(c, k) for k in range(len(off) - 1)] for c in range(m)])
 
-    def rank(configs: np.ndarray) -> np.ndarray:
-        """Position of each sorted row in level_configs(m, len(row))."""
+    def position(configs: np.ndarray) -> np.ndarray:
+        """Position of each sorted row in the flattened hierarchy."""
         n = configs.shape[1]
-        return math.comb(m, n) - 1 - binom[m - 1 - configs, n - np.arange(n)].sum(axis=1)
+        return off[n + 1] - 1 - binom[m - 1 - configs, n - np.arange(n)].sum(axis=1)
 
     # (rows, cols, values) arrays per component
     a0_h, a0_psi, a1_psi, a1_a = ([] for _ in range(4))
-    for n in range(min(m, n_max) + 1):
-        size = math.comb(m, n)
+    for n, (start, end) in enumerate(pairwise(off)):
+        size = end - start
         C = np.array(level_configs(m, n), dtype=np.intp).reshape(size, n)
-        idx = off[n] + np.arange(size)
+        idx = np.arange(start, end)
         h_sum, psi_sum = np.zeros(size), np.zeros(size)
         for p in range(n):
             h_sum = h_sum + h[C[:, p]]
@@ -504,7 +506,7 @@ def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
         # the parent without site j: A0_h and A1_psi raise it into C, A1_a lowers C into it
         for p in range(n):
             keep = [q for q in range(n) if q != p]
-            parent, j = off[n - 1] + rank(C[:, keep]), C[:, p]
+            parent, j = position(C[:, keep]), C[:, p]
             psi_in = np.zeros(size)
             for q in keep:
                 psi_in = psi_in + psi[C[:, q], j]
@@ -514,12 +516,11 @@ def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
         # the parent without sites i < j: A0_psi raises it into C
         for p, q in combinations(range(n), 2):
             keep = [r for r in range(n) if r not in (p, q)]
-            parent = off[n - 2] + rank(C[:, keep])
-            a0_psi.append((parent, idx, w_w_psi[C[:, p], C[:, q]]))
+            a0_psi.append((position(C[:, keep]), idx, w_w_psi[C[:, p], C[:, q]]))
     mats = []
     for parts in (a0_h, a0_psi, a1_psi, a1_a):
         rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=float)
+        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(off[-1], off[-1]), dtype=float)
         mat.eliminate_zeros()
         mats.append(mat)
     return mats
@@ -575,11 +576,11 @@ def _raising_sum(model: KimuraModel, t: float, k: CorrelationHierarchy, eta) -> 
 def apply_A0(model: KimuraModel, t: float, k: CorrelationHierarchy) -> CorrelationHierarchy:
     """Multiplication by Phi plus the two raising (quadrature) terms."""
     out = CorrelationHierarchy.zero(model.m, model.n_max)
-    for n in range(model.n_max + 1):
+    for n, level in enumerate(out.levels):
         for idx, eta in enumerate(level_configs(model.m, n)):
-            out.levels[n][idx] = selection_cost(model, t, eta) * k.levels[n][
-                idx
-            ] + _raising_sum(model, t, k, eta)
+            level[idx] = selection_cost(model, t, eta) * k.levels[n][idx] + _raising_sum(
+                model, t, k, eta
+            )
     return out
 
 
@@ -589,7 +590,7 @@ def apply_A1(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Correlati
     w = model.space.weights
     psi = model.rates.psi(t)
     a = model.rates.a(t)
-    for n in range(model.n_max + 1):
+    for n, level in enumerate(out.levels):
         for idx, eta in enumerate(level_configs(model.m, n)):
             val = 0.0
             for i in eta:
@@ -598,7 +599,7 @@ def apply_A1(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Correlati
                         val -= w[j] * psi[i, j] * k.value(eta + (j,))
             for i in eta:
                 val += a[i] * k.value(tuple(x for x in eta if x != i))
-            out.levels[n][idx] = val
+            level[idx] = val
     return out
 
 
@@ -612,10 +613,7 @@ def apply_ldelta(model: KimuraModel, t: float, k: CorrelationHierarchy) -> Corre
     a0 = apply_A0(model, t, k)
     a1 = apply_A1(model, t, k)
     b = bdelta(model, t, k)
-    out = CorrelationHierarchy.zero(model.m, model.n_max)
-    for n in range(model.n_max + 1):
-        out.levels[n] = -a0.levels[n] + a1.levels[n] + b * k.levels[n]
-    return out
+    return CorrelationHierarchy._of(model.m, model.n_max, -a0.vec + a1.vec + b * k.vec)
 
 
 #: step-halving tolerance of the propagator, per unit time
@@ -948,7 +946,7 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
     except OverflowError:
         c3 = math.inf
     # |A0(t) k0| <= sup p_h |A0_h k0| + sup p_psi |A0_psi k0| entrywise on [0, T]
-    a0_h_k0, a0_psi_k0 = np.abs(_csr_product(model._a0, k0.to_vector())).reshape(2, -1)
+    a0_h_k0, a0_psi_k0 = np.abs(_csr_product(model._a0, k0.vec)).reshape(2, -1)
     rates = model.rates
     a0k0_sup = rates.h_profile.sup(win.T) * a0_h_k0 + rates.psi_profile.sup(win.T) * a0_psi_k0
     cx = c1 * model.hierarchy_norm(a0k0_sup, win.alpha0)

@@ -50,7 +50,7 @@ def relative_deviation(
 
 
 def _stack(hierarchies: list[CorrelationHierarchy]) -> np.ndarray:
-    return np.array([k.to_vector() for k in hierarchies])
+    return np.array([k.vec for k in hierarchies])
 
 
 def poisson_oracle(
@@ -125,10 +125,7 @@ def bruteforce_oracle(
     t_grid = np.linspace(0.0, t_end, steps + 1)
     coarse = _rk4_ldelta(model, k0, t_end, steps)
     fine = _rk4_ldelta(model, k0, t_end, 2 * steps)
-    dev = max(
-        np.max(np.abs(c.to_vector() - f.to_vector()))
-        for c, f in zip(coarse, fine[::2])
-    )
+    dev = float(np.max(np.abs(_stack(coarse) - _stack(fine[::2]))))
     if dev > HALVING_TOL:
         warnings.warn(
             f"step-halving changed the trajectory by {dev:.3e} > {HALVING_TOL:.1e}; "
@@ -251,11 +248,10 @@ def _random_hierarchy(
     rng: np.random.Generator, m: int, n_max: int, alpha: float, scale: float = 1.0
 ) -> CorrelationHierarchy:
     """Uniform level values scaled so the alpha-norm is at most ``scale``."""
-    levels = []
-    for n in range(n_max + 1):
-        size = math.comb(m, n)
-        levels.append(rng.uniform(-1.0, 1.0, size) * scale * math.exp(alpha * n))
-    return CorrelationHierarchy(m, n_max, levels)
+    k = CorrelationHierarchy.zero(m, n_max)
+    for n, level in enumerate(k.levels):
+        level[:] = rng.uniform(-1.0, 1.0, level.size) * scale * math.exp(alpha * n)
+    return k
 
 
 def _scale_pair(rng: np.random.Generator, win: ScaleWindow) -> tuple[float, float]:
@@ -286,8 +282,13 @@ def bound_verifier(
         consts = model_constants(model, k0)
     agg = rate_aggregates(model)
     rng = np.random.default_rng(seed)
-    x_vec = k0.to_vector()
+    x_vec = k0.vec
     r_ball = win.r if math.isfinite(win.r) else 1.0
+    # B3 draws its scale from 1e-3 above alpha_star, or from the window's upper
+    # half when the window is narrower
+    b3_low = win.alpha_star + 1e-3
+    if b3_low > win.alpha_top:
+        b3_low = win.alpha_star + 0.5 * (win.alpha_top - win.alpha_star)
 
     # draw every sample in seeded order, evaluate B on all at once, record in sample order
     draws = []
@@ -297,12 +298,12 @@ def bound_verifier(
         k = _random_hierarchy(rng, model.m, model.n_max, lo)
         d1 = _random_hierarchy(rng, model.m, model.n_max, lo, rng.uniform(0, r_ball))
         d2 = _random_hierarchy(rng, model.m, model.n_max, lo, rng.uniform(0, r_ball))
-        alpha_b3 = float(rng.uniform(win.alpha_star + 1e-3, win.alpha_top))
+        alpha_b3 = float(rng.uniform(b3_low, win.alpha_top))
         draws.append((lo, hi, t, k, d1, d2, alpha_b3))
     _, _, ts, _, d1s, d2s, _ = zip(*draws)
     # per sample the B2 pair x + d1, x + d2, then the B3 datum x, at its time t
     b_args = np.array([
-        [x_vec + d1.to_vector(), x_vec + d2.to_vector(), x_vec] for d1, d2 in zip(d1s, d2s)
+        [x_vec + d1.vec, x_vec + d2.vec, x_vec] for d1, d2 in zip(d1s, d2s)
     ])
     b_vals = KimuraPerturbation(model).apply(
         b_args.reshape(3 * samples, -1), np.repeat(ts, 3)
@@ -383,7 +384,7 @@ def evolution_law_check(
         k = _random_hierarchy(rng, model.m, model.n_max, lo)
         # Python floats, so the growth bound's kappa_integral is scalar math
         draws.append((lo, hi, k, sorted(rng.uniform(0.0, model.window.T, 3).tolist())))
-    V = np.array([k.to_vector() for _, _, k, _ in draws])
+    V = np.array([k.vec for _, _, k, _ in draws])
     s, r_mid, t = np.array([times for *_, times in draws]).T
     # every row from V in one call: identity t <- t, direct t <- s and r <- s;
     # the direct spans are the longest, so they set the substep count they

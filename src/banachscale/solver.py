@@ -201,6 +201,26 @@ class ConvergenceReport:
     converged: bool = False
 
 
+#: most entries one table of a Picard grid may hold: far above the grids its
+#: dense tables are meant for
+MAX_GRID = 2**24
+
+
+def check_grid(opts: SolverOptions, dim: int) -> None:
+    """Refuse options whose grid for a ``dim``-dimensional state has a table of
+    more than MAX_GRID entries, with exact integers, before any is allocated:
+    ``n_steps`` when its (n_steps + 1, dim) table of values is too large, else
+    ``n_alpha`` when its (n_steps + 1, n_alpha + 1) tables of weights are."""
+    rows = opts.n_steps + 1
+    for name, cols in (("n_steps", dim), ("n_alpha", opts.n_alpha + 1)):
+        if rows * cols > MAX_GRID:
+            raise DomainError(
+                f"{opts.n_steps} time steps and {opts.n_alpha} scale steps on a state of "
+                f"dimension {dim} make a grid table of more than {MAX_GRID} entries",
+                field=name,
+            )
+
+
 def make_grid(
     window: ScaleWindow, norm: ScaleNorm, dim: int, opts: SolverOptions
 ) -> TriangleSolution:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InfeasibleHorizonError
+from .kimura import AUTO_LAMBDA, KimuraProblem
 from .scalecore import ScaleWindow, lambda0
 from .solver import Problem, SolverOptions, TriangleSolution, picard_solve
 
@@ -149,8 +150,6 @@ def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
     problem's window with its slope resolved for the family: the model's slope
     when one is set, else AUTO_LAMBDA * :func:`lambda1`.
     """
-    from .kimura import AUTO_LAMBDA, KimuraProblem
-
     h = problem.model.rates.h_base
     members, labels, sizes = [], [], []
     for n in n_values:

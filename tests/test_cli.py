@@ -156,6 +156,12 @@ MALFORMED = [
     ("solve", "model.m", 10**400, "model.m"),
     ("solve", "model", {"m": 20, "n_max": 10, "rates": {"h": 0.5, "psi": 0.1, "a": 0.2}},
      "model.n_max"),
+    # Picard grids too large to allocate, refused also where no grid is built
+    *((sub, "solver.n_steps", 10**400, "solver.n_steps")
+      for sub in ("solve", "stability", "verify", "oracle-compare")),
+    ("solve", "solver.n_steps", 10**12, "solver.n_steps"),
+    ("oracle-compare", "solver.n_alpha", 10**12, "solver.n_alpha"),
+    ("stability", "solver.n_alpha", 10**400, "solver.n_alpha"),
 ]
 
 # the junk values of the config fuzz, set on one leaf of a config at a time
@@ -319,6 +325,21 @@ class TestSolve:
         run("solve", CONFIG_DIR / "desk-free.json", out2)
         for name in ("trajectory.csv", "convergence.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("subcommand", ["solve", "verify"])
+    def test_truncation_above_the_site_count_is_the_whole_system(
+        self, tmp_path, shipped_configs, subcommand
+    ):
+        # 4 sites have no level above 4: n_max = 3000 writes what n_max = 4 does
+        cfg = shipped_configs["desk-epistatic"]
+        cfg["window"].update(alpha_star=0.0, alpha0=1e-4, alpha_top=2e-3)
+        outputs = []
+        for n_max in (4, 3000):
+            cfg["model"]["n_max"] = n_max
+            out = tmp_path / str(n_max)
+            assert run(subcommand, write_config(tmp_path, cfg, f"{n_max}.json"), out) == 0
+            outputs.append(run_outputs(out))
+        assert outputs[0] == outputs[1]
 
     def test_trajectory_row_ordering(self, tmp_path):
         out = tmp_path / "out"
@@ -712,6 +733,16 @@ class TestVerify:
         cfg["window"]["T"] = 5
         cfg["run"] = {"samples": 3}
         assert run("verify", write_config(tmp_path, cfg), tmp_path / "out") == 0
+
+    def test_window_narrower_than_the_b3_offset(self, tmp_path, capsys, shipped_configs):
+        # B3 draws its scale 1e-3 above alpha_star where the window is wide enough
+        cfg = shipped_configs["desk-epistatic"]
+        cfg["window"].update(alpha_star=0.0, alpha0=1e-7, alpha_top=5e-7)
+        cfg["family"]["alpha"] = 5e-7
+        assert run("verify", write_config(tmp_path, cfg), tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["violations"] == []
 
     def test_deterministic_report(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -213,6 +213,33 @@ class TestStructures:
         k = CorrelationHierarchy.poisson(4, 2, np.full(4, 0.5))
         assert k.value((0, 1, 2)) == 0.0
 
+    def test_levels_above_the_site_count_do_not_exist(self):
+        # n_max >= m is the whole system: levels 0..4 of 4 sites, whatever n_max
+        assert kimura.level_starts(4, 3000) == kimura.level_starts(4, 4) == (0, 1, 5, 11, 15, 16)
+        assert kimura.level_starts(4, 2) == (0, 1, 5, 11)
+        rho = np.array([0.2, 0.5, 0.9, 0.3])
+        k = CorrelationHierarchy.poisson(4, 3000, rho)
+        assert len(k.levels) == 5
+        assert np.array_equal(k.to_vector(), CorrelationHierarchy.poisson(4, 4, rho).to_vector())
+        rates = RateData.constant(4, 1.0, 0.2, 0.5)
+        assert KimuraModel(DiscreteSpace.uniform(4), rates, 3000, WIN).dim == 16
+
+    @pytest.mark.parametrize("size", [6, 8, 10])
+    def test_vector_of_another_length_is_refused(self, size):
+        # three sites truncated at n_max = 2 make 1 + 3 + 3 = 7 entries
+        with pytest.raises(DomainError, match="make a hierarchy of 7 entries"):
+            CorrelationHierarchy.from_vector(3, 2, np.arange(float(size)))
+
+    def test_levels_are_views_of_the_vector(self):
+        k = CorrelationHierarchy.from_vector(3, 3, np.arange(8.0))
+        k.levels[2][1] = -5.0
+        assert k.to_vector().tolist() == [0, 1, 2, 3, 4, -5, 6, 7]
+        # the vector a hierarchy is made from or gives out is a copy
+        vec = k.to_vector()
+        vec[0] = 9.0
+        assert k.value(()) == 0.0
+        assert CorrelationHierarchy.from_vector(3, 3, vec).copy().value(()) == 9.0
+
 
 class TestTimeProfile:
     def test_unknown_kind(self):
@@ -1188,7 +1215,7 @@ class TestHierarchyNorm:
             assert table.shape == shape[:-1] + (len(alphas),)
             assert np.array_equal(table, np.stack([norm(V, a) for a in alphas], axis=-1))
 
-    @pytest.mark.parametrize("m, n_max", [(4, 3), (2, 3), (1, 2)])
+    @pytest.mark.parametrize("m, n_max", [(4, 3), (2, 3), (1, 2), (4, 3000)])
     def test_matches_levelwise_norm_bit_for_bit(self, m, n_max):
         model = KimuraModel(DiscreteSpace.uniform(m), RateData.constant(m, 1.0, 0.2, 0.5), n_max, WIN)
         rng = np.random.default_rng(9)

@@ -20,11 +20,13 @@ from banachscale.scalecore import (
     weighted_gamma_norm,
 )
 from banachscale.solver import (
+    MAX_GRID,
     EvolutionSystem,
     PerturbationMap,
     Problem,
     SolverOptions,
     apriori_check,
+    check_grid,
     contraction_check,
     integral_map,
     make_grid,
@@ -227,6 +229,23 @@ class TestSolverOptions:
         with pytest.raises(DomainError, match=f"^{field} ") as exc:
             SolverOptions(**{field: value})
         assert exc.value.field == field
+
+
+    @pytest.mark.parametrize("n_steps, n_alpha, dim, at_fault", [
+        (2**12 - 1, 8, 2**12, None), (2**12, 8, 2**12, "n_steps"),
+        (2**12 - 1, 2**12 - 1, 3, None), (2**12 - 1, 2**12, 3, "n_alpha"),
+        (10**400, 8, 15, "n_steps"), (100, 10**400, 15, "n_alpha"),
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
+    def test_grid_size_limit_names_the_field(self, n_steps, n_alpha, dim, at_fault):
+        # (n_steps + 1) * dim values and (n_steps + 1) * (n_alpha + 1) weights
+        assert MAX_GRID == 2**24
+        opts = SolverOptions(n_steps=n_steps, n_alpha=n_alpha)
+        if at_fault is None:
+            check_grid(opts, dim)
+            return
+        with pytest.raises(DomainError, match=f"more than {MAX_GRID} entries") as exc:
+            check_grid(opts, dim)
+        assert exc.value.field == at_fault
 
 
 class TestGridStepsInPicard:
