@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BanachScaleError, ConfigurationError
+from .errors import BanachScaleError, ConfigurationError, shown
 from .kimura import (
     MAX_SPAN,
     CorrelationHierarchy,
@@ -34,7 +34,13 @@ from .kimura import (
     check_size,
     level_configs,
 )
-from .oracles import bound_verifier, evolution_law_check, oracle_reference, relative_deviation
+from .oracles import (
+    bound_verifier,
+    check_samples,
+    evolution_law_check,
+    oracle_reference,
+    relative_deviation,
+)
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_audit
 from .solver import SolverOptions, check_grid, picard_solve
 from .stability import kimura_h_family, lambda1, stability_experiment
@@ -108,7 +114,7 @@ def _block(cfg: dict, path: str, required: bool = False) -> dict:
         if value is None and not required:
             value = {}
     if not isinstance(value, dict):
-        raise _fail(path or "config", f"expected an object, got {value!r}")
+        raise _fail(path or "config", f"expected an object, got {shown(value)}")
     for key in value:
         if key not in FIELDS[path]:
             field = f"{path}.{key}" if path else key
@@ -121,14 +127,14 @@ def _as_float(value, path: str) -> float:
     # as an int; the comparison is exact for an int and false for NaN
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max):
-        raise _fail(path, f"expected a finite number, got {value!r}")
+        raise _fail(path, f"expected a finite number, got {shown(value)}")
     return float(value)
 
 
 def _as_int(value, path: str, positive: bool = True) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
         kind = "a positive integer" if positive else "an integer"
-        raise _fail(path, f"expected {kind}, got {value!r}")
+        raise _fail(path, f"expected {kind}, got {shown(value)}")
     return value
 
 
@@ -136,7 +142,7 @@ def _as_array(value, path: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise _fail(path, f"expected numbers, got {value!r}") from exc
+        raise _fail(path, f"expected numbers, got {shown(value)}") from exc
 
 
 def _rate_array(value, m: int, path: str, square: bool = False) -> np.ndarray:
@@ -198,7 +204,7 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
     # are scalar math.exp values, which raise once they overflow
     top = max(2, n_max)
     if top > sys.float_info.max:
-        raise _fail("model.n_max", f"expected an integer a double can hold, got {n_max!r}")
+        raise _fail("model.n_max", f"expected an integer a double can hold, got {shown(n_max)}")
     for name in ("alpha_star", "alpha_top"):
         alpha = getattr(window, name)
         if abs(alpha) * top > _LOG_MAX:
@@ -375,7 +381,9 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
         except OverflowError:
             finite = False
         if not finite:
-            raise _fail(f"family.n_values[{i}]", f"h * (1 + 2^-n) overflows a double for n = {n}")
+            raise _fail(
+                f"family.n_values[{i}]", f"h * (1 + 2^-n) overflows a double for n = {shown(n)}"
+            )
     family = kimura_h_family(problem, n_values)
     window = family.window
     alpha = _as_float(fam_cfg.get("alpha", window.alpha_top), "family.alpha")
@@ -408,6 +416,8 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
 def run_verify(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict, int]:
     problem, _ = _prepare(cfg)
     samples = _as_int(_block(cfg, "run").get("samples", 100), "run.samples")
+    # before the verifiers draw them
+    _checked("run", check_samples, samples, problem.model.dim)
     T = problem.window.T
     if T > MAX_SPAN:
         raise _fail(

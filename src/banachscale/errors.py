@@ -1,4 +1,22 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and how a message shows a refused value."""
+
+import math
+
+#: an integer with more digits is named by its digit count in a message
+_SHOWN_DIGITS = 20
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message, but an integer of more than 20 digits by
+    its digit count, so that a refusal of an oversized value stays one short line."""
+    if isinstance(value, int) and abs(value) >= 10**_SHOWN_DIGITS:
+        n = abs(value)
+        # math.log10 rounds, so near a power of ten the count may be one off
+        digits = int(math.log10(n)) + 1
+        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {digits} digits"
+    return repr(value)
 
 
 class BanachScaleError(Exception):

@@ -15,10 +15,9 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations, pairwise, repeat
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
-from .errors import ConfigurationError, DomainError, ModelValidationError
+from .csr import Csr, sparsetools, vstack
+from .errors import ConfigurationError, DomainError, ModelValidationError, shown
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_terms
 from .solver import EvolutionSystem, PerturbationMap, Problem, StepAction
 
@@ -60,8 +59,8 @@ def check_size(m: int, n_max: int) -> None:
             dim += math.comb(m, n)
             if dim > MAX_DIM:
                 raise ModelValidationError(
-                    f"{m} sites truncated at n_max = {top} make a hierarchy of more "
-                    f"than {MAX_DIM} entries", field=field_name,
+                    f"m = {shown(m)} and n_max = {shown(top)} make a hierarchy of more than "
+                    f"{MAX_DIM} entries", field=field_name,
                 )
 
 
@@ -102,7 +101,7 @@ class TimeProfile:
 
     def __post_init__(self):
         if self.kind not in ("constant", "exp_decay", "sinusoidal"):
-            raise ModelValidationError(f"unknown time profile {self.kind!r}", field="kind")
+            raise ModelValidationError(f"unknown time profile {shown(self.kind)}", field="kind")
         if self.kind == "exp_decay" and self.rate < 0:
             raise ModelValidationError("exp_decay rate must be nonnegative", field="rate")
         if self.kind == "sinusoidal" and not (0.0 <= self.amp <= 1.0):
@@ -331,8 +330,8 @@ class KimuraModel:
     rates: RateData
     n_max: int
     window: ScaleWindow
-    _a0: sparse.csr_matrix = field(init=False, repr=False, compare=False)
-    _b: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    _a0: Csr = field(init=False, repr=False, compare=False)
+    _b: Csr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max < 2:
@@ -344,8 +343,8 @@ class KimuraModel:
             raise ModelValidationError("rates and space disagree on the site count")
         _check_sums(self)
         a0_h, a0_psi, a1_psi, a1_a = _assemble_components(self)
-        self._a0 = sparse.vstack([a0_h, a0_psi], format="csr")
-        self._b = sparse.vstack([a1_psi, a1_a, a0_h[0], a0_psi[0]], format="csr")
+        self._a0 = vstack([a0_h, a0_psi])
+        self._b = vstack([a1_psi, a1_a, a0_h.rows(0, 1), a0_psi.rows(0, 1)])
 
     @property
     def m(self) -> int:
@@ -369,18 +368,18 @@ class KimuraModel:
 
         ``t`` holds one time per row; a scalar t with one vector is the
         one-row case.  The product is :func:`_csr_product`, scipy's CSR
-        kernel without the ``@`` dispatch, so each row is ``_a0 @ V[i]``
-        bit for bit.
+        kernel without the ``@`` dispatch, so each row is scipy's
+        ``_a0 @ V[i]`` bit for bit.
         """
         p_h, p_psi = self.a0_factors(t)
         d = V.shape[-1]
         Y = _csr_product(self._a0, V.T)
         return (_scaled(p_h, Y[:d]) + _scaled(p_psi, Y[d:])).T
 
-    def a0_matrix(self, t: float) -> sparse.csr_matrix:
+    def a0_matrix(self, t: float) -> Csr:
         d = self._a0.shape[1]
         p_h, p_psi = self.a0_factors(t)
-        return _scaled(p_h, self._a0[:d]) + _scaled(p_psi, self._a0[d:])
+        return _scaled(p_h, self._a0.rows(0, d)) + _scaled(p_psi, self._a0.rows(d, 2 * d))
 
 
 def _check_sums(model: KimuraModel) -> None:
@@ -436,14 +435,16 @@ def _scaled(p, x):
     return x if p is None else p * x
 
 
-def _csr_product(mat: sparse.csr_matrix, X: np.ndarray) -> np.ndarray:
+def _csr_product(mat: Csr, X: np.ndarray) -> np.ndarray:
     """mat @ X for a float CSR matrix and a dense vector or block, by scipy's own kernel.
 
-    ``csr_matvec`` for a vector or a one-column block, ``csr_matvecs`` for a
-    wider block, on a C-contiguous X and a zeroed float output, as scipy's
-    ``_matmul_vector`` and ``_matmul_multivector`` call them: the result is
-    ``mat @ X`` bit for bit, without the operator's dispatch, which costs
-    more than the product at the hierarchy's desk sizes.
+    ``mat`` is a :class:`~banachscale.csr.Csr`, or any matrix with its arrays,
+    such as a scipy CSR matrix.  ``csr_matvec`` for a vector or a one-column
+    block, ``csr_matvecs`` for a wider block, on a C-contiguous X and a zeroed
+    float output, as scipy's ``_matmul_vector`` and ``_matmul_multivector``
+    call them: the result is scipy's ``mat @ X`` bit for bit, without its
+    operator's dispatch, which costs more than the product at the hierarchy's
+    desk sizes.
     """
     M, N = mat.shape
     X = np.ascontiguousarray(X, dtype=float)
@@ -451,16 +452,16 @@ def _csr_product(mat: sparse.csr_matrix, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot multiply a {M}x{N} matrix by an array of shape {X.shape}")
     if X.ndim == 1 or X.shape[1] == 1:
         out = np.zeros(M)
-        _sparsetools.csr_matvec(M, N, mat.indptr, mat.indices, mat.data, X.ravel(), out)
+        sparsetools.csr_matvec(M, N, mat.indptr, mat.indices, mat.data, X.ravel(), out)
         return out if X.ndim == 1 else out[:, None]
     out = np.zeros((M, X.shape[1]))
-    _sparsetools.csr_matvecs(
+    sparsetools.csr_matvecs(
         M, N, X.shape[1], mat.indptr, mat.indices, mat.data, X.ravel(), out.ravel()
     )
     return out
 
 
-def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
+def _assemble_components(model: KimuraModel) -> list[Csr]:
     """A0_h, A0_psi, A1_psi and A1_a: the operators at unit profiles.
 
     Same index maps as the structural actions, built level by level from the
@@ -520,9 +521,7 @@ def _assemble_components(model: KimuraModel) -> list[sparse.csr_matrix]:
     mats = []
     for parts in (a0_h, a0_psi, a1_psi, a1_a):
         rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(off[-1], off[-1]), dtype=float)
-        mat.eliminate_zeros()
-        mats.append(mat)
+        mats.append(Csr.from_coo(vals, rows, cols, (off[-1], off[-1])))
     return mats
 
 
@@ -751,9 +750,9 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
     Y_h, Y_psi = Y[:d], Y[d:]
     x_flat, y_flat, Y_flat = x.reshape(-1), y.reshape(-1), Y.reshape(-1)
     if rows == 1:
-        product = partial(_sparsetools.csr_matvec, M, d, a0.indptr, a0.indices, a0.data)
+        product = partial(sparsetools.csr_matvec, M, d, a0.indptr, a0.indices, a0.data)
     else:
-        product = partial(_sparsetools.csr_matvecs, M, d, rows, a0.indptr, a0.indices, a0.data)
+        product = partial(sparsetools.csr_matvecs, M, d, rows, a0.indptr, a0.indices, a0.data)
 
     # numpy's ufuncs, bound once, each given its output as third argument: at
     # the desk sizes a stage is mostly per-call cost
@@ -790,14 +789,14 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
     return x.T
 
 
-def _norm1(mat: sparse.csr_matrix) -> float:
+def _norm1(mat: Csr) -> float:
     """Largest column sum of |mat|.  np.bincount adds each column's entries in
     storage order, as scipy's ``abs(mat).sum(axis=0)`` does, so the value is
     the same bit for bit, without a new matrix and a product per call."""
     return float(np.bincount(mat.indices, np.abs(mat.data), mat.shape[1]).max())
 
 
-def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
+def expm_increment(a0: Csr, h: float) -> Csr:
     """D = exp(-h A0) - I by a Taylor series with scaling and squaring.
 
     -h A0 is scaled by 2^-s so its 1-norm is at most 1/2, the series of
@@ -810,8 +809,7 @@ def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
     norm = h * _norm1(a0)
     s = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
     x = a0 * (-h / 2.0**s)
-    d = x.copy()
-    term = x
+    d = term = x
     for k in range(2, 64):
         term = (term @ x) / k
         d = d + term
@@ -822,12 +820,11 @@ def expm_increment(a0: sparse.csr_matrix, h: float) -> sparse.csr_matrix:
     return d
 
 
-def _increment_step(d: sparse.csr_matrix) -> StepAction:
+def _increment_step(d: Csr) -> StepAction:
     """Step action V -> V + D V of a time-invariant step, on one vector or on rows.
 
-    D V is one :func:`_csr_product`, equal to ``D @ V.T`` bit for bit; the
-    cocycle loops of the Picard grid call it once per step, where scipy's
-    dispatch would cost more than the product.
+    D V is one :func:`_csr_product`, equal to scipy's ``D @ V.T`` bit for
+    bit; the cocycle loops of the Picard grid call it once per step.
     """
 
     def action(V: np.ndarray, j: int | slice = slice(None)) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, OracleDomainError
+from .errors import DomainError, OracleDomainError, shown
 from .kimura import (
     CorrelationHierarchy,
     KimuraModel,
@@ -208,6 +208,25 @@ def oracle_reference(
 # seeded inequality verifier
 
 
+#: most entries, samples times the hierarchy's dimension, that one sample set
+#: draws: 87 times the shipped configs' 1,500.  The verifiers' time and memory
+#: grow with them.
+MAX_SAMPLE_ENTRIES = 2**17
+
+
+def check_samples(samples: int, dim: int) -> None:
+    """Refuse fewer than one sample, or samples of hierarchies of ``dim`` entries
+    that hold more than MAX_SAMPLE_ENTRIES in all, with exact integers, before
+    any is drawn."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {shown(samples)}", field="samples")
+    if samples * dim > MAX_SAMPLE_ENTRIES:
+        raise DomainError(
+            f"samples = {shown(samples)} on a hierarchy of dimension {dim} draw more than "
+            f"{MAX_SAMPLE_ENTRIES} entries", field="samples",
+        )
+
+
 @dataclass
 class BoundReport:
     """Worst observed/bound ratios per inequality plus any violations.
@@ -220,12 +239,13 @@ class BoundReport:
 
     seed: int
     samples: int
+    #: entries of each sampled hierarchy
+    dim: int
     worst: dict[str, float] = field(default_factory=dict)
     violations: list[tuple[str, int, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
+        check_samples(self.samples, self.dim)
 
     def record(self, name: str, index: int, observed: float, bound: float) -> None:
         ratio = observed / bound if not bound <= 0 else (0.0 if observed == 0.0 else math.inf)
@@ -276,7 +296,7 @@ def bound_verifier(
     bound B3 with c3; :func:`evolution_law_check` checks the propagator's.
     ``consts`` may be injected to audit an externally supplied certificate.
     """
-    report = BoundReport(seed=seed, samples=samples)
+    report = BoundReport(seed=seed, samples=samples, dim=model.dim)
     win = model.window
     if consts is None:
         consts = model_constants(model, k0)
@@ -376,7 +396,7 @@ def evolution_law_check(
     exp(int_s^t kappa(alpha)) ||k||_alpha (growth), and U(t,s) k is compared
     with U(t,r) U(r,s) k (cocycle).
     """
-    bounds = BoundReport(seed=seed, samples=samples)
+    bounds = BoundReport(seed=seed, samples=samples, dim=model.dim)
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(samples):

@@ -20,6 +20,7 @@ from .errors import (
     ContractionViolationError,
     DomainError,
     InfeasibleHorizonError,
+    shown,
 )
 from .scalecore import (
     ROUNDOFF,
@@ -135,7 +136,7 @@ class SolverOptions:
         for name in ("k_max", "n_steps", "n_alpha"):
             count = getattr(self, name)
             if not count >= 1:
-                raise DomainError(f"{name} must be at least 1, got {count}", field=name)
+                raise DomainError(f"{name} must be at least 1, got {shown(count)}", field=name)
         if not 0.0 < self.theta < 1.0:
             raise DomainError(f"theta must lie in (0, 1), got {self.theta}", field="theta")
 
@@ -215,8 +216,8 @@ def check_grid(opts: SolverOptions, dim: int) -> None:
     for name, cols in (("n_steps", dim), ("n_alpha", opts.n_alpha + 1)):
         if rows * cols > MAX_GRID:
             raise DomainError(
-                f"{opts.n_steps} time steps and {opts.n_alpha} scale steps on a state of "
-                f"dimension {dim} make a grid table of more than {MAX_GRID} entries",
+                f"n_steps = {shown(opts.n_steps)} and n_alpha = {shown(opts.n_alpha)} on a state "
+                f"of dimension {dim} make a grid table of more than {MAX_GRID} entries",
                 field=name,
             )
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import banachscale
-from banachscale import kimura
+from banachscale import cli, kimura
 from banachscale.cli import (
     FIELDS,
     _prepare,
@@ -28,7 +28,7 @@ from banachscale.cli import (
     trajectory_lines,
     write_csv,
 )
-from banachscale.errors import BanachScaleError, ConfigurationError, ModelValidationError
+from banachscale.errors import BanachScaleError, ConfigurationError, ModelValidationError, shown
 from banachscale.kimura import KimuraProblem, level_configs
 from banachscale.scalecore import ScaleWindow
 from banachscale.solver import SolverOptions, picard_solve
@@ -69,6 +69,18 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def modules_after_import(module: str) -> list[str]:
+    """sys.modules of a fresh interpreter, on this tree's src, after it imports ``module``."""
+    src = str(Path(banachscale.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}, sys; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return proc.stdout.split()
 
 
 def leaves(block, path=""):
@@ -162,6 +174,9 @@ MALFORMED = [
     ("solve", "solver.n_steps", 10**12, "solver.n_steps"),
     ("oracle-compare", "solver.n_alpha", 10**12, "solver.n_alpha"),
     ("stability", "solver.n_alpha", 10**400, "solver.n_alpha"),
+    # samples too many to draw
+    ("verify", "run.samples", 10**6, "run.samples"),
+    ("verify", "run.samples", 10**400, "run.samples"),
 ]
 
 # the junk values of the config fuzz, set on one leaf of a config at a time
@@ -554,18 +569,11 @@ class TestSolve:
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         # scipy.integrate is a large share of start-up and only poisson_oracle needs it
-        src = str(Path(banachscale.__file__).resolve().parent.parent)
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        code = (
-            "import banachscale.cli, sys; "
-            "sys.exit('scipy.integrate' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr or "import banachscale.cli loaded scipy.integrate"
+        assert "scipy.integrate" not in modules_after_import("banachscale.cli")
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        # so is scipy.sparse, of which the library loads the compiled kernels only
+        assert "scipy.sparse" not in modules_after_import("banachscale.cli")
 
     def test_unusable_out_exit_2_names_the_flag(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -630,6 +638,51 @@ class TestConfigFuzz:
                 except Exception as exc:  # any other failure is a finding
                     wrong.append((path, junk, repr(exc)))
         assert wrong == []
+
+    @pytest.mark.parametrize("name", ["desk-epistatic", "desk-free", "desk-smooth"])
+    def test_oversized_integer_refusal_is_one_short_line(self, name, tmp_path, capsys):
+        # every leaf set to 10**400, run by a subcommand that reads it: a refusal
+        # names the integer by its digit count
+        readers = {"run.samples": "verify", "run.compare_tol": "oracle-compare",
+                   "family": "stability"}
+        text = (CONFIG_DIR / f"{name}.json").read_text()
+        refused, long = [], []
+        for path in leaves(json.loads(text)):
+            cfg = json.loads(text)
+            set_field(cfg, path, 10**400)
+            subcommand = next((s for key, s in readers.items() if path.startswith(key)), "solve")
+            code = run(subcommand, write_config(tmp_path, cfg), tmp_path / "out")
+            err = capsys.readouterr().err
+            if code == 2:
+                refused.append(path)
+                if len(err.encode()) >= 200:
+                    long.append((path, err))
+        assert {"solver.n_steps", "model.n_max", "model.m", "run.samples"} <= set(refused)
+        assert long == []
+
+    def test_an_oversized_integer_is_shown_by_its_exact_digit_count(self):
+        # math.log10 rounds near a power of ten; the count must not
+        for k in (20, 21, 22, 100, 308, 309, 400, 4299, 5000):
+            assert shown(10**k - 1) == ("99999999999999999999" if k == 20 else
+                                        f"an integer of {k} digits")
+            assert shown(10**k) == f"an integer of {k + 1} digits"
+            assert shown(-(10**k)) == f"a negative integer of {k + 1} digits"
+        assert [shown(v) for v in (True, 1.5, "x", 10**19)] == ["True", "1.5", "'x'", repr(10**19)]
+
+    def test_oversized_samples_are_refused_before_any_is_drawn(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a verifier ran")
+
+        monkeypatch.setattr(cli, "bound_verifier", never)
+        monkeypatch.setattr(cli, "evolution_law_check", never)
+        cfg = base_config(run={"samples": 2**31})
+        assert run("verify", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: run.samples: samples = 2147483648 on a hierarchy of "
+            "dimension 8 draw more than 131072 entries"
+        )
 
 
 class TestStability:

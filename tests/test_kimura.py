@@ -16,6 +16,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from banachscale import cli, kimura
+from banachscale.csr import Csr
 from banachscale.errors import DomainError, ModelValidationError
 from banachscale.kimura import (
     CorrelationHierarchy,
@@ -44,6 +45,14 @@ from banachscale.solver import SolverOptions, make_grid, picard_solve, residual_
 from scalar import flat_norm
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
+
+
+def as_scipy(mat):
+    """A library :class:`~banachscale.csr.Csr` as a scipy CSR matrix on copies
+    of its arrays (scipy's operators may sort a matrix's indices in place), for
+    a comparison with scipy's own operators."""
+    arrays = (mat.data.copy(), mat.indices.copy(), mat.indptr.copy())
+    return sparse.csr_matrix(arrays, shape=mat.shape)
 
 
 def solve(model, k0, n_steps):
@@ -412,7 +421,7 @@ class TestOperators:
     def test_matrix_assembly_matches_direct_action(self, epistatic_model, epistatic_k0):
         vec = epistatic_k0.to_vector()
         direct = apply_A0(epistatic_model, 0.2, epistatic_k0).to_vector()
-        assert np.allclose(epistatic_model.a0_matrix(0.2) @ vec, direct, atol=1e-13)
+        assert np.allclose(as_scipy(epistatic_model.a0_matrix(0.2)) @ vec, direct, atol=1e-13)
 
 
 def assemble_by_loop(model):
@@ -619,7 +628,7 @@ class TestBatchedEvolution:
         # an independent propagator: U(t, s) = exp(-(t - s) A0) when A0 is constant
         cfg = shipped_configs["desk-epistatic"]
         model = cli.parse_model(cfg, cli.parse_window(cfg))
-        a0 = model.a0_matrix(0.0)
+        a0 = as_scipy(model.a0_matrix(0.0))
         rng = np.random.default_rng(12)
         s, t = np.sort(rng.uniform(0.0, 1.0, (2, 8)), axis=0)
         t[0] = s[0] + 1e-6
@@ -642,19 +651,20 @@ class TestBatchedEvolution:
         batch = model.a0_dot(t, V)
         for a, v, row in zip(t, V, batch):
             assert np.array_equal(row, model.a0_dot(a, v))
-            assert np.allclose(row, model.a0_matrix(a) @ v, rtol=1e-14, atol=1e-15)
+            assert np.allclose(row, as_scipy(model.a0_matrix(a)) @ v, rtol=1e-14, atol=1e-15)
 
 
 def rk4_per_step(model, s, h, V0, n):
-    """Reference RK4, one step at a time: each stage is ``model._a0 @ x`` with
+    """Reference RK4, one step at a time: each stage is scipy's ``model._a0 @ x`` with
     scalar ``TimeProfile.value`` factors, 1.0 for a constant profile (an exact
     product), at the step's start, midpoint and end."""
     d = model.dim
     profiles = (model.rates.h_profile, model.rates.psi_profile)
+    a0 = as_scipy(model._a0)
 
     def a0x(t, x):
         p_h, p_psi = (np.array([p.value(tau) for tau in t.tolist()]) for p in profiles)
-        Y = model._a0 @ x
+        Y = a0 @ x
         return p_h * Y[:d] + p_psi * Y[d:]
 
     half, sixth = 0.5 * h, h / 6.0
@@ -768,9 +778,9 @@ class TestGridSteps:
     def test_squaring_matches_dense_expm(self, epistatic_model):
         # ||h A0||_1 = 20 forces five squarings; an unscaled Taylor sum of this
         # size loses about 1e-10 to cancellation
-        a0 = epistatic_model.a0_matrix(0.0).toarray()
+        a0 = as_scipy(epistatic_model.a0_matrix(0.0)).toarray()
         h = 20.0 / np.max(np.sum(np.abs(a0), axis=0))
-        d = expm_increment(sparse.csr_matrix(a0), h)
+        d = as_scipy(expm_increment(epistatic_model.a0_matrix(0.0), h))
         exact = expm(-h * a0)
         V = np.random.default_rng(6).uniform(-1.0, 1.0, (4, len(a0)))
         for v in V:
@@ -792,15 +802,15 @@ class TestGridSteps:
             expm_increment(model.a0_matrix(0.0), h)
         assert len(seen) > 20
         for mat in [*kimura._assemble_components(model), *seen]:
-            assert norm1(mat) == float(abs(mat).sum(axis=0).max())
+            assert norm1(mat) == float(abs(as_scipy(mat)).sum(axis=0).max())
 
     def test_dead_model_increment_is_zero(self, dead_model):
-        d = expm_increment(sparse.csr_matrix(dead_model.a0_matrix(0.0)), 0.7)
+        d = as_scipy(expm_increment(dead_model.a0_matrix(0.0), 0.7))
         assert np.array_equal(d.toarray(), np.zeros((dead_model.dim, dead_model.dim)))
 
     def test_level0_column_untouched(self, epistatic_model):
         # nothing raises into level 0, so a step never rounds its unit entry
-        d = expm_increment(sparse.csr_matrix(epistatic_model.a0_matrix(0.0)), 0.3)
+        d = as_scipy(expm_increment(epistatic_model.a0_matrix(0.0), 0.3))
         assert np.all(d.toarray()[:, 0] == 0.0)
 
     def test_time_varying_rates_use_rk4(self, monkeypatch):
@@ -928,7 +938,7 @@ class TestRateDecomposition:
         b = bdelta(model, t, k)
         close = dict(rtol=1e-12, atol=1e-12)
         assert np.allclose(model.a0_dot(t, vec), a0, **close)
-        assert np.allclose(model.a0_matrix(t) @ vec, a0, **close)
+        assert np.allclose(as_scipy(model.a0_matrix(t)) @ vec, a0, **close)
         pert = KimuraPerturbation(model)
         assert np.allclose(pert.apply(vec, t), a1 + b * vec, **close)
 
@@ -1146,23 +1156,22 @@ class TestWorkCount:
 
 
     def test_hot_products_skip_scipys_dispatch(self, shipped_configs, tmp_path, monkeypatch):
-        # every sparse-times-dense product calls the CSR kernel directly; only
-        # sparse-times-sparse products (expm_increment) go through the operator
-        dense_operands = []
-        matmul = sparse.csr_matrix.__matmul__
+        # every sparse-times-dense product calls the CSR kernel directly; the
+        # library's own @ takes only the sparse operands of expm_increment
+        operands = []
+        matmul = Csr.__matmul__
 
         def counted(self, other):
-            if isinstance(other, np.ndarray):
-                dense_operands.append(other.shape)
+            operands.append(type(other))
             return matmul(self, other)
 
-        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted)
+        monkeypatch.setattr(Csr, "__matmul__", counted)
         for config, subcommand in (("desk-smooth", "verify"), ("desk-epistatic", "solve")):
             path = tmp_path / f"{config}.json"
             path.write_text(json.dumps(shipped_configs[config]))
             out = tmp_path / subcommand
             assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == 0
-        assert dense_operands == []
+        assert operands and set(operands) == {Csr}
 
     def test_picard_evaluates_b_five_times_per_iteration(self, epistatic_problem, monkeypatch):
         # per iteration: the integral map's midpoints, three monitor times and

@@ -12,6 +12,7 @@ from banachscale.kimura import (
     apply_ldelta,
 )
 from banachscale.oracles import (
+    MAX_SAMPLE_ENTRIES,
     BoundReport,
     bound_verifier,
     bruteforce_oracle,
@@ -183,13 +184,27 @@ class TestBoundVerifier:
 class TestBoundReport:
     @pytest.mark.parametrize("observed, bound", [(math.nan, 1.0), (0.5, math.nan)])
     def test_nan_ratio_is_a_violation_and_the_worst(self, observed, bound):
-        rep = BoundReport(seed=0, samples=3)
+        rep = BoundReport(seed=0, samples=3, dim=1)
         rep.record("A1", 0, 0.5, 1.0)
         rep.record("A1", 1, observed, bound)
         rep.record("A1", 2, 0.9, 1.0)
         assert math.isnan(rep.worst["A1"])
         assert rep.failed == ["A1"] and rep.violations[0][1] == 1
         assert not rep.clean
+
+    def test_sample_limit_names_the_field(self, epistatic_model, epistatic_k0):
+        dim = epistatic_model.dim
+        top = MAX_SAMPLE_ENTRIES // dim
+        BoundReport(seed=0, samples=top, dim=dim)
+        for samples in (0, top + 1, 10**400):
+            with pytest.raises(DomainError, match="samples") as err:
+                BoundReport(seed=0, samples=samples, dim=dim)
+            assert err.value.field == "samples" and len(str(err.value)) < 200
+        # both verifiers refuse before they draw a sample
+        with pytest.raises(DomainError, match="draw more than"):
+            bound_verifier(epistatic_model, epistatic_k0, 10**12, 0)
+        with pytest.raises(DomainError, match="draw more than"):
+            evolution_law_check(epistatic_model, None, 10**12, 0)
 
 
 class TestEvolutionLaws:
