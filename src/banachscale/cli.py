@@ -31,6 +31,7 @@ from .kimura import (
     KimuraProblem,
     RateData,
     TimeProfile,
+    check_exponents,
     check_size,
     level_configs,
 )
@@ -43,7 +44,7 @@ from .oracles import (
 )
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_audit
 from .solver import SolverOptions, check_grid, picard_solve
-from .stability import kimura_h_family, lambda1, stability_experiment
+from .stability import check_h_family, kimura_h_family, lambda1, stability_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,9 +64,6 @@ FIELDS = {
     "family": ("n_values", "alpha", "t_prime"),
     "certificate_override": tuple(f.name for f in fields(OvcyannikovConstants)),
 }
-
-#: largest x with e^x finite in double precision
-_LOG_MAX = math.log(sys.float_info.max)
 
 #: the config name of a library field where the two differ
 _CONFIG_NAMES = {"lam": "lambda", "space.weights": "weights"}
@@ -200,15 +198,9 @@ def parse_model(cfg: dict, window: ScaleWindow) -> KimuraModel:
         rate_data[f"{key}_profile"] = _profile(cfg, f"{path}_profile")
     rates = _checked("model.rates", RateData, **rate_data)
 
-    # the scale weights e^(-alpha n) and the growth rate's e^alpha, e^(2 alpha)
-    # are scalar math.exp values, which raise once they overflow
-    top = max(2, n_max)
-    if top > sys.float_info.max:
+    if n_max > sys.float_info.max:
         raise _fail("model.n_max", f"expected an integer a double can hold, got {shown(n_max)}")
-    for name in ("alpha_star", "alpha_top"):
-        alpha = getattr(window, name)
-        if abs(alpha) * top > _LOG_MAX:
-            raise _fail(f"window.{name}", f"e^({alpha} * {top}) overflows a double")
+    _checked("window", check_exponents, window, m, n_max)
     return _checked("model", KimuraModel, space, rates, n_max, window)
 
 
@@ -372,18 +364,9 @@ def run_stability(cfg: dict, out: Path, seed: int) -> tuple[KimuraProblem, dict,
     n_values = fam_cfg.get("n_values")
     if not isinstance(n_values, list) or not n_values:
         raise _fail("family.n_values", "need a nonempty list of family indices")
-    h_max = float(np.max(problem.model.rates.h_base))
     for i, n in enumerate(n_values):
         _as_int(n, f"family.n_values[{i}]", positive=False)
-        # member n scales h by 1 + 2^-n (kimura_h_family)
-        try:
-            finite = math.isfinite(h_max * (1.0 + 2.0 ** -n))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise _fail(
-                f"family.n_values[{i}]", f"h * (1 + 2^-n) overflows a double for n = {shown(n)}"
-            )
+    _checked("family", check_h_family, problem.model.rates.h_base, n_values)
     family = kimura_h_family(problem, n_values)
     window = family.window
     alpha = _as_float(fam_cfg.get("alpha", window.alpha_top), "family.alpha")

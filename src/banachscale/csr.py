@@ -4,10 +4,10 @@ Importing ``scipy.sparse`` costs more start-up time and memory than the rest of
 the library, which needs only the compiled kernels of its private extension
 ``_sparsetools``.  :data:`sparsetools` is that extension, loaded from its file
 in scipy's package directory, or by ``from scipy.sparse import _sparsetools``
-where that load fails.  :class:`Csr` holds a float matrix as the arrays
-``data``, ``indices`` and ``indptr`` of scipy's CSR format and makes the kernel
-calls, in the order, of the ``scipy.sparse`` methods it stands for, so every
-array it forms equals scipy's bit for bit.
+where that load fails.  :class:`Csr`, the only caller of its kernels, holds a
+float matrix as the arrays ``data``, ``indices`` and ``indptr`` of scipy's CSR
+format and makes the kernel calls of the ``scipy.sparse`` methods it stands
+for, in their order, so every array it forms equals scipy's bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -64,10 +65,9 @@ class Csr:
     """A float matrix as scipy's CSR format stores it: row i holds the entries
     ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]``.
 
-    Only what the hierarchy's operators need: construction from coordinates,
-    row slices, :func:`vstack`, scalar ``*`` and ``/``, and ``+`` and ``@``
-    of two matrices.  Products with dense operands call the kernels directly
-    (:func:`banachscale.kimura._csr_product`).
+    Only what the hierarchy's operators need: construction from coordinates, row
+    slices, :func:`vstack`, scalar ``*``, ``+`` and ``@`` of two matrices, the
+    product with a dense operand (:meth:`dot`) and the 1-norm (:meth:`norm1`).
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")
@@ -115,10 +115,6 @@ class Csr:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, k: float) -> "Csr":
-        """A product with 1 / k, as scipy's division by a scalar."""
-        return self * (1 / k)
-
     def __add__(self, other: "Csr") -> "Csr":
         """The sum by ``csr_plus_csr``, which drops entries that cancel."""
         if not isinstance(other, Csr):
@@ -140,6 +136,34 @@ class Csr:
         idx = _index_dtype(0, *arrays)
         nnz = sparsetools.csr_matmat_maxnnz(M, N, *(np.asarray(a, dtype=idx) for a in arrays))
         return self._combine(sparsetools.csr_matmat, other, nnz, (M, N))
+
+    def dot(self, X: np.ndarray) -> np.ndarray:
+        """self @ X for a dense vector or block, by the kernel that scipy's ``@`` calls
+        on a C-contiguous X and a zeroed output, without the dispatch before it,
+        which costs more than the product at the hierarchy's desk sizes."""
+        M, N = self.shape
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[0] != N:
+            raise ValueError(f"cannot multiply a {M}x{N} matrix by an array of shape {X.shape}")
+        out = np.zeros(M if X.ndim == 1 else (M, X.shape[1]))
+        if X.ndim == 1 or X.shape[1] == 1:
+            sparsetools.csr_matvec(M, N, self.indptr, self.indices, self.data, X, out)
+        else:
+            sparsetools.csr_matvecs(M, N, X.shape[1], self.indptr, self.indices, self.data, X, out)
+        return out
+
+    def kernel(self, columns: int):
+        """The kernel of :meth:`dot` for ``columns`` columns, bound to this matrix:
+        ``kernel(X, out)`` adds self @ X to ``out``, both C-contiguous, unchecked."""
+        M, N = self.shape
+        if columns == 1:
+            return partial(sparsetools.csr_matvec, M, N, self.indptr, self.indices, self.data)
+        return partial(sparsetools.csr_matvecs, M, N, columns, self.indptr, self.indices, self.data)
+
+    def norm1(self) -> float:
+        """Largest column sum of |self|: np.bincount adds each column's entries in
+        storage order, as scipy's ``abs(mat).sum(axis=0)`` does, without a new matrix."""
+        return float(np.bincount(self.indices, np.abs(self.data), self.shape[1]).max())
 
     def _combine(self, kernel, other: "Csr", nnz: int, shape: tuple[int, int]) -> "Csr":
         """The matrix that ``kernel`` (``csr_plus_csr`` or ``csr_matmat``) forms

@@ -4,11 +4,14 @@ import math
 
 #: an integer with more digits is named by its digit count in a message
 _SHOWN_DIGITS = 20
+#: a longer repr is cut to this many characters and its length
+_SHOWN_CHARS = 60
 
 
 def shown(value) -> str:
     """``repr(value)`` for a message, but an integer of more than 20 digits by
-    its digit count, so that a refusal of an oversized value stays one short line."""
+    its digit count, and a repr of more than 60 characters by its head and its
+    length, so that a refusal of an oversized value stays one short line."""
     if isinstance(value, int) and abs(value) >= 10**_SHOWN_DIGITS:
         n = abs(value)
         # math.log10 rounds, so near a power of ten the count may be one off
@@ -16,7 +19,10 @@ def shown(value) -> str:
         digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
         sign = "a negative" if value < 0 else "an"
         return f"{sign} integer of {digits} digits"
-    return repr(value)
+    text = repr(value)
+    if len(text) > _SHOWN_CHARS:
+        return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+    return text
 
 
 class BanachScaleError(Exception):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, combinations, pairwise, repeat
 
 import numpy as np
 
-from .csr import Csr, sparsetools, vstack
+from .csr import Csr, vstack
 from .errors import ConfigurationError, DomainError, ModelValidationError, shown
 from .scalecore import OvcyannikovConstants, ScaleWindow, lambda0_terms
 from .solver import EvolutionSystem, PerturbationMap, Problem, StepAction
@@ -62,6 +62,16 @@ def check_size(m: int, n_max: int) -> None:
                     f"m = {shown(m)} and n_max = {shown(top)} make a hierarchy of more than "
                     f"{MAX_DIM} entries", field=field_name,
                 )
+
+
+def check_exponents(window: ScaleWindow, m: int, n_max: int) -> None:
+    """Refuse ``alpha_star`` or ``alpha_top`` if e^(alpha n) on the levels 0..min(m, n_max),
+    or the growth rate's e^(2 alpha), overflows a double (and math.exp raises)."""
+    top = max(2, min(m, n_max))
+    for name in ("alpha_star", "alpha_top"):
+        alpha = getattr(window, name)
+        if abs(alpha) * top > math.log(np.finfo(float).max):
+            raise ModelValidationError(f"e^({alpha} * {top}) overflows a double", field=name)
 
 
 @dataclass(frozen=True)
@@ -339,6 +349,7 @@ class KimuraModel:
                 f"n_max must be at least 2 (pair term of Bdelta), got {self.n_max}", field="n_max"
             )
         check_size(self.m, self.n_max)
+        check_exponents(self.window, self.m, self.n_max)
         if len(self.rates.h_base) != self.space.m:
             raise ModelValidationError("rates and space disagree on the site count")
         _check_sums(self)
@@ -367,13 +378,11 @@ class KimuraModel:
         """A0(t[i]) V[i] for every row of V, from one product with the stacked components.
 
         ``t`` holds one time per row; a scalar t with one vector is the
-        one-row case.  The product is :func:`_csr_product`, scipy's CSR
-        kernel without the ``@`` dispatch, so each row is scipy's
-        ``_a0 @ V[i]`` bit for bit.
+        one-row case.  By :meth:`Csr.dot`, each row is scipy's ``_a0 @ V[i]`` bit for bit.
         """
         p_h, p_psi = self.a0_factors(t)
         d = V.shape[-1]
-        Y = _csr_product(self._a0, V.T)
+        Y = self._a0.dot(V.T)
         return (_scaled(p_h, Y[:d]) + _scaled(p_psi, Y[d:])).T
 
     def a0_matrix(self, t: float) -> Csr:
@@ -433,32 +442,6 @@ def _check_sums(model: KimuraModel) -> None:
 def _scaled(p, x):
     """p x for a profile value p, x itself for a constant profile (p is None)."""
     return x if p is None else p * x
-
-
-def _csr_product(mat: Csr, X: np.ndarray) -> np.ndarray:
-    """mat @ X for a float CSR matrix and a dense vector or block, by scipy's own kernel.
-
-    ``mat`` is a :class:`~banachscale.csr.Csr`, or any matrix with its arrays,
-    such as a scipy CSR matrix.  ``csr_matvec`` for a vector or a one-column
-    block, ``csr_matvecs`` for a wider block, on a C-contiguous X and a zeroed
-    float output, as scipy's ``_matmul_vector`` and ``_matmul_multivector``
-    call them: the result is scipy's ``mat @ X`` bit for bit, without its
-    operator's dispatch, which costs more than the product at the hierarchy's
-    desk sizes.
-    """
-    M, N = mat.shape
-    X = np.ascontiguousarray(X, dtype=float)
-    if X.ndim not in (1, 2) or X.shape[0] != N:
-        raise ValueError(f"cannot multiply a {M}x{N} matrix by an array of shape {X.shape}")
-    if X.ndim == 1 or X.shape[1] == 1:
-        out = np.zeros(M)
-        sparsetools.csr_matvec(M, N, mat.indptr, mat.indices, mat.data, X.ravel(), out)
-        return out if X.ndim == 1 else out[:, None]
-    out = np.zeros((M, X.shape[1]))
-    sparsetools.csr_matvecs(
-        M, N, X.shape[1], mat.indptr, mat.indices, mat.data, X.ravel(), out.ravel()
-    )
-    return out
 
 
 def _assemble_components(model: KimuraModel) -> list[Csr]:
@@ -727,8 +710,8 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
     The state, the four stages and the stage input hold one column per row,
     in buffers allocated once per run.  A stage writes the product of the
     stacked components [A0_h; A0_psi] with its input into one zeroed
-    (2d, rows) block by scipy's CSR kernel, called as :func:`_csr_product`
-    calls it, then forms p_h (A0_h v) + p_psi (A0_psi v) in place: the values
+    (2d, rows) block by :meth:`Csr.kernel`, the kernel that :meth:`Csr.dot`
+    calls, then forms p_h (A0_h v) + p_psi (A0_psi v) in place: the values
     of :meth:`KimuraModel.a0_dot`, bit for bit.  The updates keep the
     textbook operation order, x - c k and x - sixth (((k1 + 2 k2) + 2 k3) + k4),
     so no float depends on the buffering.  Stages hold A0 v rather than
@@ -748,20 +731,16 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
     k1, k2, k3, k4, y = (np.empty((d, rows)) for _ in range(5))
     Y = np.empty((M, rows))
     Y_h, Y_psi = Y[:d], Y[d:]
-    x_flat, y_flat, Y_flat = x.reshape(-1), y.reshape(-1), Y.reshape(-1)
-    if rows == 1:
-        product = partial(sparsetools.csr_matvec, M, d, a0.indptr, a0.indices, a0.data)
-    else:
-        product = partial(sparsetools.csr_matvecs, M, d, rows, a0.indptr, a0.indices, a0.data)
+    product = a0.kernel(rows)
 
     # numpy's ufuncs, bound once, each given its output as third argument: at
     # the desk sizes a stage is mostly per-call cost
     add, sub, mul = np.add, np.subtract, np.multiply
 
-    def stage(p_h, p_psi, v_flat: np.ndarray, out: np.ndarray) -> None:
+    def stage(p_h, p_psi, v: np.ndarray, out: np.ndarray) -> None:
         """out = A0 v at a stage time with profile values p_h, p_psi (None if constant)."""
         Y.fill(0.0)
-        product(v_flat, Y_flat)
+        product(v, Y)
         if p_h is not None:
             mul(p_h, Y_h, Y_h)
         if p_psi is not None:
@@ -775,25 +754,18 @@ def _rk4(model: KimuraModel, s: np.ndarray, h: np.ndarray, V0: np.ndarray, n: in
         table = model.a0_factors(times)
         f = list(zip(*(repeat(None, len(times)) if p is None else p for p in table)))
         for i in range(0, 2 * steps, 2):
-            stage(*f[i], x_flat, k1)
+            stage(*f[i], x, k1)
             sub(x, mul(half, k1, y), y)
-            stage(*f[i + 1], y_flat, k2)
+            stage(*f[i + 1], y, k2)
             sub(x, mul(half, k2, y), y)
-            stage(*f[i + 1], y_flat, k3)
+            stage(*f[i + 1], y, k3)
             sub(x, mul(step, k3, y), y)
-            stage(*f[i + 2], y_flat, k4)
+            stage(*f[i + 2], y, k4)
             add(k1, mul(2.0, k2, k2), k1)
             add(k1, mul(2.0, k3, k3), k1)
             add(k1, k4, k1)
             sub(x, mul(sixth, k1, k1), x)
     return x.T
-
-
-def _norm1(mat: Csr) -> float:
-    """Largest column sum of |mat|.  np.bincount adds each column's entries in
-    storage order, as scipy's ``abs(mat).sum(axis=0)`` does, so the value is
-    the same bit for bit, without a new matrix and a product per call."""
-    return float(np.bincount(mat.indices, np.abs(mat.data), mat.shape[1]).max())
 
 
 def expm_increment(a0: Csr, h: float) -> Csr:
@@ -806,14 +778,14 @@ def expm_increment(a0: Csr, h: float) -> Csr:
     small terms of D would otherwise round.  (Moler and Van Loan, SIAM Rev.
     45(1), 2003.)
     """
-    norm = h * _norm1(a0)
+    norm = h * a0.norm1()
     s = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
     x = a0 * (-h / 2.0**s)
     d = term = x
     for k in range(2, 64):
-        term = (term @ x) / k
+        term = (term @ x) * (1 / k)  # as scipy's term / k
         d = d + term
-        if _norm1(term) <= np.finfo(float).eps * _norm1(d):
+        if term.norm1() <= np.finfo(float).eps * d.norm1():
             break
     for _ in range(s):
         d = 2.0 * d + d @ d
@@ -823,12 +795,12 @@ def expm_increment(a0: Csr, h: float) -> Csr:
 def _increment_step(d: Csr) -> StepAction:
     """Step action V -> V + D V of a time-invariant step, on one vector or on rows.
 
-    D V is one :func:`_csr_product`, equal to scipy's ``D @ V.T`` bit for
-    bit; the cocycle loops of the Picard grid call it once per step.
+    D V is one :meth:`Csr.dot`, equal to scipy's ``D @ V.T`` bit for bit;
+    the cocycle loops of the Picard grid call it once per step.
     """
 
     def action(V: np.ndarray, j: int | slice = slice(None)) -> np.ndarray:
-        return V + _csr_product(d, V.T).T
+        return V + d.dot(V.T).T
 
     return action
 
@@ -943,7 +915,7 @@ def model_constants(model: KimuraModel, k0: CorrelationHierarchy) -> Ovcyannikov
     except OverflowError:
         c3 = math.inf
     # |A0(t) k0| <= sup p_h |A0_h k0| + sup p_psi |A0_psi k0| entrywise on [0, T]
-    a0_h_k0, a0_psi_k0 = np.abs(_csr_product(model._a0, k0.vec)).reshape(2, -1)
+    a0_h_k0, a0_psi_k0 = np.abs(model._a0.dot(k0.vec)).reshape(2, -1)
     rates = model.rates
     a0k0_sup = rates.h_profile.sup(win.T) * a0_h_k0 + rates.psi_profile.sup(win.T) * a0_psi_k0
     cx = c1 * model.hierarchy_norm(a0k0_sup, win.alpha0)
@@ -1019,7 +991,7 @@ class KimuraPerturbation(PerturbationMap):
         rates = self.model.rates
         p_h, p_psi, p_a = (p.at(ts) for p in (rates.h_profile, rates.psi_profile, rates.a_profile))
         d = rows.shape[1]
-        Y = _csr_product(self.model._b, rows.T)
+        Y = self.model._b.dot(rows.T)
         a1_v = _scaled(p_psi, Y[:d]) + _scaled(p_a, Y[d : 2 * d])
         bdelta_v = _scaled(p_h, Y[2 * d]) + _scaled(p_psi, Y[2 * d + 1])
         out = (a1_v + bdelta_v * rows.T).T

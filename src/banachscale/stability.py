@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleHorizonError
+from .errors import DomainError, InfeasibleHorizonError, shown
 from .kimura import AUTO_LAMBDA, KimuraProblem
 from .scalecore import ScaleWindow, lambda0
 from .solver import Problem, SolverOptions, TriangleSolution, picard_solve
@@ -141,6 +141,19 @@ def stability_experiment(
 # family builders
 
 
+def check_h_family(h: np.ndarray, n_values: list[int]) -> None:
+    """Refuse, with field ``n_values[i]``, an n whose rate h (1 + 2^-n) is not a finite double."""
+    h_max = float(np.max(h))
+    for i, n in enumerate(n_values):
+        try:
+            finite = math.isfinite(h_max * (1.0 + 2.0 ** -n))
+        except OverflowError:
+            finite = False
+        if not finite:
+            message = f"h * (1 + 2^-n) overflows a double for n = {shown(n)}"
+            raise DomainError(message, field=f"n_values[{i}]")
+
+
 def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
     """Family with selection cost h_n = h * (1 + 2^(-n)), psi and a fixed.
 
@@ -148,9 +161,10 @@ def kimura_h_family(problem, n_values: list[int]) -> PerturbedFamily:
     with its certificate; every member gets its own.  Member n's perturbation
     size is max |h_n - h| over the sites.  Every problem of the family gets the
     problem's window with its slope resolved for the family: the model's slope
-    when one is set, else AUTO_LAMBDA * :func:`lambda1`.
+    when one is set, else AUTO_LAMBDA * :func:`lambda1`.  It first calls :func:`check_h_family`.
     """
     h = problem.model.rates.h_base
+    check_h_family(h, n_values)
     members, labels, sizes = [], [], []
     for n in n_values:
         rates_n = replace(problem.model.rates, h_base=h * (1.0 + 2.0 ** (-n)))

@@ -345,16 +345,18 @@ class TestSolve:
     def test_truncation_above_the_site_count_is_the_whole_system(
         self, tmp_path, shipped_configs, subcommand
     ):
-        # 4 sites have no level above 4: n_max = 3000 writes what n_max = 4 does
-        cfg = shipped_configs["desk-epistatic"]
-        cfg["window"].update(alpha_star=0.0, alpha0=1e-4, alpha_top=2e-3)
-        outputs = []
-        for n_max in (4, 3000):
-            cfg["model"]["n_max"] = n_max
-            out = tmp_path / str(n_max)
-            assert run(subcommand, write_config(tmp_path, cfg, f"{n_max}.json"), out) == 0
-            outputs.append(run_outputs(out))
-        assert outputs[0] == outputs[1]
+        # 4 sites have no level above 4: n_max = 710 or 3000 writes what n_max = 4
+        # does, under the shipped window (alpha_top = 1) and under a narrow one
+        for window in ({}, {"alpha_star": 0.0, "alpha0": 1e-4, "alpha_top": 2e-3}):
+            cfg = shipped_configs["desk-epistatic"]
+            cfg["window"].update(window)
+            outputs = []
+            for n_max in (4, 710, 3000):
+                cfg["model"]["n_max"] = n_max
+                out = tmp_path / f"{len(window)}-{n_max}"
+                assert run(subcommand, write_config(tmp_path, cfg, f"{n_max}.json"), out) == 0
+                outputs.append(run_outputs(out))
+            assert outputs[0] == outputs[1] == outputs[2]
 
     def test_trajectory_row_ordering(self, tmp_path):
         out = tmp_path / "out"
@@ -659,6 +661,26 @@ class TestConfigFuzz:
                     long.append((path, err))
         assert {"solver.n_steps", "model.n_max", "model.m", "run.samples"} <= set(refused)
         assert long == []
+
+    @pytest.mark.parametrize("field, value", [
+        # a 300 x 300 psi whose last row is not numbers, and an h with a huge entry
+        ("model.rates.psi", [[0.1] * 300] * 299 + ["x"]),
+        ("model.rates.h", [10**400, 1, 1, 1]),
+    ], ids=["psi", "h"])
+    def test_a_refused_array_is_one_short_line(self, field, value, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "desk-epistatic.json").read_text())
+        if field == "model.rates.psi":
+            cfg["model"].update(m=300, n_max=2)
+        set_field(cfg, field, value)
+        assert run("solve", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: {field}: expected numbers, got [")
+        assert " characters)" in err and len(err.encode()) < 200
+
+    def test_a_long_repr_is_cut_to_its_head_and_length(self):
+        assert shown("x" * 58) == repr("x" * 58)
+        assert shown("x" * 59) == "'" + "x" * 59 + "... (61 characters)"
+        assert shown([0.5] * 12) == repr([0.5] * 12)
 
     def test_an_oversized_integer_is_shown_by_its_exact_digit_count(self):
         # math.log10 rounds near a power of ten; the count must not

@@ -43,16 +43,9 @@ from banachscale.oracles import bound_verifier, evolution_law_check
 from banachscale.scalecore import ScaleWindow
 from banachscale.solver import SolverOptions, make_grid, picard_solve, residual_check
 from scalar import flat_norm
+from test_csr import as_scipy
 
 WIN = ScaleWindow(0.0, 0.5, 1.0, r=1.0, T=1.0)
-
-
-def as_scipy(mat):
-    """A library :class:`~banachscale.csr.Csr` as a scipy CSR matrix on copies
-    of its arrays (scipy's operators may sort a matrix's indices in place), for
-    a comparison with scipy's own operators."""
-    arrays = (mat.data.copy(), mat.indices.copy(), mat.indptr.copy())
-    return sparse.csr_matrix(arrays, shape=mat.shape)
 
 
 def solve(model, k0, n_steps):
@@ -156,6 +149,23 @@ class TestStructures:
         with pytest.raises(ModelValidationError) as exc:
             KimuraModel(DiscreteSpace.uniform(30), rates, 5, WIN)
         assert exc.value.field == "n_max"
+
+    @pytest.mark.parametrize("m, alpha_star, alpha_top, refused", [
+        (4, 0.0, 177.0, None), (4, 0.0, 178.0, "alpha_top"), (4, -178.0, 1.0, "alpha_star"),
+        (1, 0.0, 354.0, None), (1, 0.0, 355.0, "alpha_top"),
+    ])
+    def test_model_refuses_scale_weights_that_overflow(self, m, alpha_star, alpha_top, refused):
+        # e^(alpha n) on the levels 0..min(m, n_max), whatever n_max, and the growth
+        # rate's e^(2 alpha) must be finite doubles: |alpha| max(2, min(m, n_max)) <= 709.78
+        window = ScaleWindow(alpha_star, 0.5, alpha_top)
+        rates = RateData.constant(m, 0.5, 0.1, 0.2)
+        if refused is None:
+            KimuraModel(DiscreteSpace.uniform(m), rates, 3000, window)
+            return
+        message = r"^e\^\(-?[0-9.]+ \* [24]\) overflows a double"
+        with pytest.raises(ModelValidationError, match=message) as exc:
+            KimuraModel(DiscreteSpace.uniform(m), rates, 3000, window)
+        assert exc.value.field == refused
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -786,24 +796,6 @@ class TestGridSteps:
         for v in V:
             assert np.max(np.abs(v + d @ v - exact @ v)) <= 1e-14
 
-    @pytest.mark.parametrize("name", ["desk-epistatic", "desk-free", "desk-smooth"])
-    def test_column_sum_norm_is_scipys_bit_for_bit(self, shipped_configs, name, monkeypatch):
-        # on the components and on every Taylor term and partial sum of expm_increment
-        cfg = shipped_configs[name]
-        model = cli.parse_model(cfg, cli.parse_window(cfg))
-        norm1, seen = kimura._norm1, []
-
-        def recorded(mat):
-            seen.append(mat)
-            return norm1(mat)
-
-        monkeypatch.setattr(kimura, "_norm1", recorded)
-        for h in (1e-3, 0.3, 5.0):
-            expm_increment(model.a0_matrix(0.0), h)
-        assert len(seen) > 20
-        for mat in [*kimura._assemble_components(model), *seen]:
-            assert norm1(mat) == float(abs(as_scipy(mat)).sum(axis=0).max())
-
     def test_dead_model_increment_is_zero(self, dead_model):
         d = as_scipy(expm_increment(dead_model.a0_matrix(0.0), 0.7))
         assert np.array_equal(d.toarray(), np.zeros((dead_model.dim, dead_model.dim)))
@@ -852,59 +844,6 @@ class TestGridSteps:
         monkeypatch.setattr(kimura, "evolution_u", None)
         full, _ = KimuraEvolution(model).grid_steps(t)
         assert np.max(np.abs(full(v, 1) - expected)) <= 1e-14
-
-
-@st.composite
-def csr_operands(draw):
-    """A float CSR matrix with empty rows and unsorted columns allowed, and a
-    dense block of full-mantissa values for it."""
-    n_rows, n_cols = draw(st.integers(1, 20)), draw(st.integers(1, 12))
-    row_cols = [
-        draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=n_cols))
-        for _ in range(n_rows)
-    ]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    indptr = np.cumsum([0] + [len(c) for c in row_cols])
-    indices = np.array([j for cols in row_cols for j in cols], dtype=np.intp)
-    data = rng.standard_normal(len(indices)) * 10.0 ** rng.integers(-3, 4, len(indices))
-    mat = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-    if draw(st.booleans()):
-        mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
-    block = rng.standard_normal((n_cols, draw(st.integers(2, 70))))
-    return mat, block
-
-
-def empty_rows_int64():
-    mat = sparse.csr_matrix(np.array([[0.0, 0.0], [1.5, -2.0], [0.0, 0.0]]))
-    mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
-    return mat, np.array([[1.0, 2.0, 3.0], [0.5, 0.25, -1.0]])
-
-
-class TestCsrProduct:
-    """kimura._csr_product is scipy's ``mat @ X`` bit for bit."""
-
-    @given(csr_operands())
-    @example(empty_rows_int64())
-    @settings(max_examples=60, deadline=None)
-    def test_equals_scipy_on_every_operand_shape(self, operands):
-        mat, block = operands
-        operands = {
-            "vector": np.ascontiguousarray(block[:, 0]),
-            "block": block,
-            "transposed view": np.ascontiguousarray(block.T).T,
-            "one column": block[:, :1],
-            "strided vector": block[:, 1],
-        }
-        for name, X in operands.items():
-            got, want = kimura._csr_product(mat, X), mat @ X
-            assert got.shape == want.shape and got.dtype == want.dtype, name
-            assert np.array_equal(got, want), name
-
-    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 2), ()])
-    def test_a_mismatched_operand_raises(self, shape):
-        # the kernel itself would read past the operand's end
-        with pytest.raises(ValueError, match="cannot multiply"):
-            kimura._csr_product(sparse.csr_matrix(np.eye(2)), np.ones(shape))
 
 
 class TestApplyBatch:

@@ -130,6 +130,19 @@ class TestKimuraFamily:
         fam = kimura_h_family(problem, [1, 3])
         assert fam.window == window
 
+    @pytest.mark.parametrize("n", [-1100, 10**400], ids=["-1100", "10**400"])
+    def test_member_rate_that_overflows_is_refused_before_any_build(
+        self, epistatic_problem, n, monkeypatch
+    ):
+        # member n scales h by 1 + 2^-n, which must be a finite double
+        def never(*args, **kwargs):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(KimuraProblem, "build", never)
+        with pytest.raises(DomainError, match=r"^h \* \(1 \+ 2\^-n\) overflows") as exc:
+            kimura_h_family(epistatic_problem, [1, n])
+        assert exc.value.field == "n_values[1]"
+
     def test_perturbation_sizes_are_the_h_gaps(self, shipped_configs, tmp_path):
         # desk-epistatic has h = 1 at every site: member n perturbs h by 2^-n
         from banachscale.cli import main
